@@ -12,8 +12,9 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from typing import Sequence
 
-from scipy import stats
+import numpy as np
 
 from .errors import DomainError
 
@@ -60,6 +61,8 @@ def contention_pmf(point: LoadPoint, k: int) -> float:
     """Probability that exactly ``k`` of the contenders land on a fixed codeword."""
     if not 0 <= k <= point.n_users:
         raise DomainError(f"occupancy {k} outside 0..{point.n_users}")
+    from scipy import stats  # imported here: it dominates the package's import time
+
     return float(stats.binom.pmf(k, point.n_users, 1.0 / point.codewords))
 
 
@@ -69,6 +72,16 @@ def expected_singles(point: LoadPoint) -> float:
     if n == 0:
         return 0.0
     return n * _survival_power(a, n - 1)
+
+
+def expected_singles_curve(n_values: Sequence[int], codewords: int) -> np.ndarray:
+    """`expected_singles` at every load of a grid, ``N * (1 - 1/A)**(N - 1)``."""
+    n = np.asarray(n_values, dtype=np.int64).astype(np.float64)
+    if (n < 0).any():
+        raise DomainError("user count cannot be negative")
+    if codewords < 1:
+        raise DomainError("need at least one codeword")
+    return n * np.power(1.0 - 1.0 / codewords, np.maximum(n - 1.0, 0.0))
 
 
 def expected_collisions(point: LoadPoint) -> float:

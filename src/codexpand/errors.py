@@ -17,10 +17,6 @@ class StateSpaceTooLarge(CodexpandError):
     """The observation state space exceeds the configured cap."""
 
 
-class NotUniform(CodexpandError):
-    """The operation requires equal per-sub-frame preamble budgets."""
-
-
 class EnumerationTooLarge(CodexpandError):
     """Exhaustive enumeration of codeword assignments exceeds the cap."""
 

@@ -1,4 +1,4 @@
-"""Markov chain over the base station's per-sub-frame observations.
+"""Expected perceived codewords: closed form, and the observation chain.
 
 The base station cannot see codewords directly; in each sub-frame ``j`` it
 sees some set of preambles.  Writing ``C_j`` for the number of observed
@@ -9,10 +9,25 @@ reveals.  The codewords consistent with a configuration number
 exactly how many codewords the base station perceives: singles, collisions,
 and phantom codewords no one sent.
 
-Contenders pick codewords independently and uniformly, so adding one more
-contender moves the configuration by keeping each ``C_j`` or raising it by
-one, with a probability that depends only on the current configuration --
-never on which codewords produced it.  The number of codewords driving the
+Closed form.  ``prod(C_j)`` counts the words ``w`` of the full alphabet
+(idle allowed everywhere) whose every non-idle symbol was observed.  By
+inclusion-exclusion over the set ``T`` of sub-frames in which such a symbol
+goes unobserved::
+
+    E[perceived | N] = sum_T (-1)^|T| * P_T * ((P_T - 1) / A)^N - 1,
+    P_T = prod_{j in T} m_j * prod_{j not in T} (m_j + 1),
+
+where ``A`` is the codebook size: ``P_T`` words carry a preamble in every
+sub-frame of ``T``, and for each of them ``P_T - 1`` codewords avoid all
+those preambles.  Equal products merge, so uniform budgets leave ``L + 1``
+terms.  `perceived_curve` evaluates the sum in floats over a whole load grid
+and falls back to exact integer arithmetic wherever the terms cancel beyond
+float precision.
+
+The chain.  Contenders pick codewords independently and uniformly, so adding
+one more contender moves the configuration by keeping each ``C_j`` or raising
+it by one, with a probability that depends only on the current configuration
+-- never on which codewords produced it.  The number of codewords driving the
 move from ``c`` to ``c'`` is::
 
     prod_j ( C_j           if C'_j == C_j        # symbol already observed
@@ -24,14 +39,14 @@ yet is not in the codebook.  Dividing by the codebook size gives a
 row-stochastic transition matrix; the expected perceived count after ``N``
 contenders is the cardinality vector averaged over the N-step state
 distribution.  Counts are kept as integers so small instances can be checked
-in exact rational arithmetic.
+in exact rational arithmetic.  The chain is an independent route to the same
+numbers and the structure `inspect-chain` prints.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -41,8 +56,8 @@ import numpy as np
 from scipy import sparse
 
 from .codebook import CodebookSpec, Mode, codebook_size
-from .contention import LoadPoint, expected_singles
-from .errors import DomainError, NotUniform, StateSpaceTooLarge
+from .contention import LoadPoint, expected_singles, expected_singles_curve
+from .errors import DomainError, StateSpaceTooLarge
 
 #: Per-sub-frame observed-preamble counts, idle included (each entry >= 1).
 Configuration = tuple[int, ...]
@@ -91,7 +106,7 @@ def build_state_space(spec: CodebookSpec, cap: int = STATE_CAP) -> StateSpace:
     Raises
     ------
     StateSpaceTooLarge
-        When ``prod(m_j + 1)`` exceeds ``cap``; use `build_lumped_model` or
+        When ``prod(m_j + 1)`` exceeds ``cap``; use `perceived_curve` or
         Monte Carlo instead.
     """
     _check_expanded(spec)
@@ -120,17 +135,30 @@ def transition_count(frm: Configuration, to: Configuration, spec: CodebookSpec) 
     _check_expanded(spec)
     _validate_configuration(frm, spec)
     _validate_configuration(to, spec)
-    count = 1
-    for c_from, c_to, m in zip(frm, to, spec.budgets):
-        if c_to == c_from:
-            count *= c_from
-        elif c_to == c_from + 1:
-            count *= m + 1 - c_from
-        else:
-            return 0
-    if frm == to:
-        count -= 1
-    return count
+    return dict(_successors(tuple(frm), spec.budgets)).get(tuple(to), 0)
+
+
+def _successors(
+    config: Configuration, budgets: Sequence[int]
+) -> Iterable[tuple[Configuration, int]]:
+    """Configurations one more contender can lead to, with codeword counts.
+
+    In each sub-frame the new codeword either sends one of the ``C_j``
+    symbols already observed, keeping the count, or (below the budget) one of
+    the ``m_j + 1 - C_j`` unobserved preambles, raising it by one; the
+    self-loop loses the all-idle word.
+    """
+    moves = [
+        ((c, c),) if c > m else ((c, c), (c + 1, m + 1 - c))
+        for c, m in zip(config, budgets)
+    ]
+    for move in itertools.product(*moves):
+        succ, factors = zip(*move)
+        count = math.prod(factors)
+        if succ == config:
+            count -= 1  # the all-idle word is not in the codebook
+        if count:
+            yield succ, count
 
 
 @dataclass(frozen=True)
@@ -140,9 +168,7 @@ class TransitionModel:
     ``counts[i, j]`` is the number of codewords moving state ``i`` to state
     ``j``; every row sums to ``denominator`` (the codebook size), so
     ``counts / denominator`` is row-stochastic.  ``initial_counts / denominator``
-    is the state distribution after the first contender.  For a lumped model
-    the states are sorted representatives and ``class_sizes`` holds the number
-    of configurations each one stands for.
+    is the state distribution after the first contender.
     """
 
     spec: CodebookSpec
@@ -151,7 +177,6 @@ class TransitionModel:
     counts: sparse.csr_matrix
     initial_counts: np.ndarray
     denominator: int
-    class_sizes: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self.states)
@@ -160,6 +185,11 @@ class TransitionModel:
     def matrix(self) -> sparse.csr_matrix:
         """Row-stochastic transition matrix (float)."""
         return self.counts.astype(np.float64) / self.denominator
+
+    @cached_property
+    def matrix_t(self) -> sparse.csr_matrix:
+        """Transposed transition matrix, so a step is one CSR product."""
+        return self.matrix.T.tocsr()
 
     @cached_property
     def initial(self) -> np.ndarray:
@@ -179,7 +209,7 @@ class TransitionModel:
             return 0.0
         dist = self.initial
         for _ in range(n_users - 1):
-            dist = dist @ self.matrix
+            dist = self.matrix_t @ dist
         return float(dist @ self.cardinalities)
 
     def perceived_sweep(self, n_values: Sequence[int]) -> np.ndarray:
@@ -194,7 +224,7 @@ class TransitionModel:
         pos = 0
         for n in range(1, grid[-1] + 1):
             if n > 1:
-                dist = dist @ self.matrix
+                dist = self.matrix_t @ dist
             while pos < len(grid) and grid[pos] == n:
                 out[pos] = float(dist @ self.cardinalities)
                 pos += 1
@@ -206,14 +236,6 @@ class TransitionModel:
             raise DomainError("efficiency is undefined without contenders")
         singles = expected_singles(LoadPoint(n_users, self.denominator))
         return singles / self.perceived_count(n_users)
-
-    def efficiency_sweep(self, n_values: Sequence[int]) -> np.ndarray:
-        grid = _checked_grid(n_values)
-        perceived = self.perceived_sweep(grid)
-        singles = np.array(
-            [expected_singles(LoadPoint(n, self.denominator)) for n in grid]
-        )
-        return singles / perceived
 
     def perceived_count_exact(self, n_users: int) -> Fraction:
         """Exact rational perceived count, for golden-value comparisons.
@@ -254,28 +276,16 @@ def build_transition_model(spec: CodebookSpec, cap: int = STATE_CAP) -> Transiti
     space = build_state_space(spec, cap=cap)
     denom = codebook_size(spec)
     budgets = spec.budgets
-    length = spec.length
+    index = space.index
 
     rows: list[int] = []
     cols: list[int] = []
     data: list[int] = []
     for i, config in enumerate(space.states):
-        movable = [j for j in range(length) if config[j] <= budgets[j]]
-        for bump in _subsets(movable):
-            succ = list(config)
-            count = 1
-            for j in range(length):
-                if j in bump:
-                    succ[j] += 1
-                    count *= budgets[j] + 1 - config[j]
-                else:
-                    count *= config[j]
-            if not bump:
-                count -= 1  # the all-idle word is not in the codebook
-            if count:
-                rows.append(i)
-                cols.append(space.index[tuple(succ)])
-                data.append(count)
+        for succ, count in _successors(config, budgets):
+            rows.append(i)
+            cols.append(index[succ])
+            data.append(count)
     counts = sparse.csr_matrix(
         (np.asarray(data, dtype=np.int64), (rows, cols)),
         shape=(len(space), len(space)),
@@ -297,102 +307,83 @@ def build_transition_model(spec: CodebookSpec, cap: int = STATE_CAP) -> Transiti
     )
 
 
-def build_lumped_model(spec: CodebookSpec, cap: int = STATE_CAP) -> TransitionModel:
-    """Collapse the chain over sub-frame permutations (uniform budgets only).
+#: Loads whose float closed form may be off by more than this relative error
+#: are evaluated exactly.
+CLOSED_FORM_RTOL = 1e-12
 
-    With equal budgets each sub-frame is exchangeable, so configurations that
-    are permutations of one another can be merged.  States become sorted
-    configurations; cardinalities, the first-contender distribution, and the
-    perceived-count sweep are preserved exactly.
 
-    Raises
-    ------
-    NotUniform
-        When the budgets differ between sub-frames.
+def perceived_terms(budgets: Sequence[int]) -> dict[int, int]:
+    """Inclusion-exclusion terms ``{P: coef}`` of the perceived-count sum.
+
+    One pass over the sub-frames: each term ``(p, c)`` becomes
+    ``(p * (m_j + 1), c)`` and ``(p * m_j, -c)``; equal products merge, and
+    terms with a zero product or coefficient are dropped.
+    """
+    terms = {1: 1}
+    for m in budgets:
+        merged: dict[int, int] = {}
+        for p, c in terms.items():
+            for product, coef in ((p * (m + 1), c), (p * m, -c)):
+                if product:
+                    merged[product] = merged.get(product, 0) + coef
+        terms = {p: c for p, c in merged.items() if c}
+    return terms
+
+
+def perceived_count_rational(spec: CodebookSpec, n_users: int) -> Fraction:
+    """Exact expected perceived count, ``sum coef*P*(P-1)^N / A^N - 1``."""
+    _check_expanded(spec)
+    n = int(n_users)
+    if n < 0:
+        raise DomainError("user count cannot be negative")
+    total = sum(c * p * (p - 1) ** n for p, c in perceived_terms(spec.budgets).items())
+    return Fraction(total, codebook_size(spec) ** n) - 1
+
+
+def perceived_curve(spec: CodebookSpec, n_values: Sequence[int]) -> np.ndarray:
+    """Expected perceived codewords at every load of a grid (closed form).
+
+    Evaluated in floats for the whole grid at once.  A load where the float
+    rounding bound exceeds `CLOSED_FORM_RTOL` of the result -- few contenders
+    over many sub-frames, where large terms cancel -- is evaluated exactly.
     """
     _check_expanded(spec)
-    if not spec.uniform:
-        raise NotUniform(f"budgets {spec.budgets} differ between sub-frames")
-    m = spec.budgets[0]
-    length = spec.length
-    denom = codebook_size(spec)
-    n_classes = math.comb(m + 1 + length - 1, length) - 1
-    if n_classes > cap:
-        raise StateSpaceTooLarge(f"{n_classes} classes exceed the cap of {cap}")
-
-    all_ones = (1,) * length
-    reps = tuple(
-        c
-        for c in itertools.combinations_with_replacement(range(1, m + 2), length)
-        if c != all_ones
-    )
-    index = {c: i for i, c in enumerate(reps)}
-    cardinalities = np.fromiter(
-        (configuration_cardinality(c) for c in reps), dtype=np.int64, count=len(reps)
-    )
-    class_sizes = np.fromiter(
-        (_orbit_size(c) for c in reps), dtype=np.int64, count=len(reps)
-    )
-
-    rows: list[int] = []
-    cols: list[int] = []
-    data: list[int] = []
-    for i, rep in enumerate(reps):
-        movable = [j for j in range(length) if rep[j] <= m]
-        merged: Counter[Configuration] = Counter()
-        for bump in _subsets(movable):
-            succ = list(rep)
-            count = 1
-            for j in range(length):
-                if j in bump:
-                    succ[j] += 1
-                    count *= m + 1 - rep[j]
-                else:
-                    count *= rep[j]
-            if not bump:
-                count -= 1
-            if count:
-                merged[tuple(sorted(succ))] += count
-        for key, count in merged.items():
-            rows.append(i)
-            cols.append(index[key])
-            data.append(count)
-    counts = sparse.csr_matrix(
-        (np.asarray(data, dtype=np.int64), (rows, cols)),
-        shape=(len(reps), len(reps)),
-    )
-    counts.sort_indices()
-    _check_row_sums(counts, denom)
-    initial = np.fromiter(
-        (_first_contender_count(c, spec.budgets) * _orbit_size(c) for c in reps),
-        dtype=np.int64,
-        count=len(reps),
-    )
-    return TransitionModel(
-        spec=spec,
-        states=reps,
-        cardinalities=cardinalities,
-        counts=counts,
-        initial_counts=initial,
-        denominator=denom,
-        class_sizes=class_sizes,
-    )
+    loads = np.asarray(n_values, dtype=np.int64)
+    if (loads < 0).any():
+        raise DomainError("user count cannot be negative")
+    size = codebook_size(spec)
+    terms = perceived_terms(spec.budgets)
+    products = np.array(list(terms), dtype=np.float64)
+    weights = np.array([c * p for p, c in terms.items()], dtype=np.float64)
+    ratios = (products - 1.0) / size
+    n = loads.astype(np.float64)[:, None]
+    parts = weights * np.power(ratios, n)
+    values = parts.sum(axis=1) - 1.0
+    # Each part carries a few roundings, plus about N from raising an inexact
+    # ratio to the N-th power; the ratio 1 of the leading term is exact.
+    roundings = np.where(ratios < 1.0, n, 0.0) + len(terms)
+    bound = np.finfo(np.float64).eps * (np.abs(parts) * roundings).sum(axis=1)
+    for i in np.flatnonzero(bound > CLOSED_FORM_RTOL * np.abs(values)):
+        values[i] = float(perceived_count_rational(spec, loads[i]))
+    return values
 
 
-def perceived_count(spec: CodebookSpec, n_users: int, cap: int = STATE_CAP) -> float:
-    """Expected perceived codewords for ``n_users`` contenders (full chain)."""
-    return build_transition_model(spec, cap=cap).perceived_count(n_users)
+def expanded_efficiency_curve(spec: CodebookSpec, n_values: Sequence[int]) -> np.ndarray:
+    """Expected singles over expected perceived codewords at every load."""
+    loads = np.asarray(n_values, dtype=np.int64)
+    if (loads < 1).any():
+        raise DomainError("efficiency is undefined without contenders")
+    return expected_singles_curve(loads, codebook_size(spec)) / perceived_curve(spec, loads)
 
 
-def expanded_efficiency(spec: CodebookSpec, n_users: int, cap: int = STATE_CAP) -> float:
-    """Expected singles over expected perceived codewords (full chain)."""
-    return build_transition_model(spec, cap=cap).efficiency(n_users)
+def perceived_count(spec: CodebookSpec, n_users: int) -> float:
+    """Expected perceived codewords for ``n_users`` contenders (closed form)."""
+    return float(perceived_curve(spec, [n_users])[0])
 
 
-def _subsets(items: Sequence[int]) -> Iterable[tuple[int, ...]]:
-    return itertools.chain.from_iterable(
-        itertools.combinations(items, k) for k in range(len(items) + 1)
-    )
+def expanded_efficiency(spec: CodebookSpec, n_users: int) -> float:
+    """Expected singles over expected perceived codewords (closed form)."""
+    return float(expanded_efficiency_curve(spec, [n_users])[0])
 
 
 def _first_contender_count(config: Configuration, budgets: tuple[int, ...]) -> int:
@@ -407,13 +398,6 @@ def _first_contender_count(config: Configuration, budgets: tuple[int, ...]) -> i
         else:
             return 0
     return count
-
-
-def _orbit_size(rep: Configuration) -> int:
-    size = math.factorial(len(rep))
-    for mult in Counter(rep).values():
-        size //= math.factorial(mult)
-    return size
 
 
 def _check_row_sums(counts: sparse.csr_matrix, denom: int) -> None:

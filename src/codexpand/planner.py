@@ -20,7 +20,7 @@ import numpy as np
 from .codebook import CodebookSpec, Mode, codebook_size, restrictions_for_cardinality
 from .contention import reference_efficiency
 from .errors import BudgetExceedsTotal, DomainError
-from .markov import STATE_CAP, build_lumped_model, build_state_space, build_transition_model
+from .markov import expanded_efficiency_curve
 
 
 @dataclass(frozen=True)
@@ -73,14 +73,21 @@ class ThresholdSchedule:
         return self.segments[pos].spec
 
 
-def state_cardinality_values(length: int, m: int, cap: int = STATE_CAP) -> list[int]:
-    """Distinct observation cardinalities of the full codebook's chain."""
-    space = build_state_space(CodebookSpec.expanded((m,) * length), cap=cap)
-    return sorted(set(int(a) for a in space.cardinalities))
+def state_cardinality_values(length: int, m: int) -> list[int]:
+    """Distinct observation cardinalities of the full codebook's chain.
+
+    These are the values ``prod(C_j) - 1`` over configurations with
+    ``1 <= C_j <= m + 1``, the all-idle one (cardinality 0) excluded; the set
+    of products is grown one sub-frame at a time, with no state space built.
+    """
+    products = {1}
+    for _ in range(length):
+        products = {p * c for p in products for c in range(1, m + 2)}
+    return sorted(p - 1 for p in products if p > 1)
 
 
 def cardinalities_of_interest(
-    length: int, m: int, reference_preambles: int | None = None, cap: int = STATE_CAP
+    length: int, m: int, reference_preambles: int | None = None
 ) -> list[int]:
     """Realizable codebook sizes that beat the reference scheme's size.
 
@@ -88,7 +95,7 @@ def cardinalities_of_interest(
     otherwise ``m * length`` (same preamble count in both schemes).
     """
     baseline = (reference_preambles if reference_preambles is not None else m) * length
-    return [a for a in state_cardinality_values(length, m, cap=cap) if a > baseline]
+    return [a for a in state_cardinality_values(length, m) if a > baseline]
 
 
 def spec_for_cardinality(length: int, m: int, target: int) -> CodebookSpec:
@@ -120,34 +127,28 @@ def default_candidates(
 
 
 def efficiency_curve(
-    spec: CodebookSpec, load_grid: Sequence[int], cap: int = STATE_CAP
+    spec: CodebookSpec, load_grid: Sequence[int]
 ) -> list[tuple[int, float]]:
     """Contention efficiency at each grid load.
 
-    Reference codebooks use the closed form; expanded ones sweep the
-    observation chain incrementally (the lumped chain when budgets are
-    uniform), so a whole grid costs one pass of vector-matrix products.
+    Reference codebooks use singles / (singles + collisions).  Expanded ones
+    use expected singles ``N (1 - 1/A)^(N-1)`` over the expected perceived
+    count ``sum_T (-1)^|T| P_T ((P_T - 1)/A)^N - 1`` (see `codexpand.markov`),
+    both evaluated over the whole grid at once.
     """
     grid = [int(n) for n in load_grid]
     if spec.mode is Mode.REFERENCE:
         m = spec.budgets[0]
         return [(n, reference_efficiency(n, m, spec.length)) for n in grid]
-    if spec.uniform and spec.length > 1:
-        model = build_lumped_model(spec, cap=cap)
-    else:
-        model = build_transition_model(spec, cap=cap)
-    return list(zip(grid, (float(e) for e in model.efficiency_sweep(grid))))
+    return list(zip(grid, expanded_efficiency_curve(spec, grid).tolist()))
 
 
 def crossover_point(
-    spec_a: CodebookSpec,
-    spec_b: CodebookSpec,
-    load_grid: Sequence[int],
-    cap: int = STATE_CAP,
+    spec_a: CodebookSpec, spec_b: CodebookSpec, load_grid: Sequence[int]
 ) -> int | None:
     """Smallest grid load where ``spec_b`` is strictly more efficient."""
-    curve_a = efficiency_curve(spec_a, load_grid, cap=cap)
-    curve_b = efficiency_curve(spec_b, load_grid, cap=cap)
+    curve_a = efficiency_curve(spec_a, load_grid)
+    curve_b = efficiency_curve(spec_b, load_grid)
     for (n, eff_a), (_, eff_b) in zip(curve_a, curve_b):
         if eff_b > eff_a:
             return n
@@ -155,20 +156,17 @@ def crossover_point(
 
 
 def supported_load(
-    spec: CodebookSpec,
-    load_grid: Sequence[int],
-    floor: float = 0.5,
-    cap: int = STATE_CAP,
+    spec: CodebookSpec, load_grid: Sequence[int], floor: float = 0.5
 ) -> int | None:
     """Largest grid load at which efficiency still reaches ``floor``."""
-    curve = efficiency_curve(spec, load_grid, cap=cap)
+    curve = efficiency_curve(spec, load_grid)
     for n, eff in reversed(curve):
         if eff >= floor:
             return n
     return None
 
 
-def threshold_schedule(candidates: CandidateSet, cap: int = STATE_CAP) -> ThresholdSchedule:
+def threshold_schedule(candidates: CandidateSet) -> ThresholdSchedule:
     """Pick the most efficient candidate at every grid load.
 
     Exact efficiency ties go to the smaller codebook, which keeps fewer
@@ -177,7 +175,7 @@ def threshold_schedule(candidates: CandidateSet, cap: int = STATE_CAP) -> Thresh
     """
     grid = candidates.load_grid
     curves = np.array(
-        [[e for _, e in efficiency_curve(spec, grid, cap=cap)] for spec in candidates.candidates]
+        [[e for _, e in efficiency_curve(spec, grid)] for spec in candidates.candidates]
     )
     sizes = np.array([codebook_size(spec) for spec in candidates.candidates])
     order = np.argsort(sizes, kind="stable")

@@ -10,14 +10,15 @@ from hypothesis import strategies as st
 from codexpand import (
     CodebookSpec,
     DomainError,
-    NotUniform,
     StateSpaceTooLarge,
-    build_lumped_model,
     build_state_space,
     build_transition_model,
     configuration_cardinality,
     expanded_efficiency,
     perceived_count,
+    perceived_count_rational,
+    perceived_curve,
+    perceived_terms,
     reference_efficiency,
 )
 from codexpand.markov import transition_count
@@ -72,6 +73,7 @@ class TestTransitionModel:
         assert transition_count((1, 2), (2, 3), L2M2) == 2
         assert transition_count((1, 2), (3, 2), L2M2) == 0
         assert transition_count((2, 2), (1, 2), L2M2) == 0
+        assert transition_count([1, 2], [1, 2], L2M2) == 1  # lists work too
 
     @given(small_budgets)
     @settings(max_examples=40, deadline=None)
@@ -138,31 +140,47 @@ class TestPerceivedCount:
             model.perceived_sweep([3, 2])
 
 
-class TestLumping:
-    def test_class_counts(self):
-        assert len(build_lumped_model(L2M2)) == 5
-        assert len(build_lumped_model(CodebookSpec.expanded((3, 3, 3, 3)))) == 34
-        assert len(build_lumped_model(CodebookSpec.expanded((4, 4, 4, 4)))) == 69
+class TestClosedForm:
+    def test_term_counts(self):
+        assert perceived_terms((2, 2)) == {9: 1, 6: -2, 4: 1}
+        for budgets in [(1,) * 5, (3,) * 4, (4,) * 10]:
+            assert len(perceived_terms(budgets)) == len(budgets) + 1
+        assert len(perceived_terms((5, 5, 5, 5, 5, 4))) == 12
 
-    def test_lumped_matches_full_model(self):
-        for budgets, loads in [((2, 2), (1, 2, 5, 17)), ((2, 2, 2), (1, 3, 8))]:
-            spec = CodebookSpec.expanded(budgets)
-            full = build_transition_model(spec)
-            lumped = build_lumped_model(spec)
-            for n in loads:
-                assert lumped.perceived_count(n) == pytest.approx(
-                    full.perceived_count(n), abs=1e-10
-                )
+    @given(
+        st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=4).filter(any),
+        st.integers(min_value=0, max_value=6),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_chain_exactly(self, budgets, n):
+        spec = CodebookSpec.expanded(tuple(budgets))
+        chain = build_transition_model(spec).perceived_count_exact(n)
+        assert perceived_count_rational(spec, n) == chain
 
-    def test_requires_uniform_budgets(self):
-        with pytest.raises(NotUniform):
-            build_lumped_model(CodebookSpec.expanded((1, 2)))
+    @pytest.mark.parametrize("budgets", [(4,) * 10, (1,) * 20, (12, 12, 12)])
+    def test_float_path_stays_near_exact(self, budgets):
+        # few contenders over many sub-frames cancel large terms; the
+        # rounding guard must route those loads through the exact sum
+        spec = CodebookSpec.expanded(budgets)
+        loads = list(range(1, 41))
+        values = perceived_curve(spec, loads)
+        for n, value in zip(loads, values):
+            exact = perceived_count_rational(spec, n)
+            assert abs(Fraction(float(value)) - exact) <= Fraction(1, 10**12) * exact
 
-    def test_orbit_sizes_cover_the_state_space(self):
-        spec = CodebookSpec.expanded((3, 3, 3, 3))
-        lumped = build_lumped_model(spec)
-        assert lumped.class_sizes is not None
-        assert int(np.sum(lumped.class_sizes)) == 4**4 - 1
+    def test_matches_chain_sweep_on_a_long_grid(self):
+        spec = CodebookSpec.expanded((1, 2, 3))
+        grid = list(range(1, 301))
+        chain = build_transition_model(spec).perceived_sweep(grid)
+        assert np.abs(perceived_curve(spec, grid) - chain).max() <= 1e-12 * spec.size
+
+    def test_negative_load_rejected(self):
+        with pytest.raises(DomainError):
+            perceived_curve(L2M2, [-1])
+
+    def test_reference_mode_rejected(self):
+        with pytest.raises(DomainError):
+            perceived_count(CodebookSpec.reference(2, 2), 3)
 
 
 class TestEfficiency:

@@ -8,6 +8,7 @@ from codexpand import (
     CodebookSpec,
     DomainError,
     Mode,
+    build_state_space,
     cardinalities_of_interest,
     codebook_size,
     crossover_point,
@@ -29,6 +30,11 @@ class TestCardinalities:
         assert state_cardinality_values(2, 4) == [
             1, 2, 3, 4, 5, 7, 8, 9, 11, 14, 15, 19, 24,
         ]
+
+    @pytest.mark.parametrize("length, m", [(2, 4), (4, 3), (4, 4)])
+    def test_values_match_the_state_space(self, length, m):
+        space = build_state_space(CodebookSpec.expanded((m,) * length))
+        assert state_cardinality_values(length, m) == sorted(set(space.cardinalities.tolist()))
 
     def test_interest_exceeds_reference_pool(self):
         assert cardinalities_of_interest(2, 4) == [9, 11, 14, 15, 19, 24]
