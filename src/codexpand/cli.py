@@ -32,7 +32,8 @@ from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 from . import __version__
-from .codebook import CodebookSpec, codebook_size
+from .codebook import CodebookSpec, Mode, codebook_size
+from .contention import expected_singles_curve
 from .errors import (
     CodexpandError,
     DomainError,
@@ -41,10 +42,10 @@ from .errors import (
     SizeExceedsCap,
     StateSpaceTooLarge,
 )
-from .markov import build_transition_model
+from .markov import build_transition_model, perceived_curve
 from .planner import default_candidates, efficiency_curve, threshold_schedule
 from .reporting import chain_dump, format_float, svg_line_plot, write_csv, write_manifest
-from .simulate import AggregateStats, ScenarioConfig, run_batch
+from .simulate import AggregateStats, Estimate, ScenarioConfig, run_batch
 
 #: Master seed used when a command that needs randomness is not given one.
 DEFAULT_SEED = 24601
@@ -176,13 +177,38 @@ def _default_grid(size: int) -> list[int]:
     return list(range(1, LOAD_SPAN_FACTOR * size + 1))
 
 
-def _simulate_rows(spec: CodebookSpec, grid: Sequence[int], trials: int,
-                   seed: int, workers: int) -> list[list[str]]:
-    rows = []
-    for n in grid:
-        stats = run_batch(ScenarioConfig(spec, n, trials, seed), workers=workers)
-        rows.append(_stats_row(n, stats))
-    return rows
+def _simulate(spec: CodebookSpec, grid: Sequence[int], trials: int,
+              seed: int, workers: int) -> list[AggregateStats]:
+    return [run_batch(ScenarioConfig(spec, n, trials, seed), workers=workers) for n in grid]
+
+
+def _z_score(estimate: Estimate, analytic: float) -> float | None:
+    return (estimate.mean - analytic) / estimate.se if estimate.se else None
+
+
+def _diagnostics(spec: CodebookSpec, grid: Sequence[int],
+                 batches: Sequence[AggregateStats]) -> list[dict]:
+    """Analytic singles and perceived means per load, with each sample mean's z-score.
+
+    Reference observations are unambiguous, so there perceived is the
+    expected number of used codewords, ``A (1 - (1 - 1/A)^N)``.
+    """
+    size = codebook_size(spec)
+    singles = expected_singles_curve(grid, size).tolist()
+    if spec.mode is Mode.EXPANDED:
+        perceived = perceived_curve(spec, grid).tolist()
+    else:
+        perceived = [size * (1.0 - (1.0 - 1.0 / size) ** n) for n in grid]
+    return [
+        {
+            "N": n,
+            "analytic_singles": s,
+            "z_singles": _z_score(stats.singles, s),
+            "analytic_perceived": p,
+            "z_perceived": _z_score(stats.perceived, p),
+        }
+        for n, stats, s, p in zip(grid, batches, singles, perceived)
+    ]
 
 
 def _stats_row(n: int, stats: AggregateStats) -> list[str]:
@@ -210,7 +236,7 @@ def _grid_parameter(grid: Sequence[int]) -> str | list[int]:
 def _write_outputs(out_dir: Path, command: str, parameters: dict,
                    master_seed: int | None, started: float,
                    outputs: dict[str, Callable[[Path], None]],
-                   manifest_name: str | None = None) -> None:
+                   manifest_name: str | None = None, extra: Mapping | None = None) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, write in outputs.items():
         write(out_dir / name)
@@ -221,6 +247,7 @@ def _write_outputs(out_dir: Path, command: str, parameters: dict,
         "version": __version__,
         "outputs": sorted(outputs),
         "duration_seconds": round(time.perf_counter() - started, 6),
+        **(extra or {}),
     }
     if manifest_name is None:
         manifest_name = f"{command.replace('-', '_')}_manifest.json"
@@ -271,12 +298,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         spec = load_spec(args.spec)
         grid = parse_n_range(args.n_range) if args.n_range else _default_grid(codebook_size(spec))
         trials, seed = args.trials, args.seed
-    rows = _simulate_rows(spec, grid, trials, seed, args.workers)
+    batches = _simulate(spec, grid, trials, seed, args.workers)
+    rows = [_stats_row(n, stats) for n, stats in zip(grid, batches)]
     _write_outputs(
         Path(args.out), "simulate",
         {"spec": spec.describe(), "n_range": _grid_parameter(grid), "trials": trials},
         seed, started,
         {"simulate.csv": lambda p: write_csv(p, _SIMULATE_HEADER, rows)},
+        extra={"diagnostics": _diagnostics(spec, grid, batches)},
     )
     return 0
 
@@ -357,8 +386,8 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
         grid = parse_n_range(args.n_range) if args.n_range else _default_grid(8)
         add_curve("reference", "reference, M=2", CodebookSpec.reference(2, 2), grid)
         add_curve("expanded", "code-expanded, M=2", CodebookSpec.expanded((2, 2)), grid)
-        mc_rows = _simulate_rows(CodebookSpec.expanded((2, 2)), grid, trials, seed,
-                                 args.workers)
+        batches = _simulate(CodebookSpec.expanded((2, 2)), grid, trials, seed, args.workers)
+        mc_rows = [_stats_row(n, stats) for n, stats in zip(grid, batches)]
         csv_files[f"{figure}_montecarlo.csv"] = (
             lambda p: write_csv(p, _SIMULATE_HEADER, mc_rows)
         )

@@ -148,28 +148,88 @@ def enumerate_codewords(spec: CodebookSpec, cap: int = ENUMERATION_CAP) -> list[
     return [w for w in itertools.product(*ranges) if w != all_idle]
 
 
+def codeword_id_stop(spec: CodebookSpec) -> int:
+    """One past the largest codeword id: ids run over ``1..A``.
+
+    Raises
+    ------
+    DomainError
+        If the ids do not fit in 64-bit integers.
+    """
+    stop = codebook_size(spec) + 1
+    if stop > 2**63 - 1:
+        raise DomainError(f"{spec.describe()} has too many codewords for 64-bit ids")
+    return stop
+
+
+def encode_codewords(spec: CodebookSpec, words) -> np.ndarray:
+    """Codeword ids ``1..A`` of the given symbol vectors, one per row.
+
+    An expanded id is the symbol vector read as a mixed-radix number, with
+    radix ``m_j + 1`` in sub-frame ``j`` and the first sub-frame most
+    significant, so ids count the codewords in `enumerate_codewords` order
+    and the all-idle word would be 0.  A reference codeword with preamble
+    ``p`` in sub-frame ``j`` has id ``m_0 + ... + m_(j-1) + p``.
+
+    Raises
+    ------
+    DomainError
+        If a row is not a codeword of ``spec``.
+    """
+    try:
+        arr = np.asarray(words if isinstance(words, np.ndarray) else list(words),
+                         dtype=np.int64)
+    except ValueError as exc:
+        raise DomainError(f"codewords of unequal length for {spec.describe()}") from exc
+    if arr.size == 0:
+        arr = arr.reshape(0, spec.length)
+    if arr.ndim != 2 or arr.shape[1] != spec.length:
+        raise DomainError(f"codewords need {spec.length} symbols for {spec.describe()}")
+    budgets = np.asarray(spec.budgets, dtype=np.int64)
+    active = arr != 0
+    valid = ((arr >= 0) & (arr <= budgets)).all(axis=1) & active.any(axis=1)
+    if spec.mode is Mode.REFERENCE:
+        valid &= active.sum(axis=1) == 1
+    if not valid.all():
+        word = arr[np.argmin(valid)].tolist()
+        raise DomainError(f"{word} is not a codeword of {spec.describe()}")
+    if spec.mode is Mode.REFERENCE:
+        offsets = np.cumsum(budgets) - budgets
+        return (offsets * active).sum(axis=1) + arr.sum(axis=1)
+    codeword_id_stop(spec)  # refuses codebooks whose ids overflow int64
+    ids = np.zeros(len(arr), dtype=np.int64)
+    for j, m in enumerate(spec.budgets):
+        ids = ids * (m + 1) + arr[:, j]
+    return ids
+
+
+def decode_codewords(spec: CodebookSpec, ids: np.ndarray) -> np.ndarray:
+    """Symbol vectors of codeword ids, as an array of shape ``ids.shape + (L,)``.
+
+    The inverse of `encode_codewords`: expanded symbol ``j`` is digit ``j`` of
+    the id in mixed radix ``m_j + 1``, the first sub-frame most significant.
+    """
+    ids = np.asarray(ids, dtype=np.int64)
+    out = np.zeros(ids.shape + (spec.length,), dtype=np.int64)
+    if spec.mode is Mode.EXPANDED:
+        for j in reversed(range(spec.length)):
+            ids, out[..., j] = np.divmod(ids, spec.budgets[j] + 1)
+        return out
+    offsets = np.cumsum([0, *spec.budgets])
+    slots = np.searchsorted(offsets, ids - 1, side="right") - 1
+    np.put_along_axis(out, slots[..., None], (ids - offsets[slots])[..., None], axis=-1)
+    return out
+
+
 def sample_codewords(spec: CodebookSpec, n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw ``n`` codewords independently and uniformly, as an (n, L) array.
 
-    Expanded mode draws each symbol uniformly and redraws any all-idle rows,
-    which leaves the distribution exactly uniform over the codebook.
+    Draws ids uniformly from ``1..A`` and decodes them, so every codeword of
+    either alphabet is equally likely and the all-idle word never appears.
     """
     if n < 0:
         raise DomainError("cannot draw a negative number of codewords")
-    if spec.mode is Mode.REFERENCE:
-        offsets = np.cumsum([0] + list(spec.budgets))
-        u = rng.integers(0, offsets[-1], size=n)
-        slots = np.searchsorted(offsets, u, side="right") - 1
-        out = np.zeros((n, spec.length), dtype=np.int64)
-        out[np.arange(n), slots] = u - offsets[slots] + 1
-        return out
-    highs = np.asarray(spec.budgets, dtype=np.int64) + 1
-    out = rng.integers(0, highs, size=(n, spec.length))
-    idle = ~out.any(axis=1)
-    while idle.any():
-        out[idle] = rng.integers(0, highs, size=(int(idle.sum()), spec.length))
-        idle = ~out.any(axis=1)
-    return out
+    return decode_codewords(spec, rng.integers(1, codeword_id_stop(spec), size=n))
 
 
 def sample_codeword(spec: CodebookSpec, rng: np.random.Generator) -> Codeword:

@@ -107,3 +107,29 @@ def reference_efficiency(n_users: int, m: int, length: int) -> float:
     singles = expected_singles(point)
     collisions = expected_collisions(point)
     return singles / (singles + collisions)
+
+
+def _survival_power_curve(codewords: int, exponents: np.ndarray) -> np.ndarray:
+    """`_survival_power` at every exponent of a float array, same branches."""
+    if codewords == 1:
+        return np.where(exponents == 0, 1.0, 0.0)
+    return np.where(
+        exponents > _LOG_POWER_THRESHOLD,
+        np.exp(exponents * math.log1p(-1.0 / codewords)),
+        np.power(1.0 - 1.0 / codewords, exponents),
+    )
+
+
+def reference_efficiency_curve(n_values: Sequence[int], m: int, length: int) -> np.ndarray:
+    """`reference_efficiency` at every load of a grid, evaluated in numpy."""
+    if m < 1 or length < 1:
+        raise DomainError("need at least one preamble and one sub-frame")
+    n = np.asarray(n_values, dtype=np.int64).astype(np.float64)
+    if (n < 1).any():
+        raise DomainError("efficiency is undefined without contenders")
+    a = m * length
+    below = _survival_power_curve(a, n - 1.0)
+    singles = n * below
+    collisions = np.maximum(0.0, (1.0 - _survival_power_curve(a, n) - (n / a) * below) * a)
+    collisions[n <= 1] = 0.0
+    return singles / (singles + collisions)

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .codebook import CodebookSpec, Mode, codebook_size, restrictions_for_cardinality
-from .contention import reference_efficiency
+from .contention import reference_efficiency_curve
 from .errors import BudgetExceedsTotal, DomainError
 from .markov import expanded_efficiency_curve
 
@@ -137,10 +137,13 @@ def efficiency_curve(
     both evaluated over the whole grid at once.
     """
     grid = [int(n) for n in load_grid]
+    return list(zip(grid, _efficiency_values(spec, grid).tolist()))
+
+
+def _efficiency_values(spec: CodebookSpec, grid: Sequence[int]) -> np.ndarray:
     if spec.mode is Mode.REFERENCE:
-        m = spec.budgets[0]
-        return [(n, reference_efficiency(n, m, spec.length)) for n in grid]
-    return list(zip(grid, expanded_efficiency_curve(spec, grid).tolist()))
+        return reference_efficiency_curve(grid, spec.budgets[0], spec.length)
+    return expanded_efficiency_curve(spec, grid)
 
 
 def crossover_point(
@@ -174,9 +177,7 @@ def threshold_schedule(candidates: CandidateSet) -> ThresholdSchedule:
     segments; segment boundaries are the adaptation thresholds.
     """
     grid = candidates.load_grid
-    curves = np.array(
-        [[e for _, e in efficiency_curve(spec, grid)] for spec in candidates.candidates]
-    )
+    curves = np.stack([_efficiency_values(spec, grid) for spec in candidates.candidates])
     sizes = np.array([codebook_size(spec) for spec in candidates.candidates])
     order = np.argsort(sizes, kind="stable")
     best = order[np.argmax(curves[order], axis=0)]

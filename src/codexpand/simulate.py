@@ -5,12 +5,15 @@ route that shares none of their machinery: trials draw codewords and count
 what a base station would see; the oracle enumerates every equally likely
 codeword assignment and averages exactly.
 
-Reproducibility contract: trial ``i`` of a batch draws from a counter-based
-stream keyed by the master seed with the trial index in the highest counter
-word, so streams never overlap and no trial depends on how many others ran
-before it.  Batch aggregation keeps integer and rational sums only, which are
-exact and order-independent, so a batch result is byte-identical no matter
-how trials are scheduled across workers.
+Reproducibility contract: a batch's trials fall into blocks of
+``max(1, BLOCK_CODEWORDS // N)`` trials, whose size depends only on the
+contender count ``N``.  Block ``b`` draws all its codeword ids at once from
+the counter-based Philox stream keyed by the master seed with ``b`` in the
+highest counter word, so streams never overlap and no block depends on how
+many others ran before it.  A batch is summarised by an exact integer
+histogram of per-trial (singles, distinct, perceived) counts, which merges by
+addition, so a batch result is byte-identical no matter how blocks are
+scheduled across workers.
 """
 
 from __future__ import annotations
@@ -21,15 +24,27 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import sqrt
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .codebook import CodebookSpec, Mode, enumerate_codewords, sample_codewords
+from .codebook import (
+    CodebookSpec,
+    Mode,
+    codeword_id_stop,
+    decode_codewords,
+    encode_codewords,
+    enumerate_codewords,
+    sample_codewords,
+)
 from .errors import DomainError, EnumerationTooLarge
 
 #: Largest number of ordered codeword assignments `brute_force_expected` will visit.
 BRUTE_FORCE_CAP = 10**7
+
+#: Codewords per block of Monte Carlo trials (and per chunk of the oracle);
+#: fixes the block layout, and with it the random streams, of every batch.
+BLOCK_CODEWORDS = 2**14
 
 
 @dataclass(frozen=True)
@@ -95,140 +110,122 @@ class AggregateStats:
     efficiency_per_trial: Estimate
 
 
+def observe_codes(
+    spec: CodebookSpec, codes: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Singles, distinct and perceived counts of each row of codeword ids.
+
+    ``codes`` is a ``(B, N)`` integer array of ids in ``1..A`` (see
+    `codebook.encode_codewords`), one row per contention round.  Each row is
+    sorted once: runs of equal ids are the used codewords, and runs of length
+    one are the singles.  Expanded observations light the distinct non-idle
+    symbols of every sub-frame, so ``perceived = prod_j (lit_j + 1) - 1``;
+    reference observations are unambiguous, so there perceived is distinct.
+    """
+    codes = np.sort(codes, axis=1)
+    starts = np.ones(codes.shape, dtype=bool)
+    starts[:, 1:] = codes[:, 1:] != codes[:, :-1]
+    ends = np.ones(codes.shape, dtype=bool)
+    ends[:, :-1] = starts[:, 1:]
+    singles = (starts & ends).sum(axis=1)
+    distinct = starts.sum(axis=1)
+    if spec.mode is Mode.REFERENCE:
+        return singles, distinct, distinct
+    symbols = np.sort(decode_codewords(spec, codes), axis=1)
+    fresh = symbols != 0
+    fresh[:, 1:] &= symbols[:, 1:] != symbols[:, :-1]
+    perceived = np.prod(fresh.sum(axis=1) + 1, axis=1) - 1
+    return singles, distinct, perceived
+
+
+def _outcome_fields(singles, distinct, perceived) -> tuple:
+    """The `TrialOutcome` fields, in order, from the kernel's three counts."""
+    return singles, distinct - singles, distinct, perceived, perceived - distinct
+
+
 def observe(spec: CodebookSpec, codewords: Iterable[Sequence[int]]) -> TrialOutcome:
     """Reduce the transmitted codewords to what the base station perceives."""
-    words = [tuple(int(s) for s in w) for w in codewords]
-    for w in words:
-        if len(w) != spec.length:
-            raise DomainError(f"codeword {w} has wrong length for {spec.describe()}")
-    multiplicity = Counter(words)
-    distinct = len(multiplicity)
-    singles = sum(1 for c in multiplicity.values() if c == 1)
-    collided = distinct - singles
-    if spec.mode is Mode.REFERENCE:
-        return TrialOutcome(singles, collided, distinct, distinct, 0)
-    perceived = 1
-    for column in zip(*words):
-        perceived *= len(set(column) - {0}) + 1
-    perceived = perceived - 1 if words else 0
-    return TrialOutcome(singles, collided, distinct, perceived, perceived - distinct)
+    counts = observe_codes(spec, encode_codewords(spec, codewords)[None, :])
+    return TrialOutcome(*_outcome_fields(*(int(x[0]) for x in counts)))
 
 
-def trial_rng(master_seed: int, trial_index: int) -> np.random.Generator:
-    """Independent stream for one trial, derived in counter mode.
+def block_rng(master_seed: int, block_index: int) -> np.random.Generator:
+    """Independent stream for one block of trials, derived in counter mode.
 
-    The trial index occupies the highest counter word, giving each trial a
-    disjoint 2**192-long block of the keyed Philox sequence.
+    The block index occupies the highest counter word, giving each block a
+    disjoint 2**192-long stretch of the keyed Philox sequence.
     """
-    bits = np.random.Philox(key=master_seed, counter=[0, 0, 0, trial_index])
+    bits = np.random.Philox(key=master_seed, counter=[0, 0, 0, block_index])
     return np.random.Generator(bits)
 
 
 def run_trial(spec: CodebookSpec, n_users: int, rng: np.random.Generator) -> TrialOutcome:
     """One contention round: sample codewords uniformly, observe the result."""
-    return observe(spec, sample_codewords(spec, n_users, rng).tolist())
+    return observe(spec, sample_codewords(spec, n_users, rng))
 
 
-class _Sums(NamedTuple):
-    """Exact per-batch accumulators; addition is order-independent."""
-
-    trials: int
-    s: tuple[int, int, int, int, int]
-    sq: tuple[int, int, int, int, int]
-    cross_sp: int
-    ratio: Fraction
-    ratio_sq: Fraction
-
-    def __add__(self, other: "_Sums") -> "_Sums":  # type: ignore[override]
-        return _Sums(
-            self.trials + other.trials,
-            tuple(a + b for a, b in zip(self.s, other.s)),
-            tuple(a + b for a, b in zip(self.sq, other.sq)),
-            self.cross_sp + other.cross_sp,
-            self.ratio + other.ratio,
-            self.ratio_sq + other.ratio_sq,
-        )
+#: Histogram of per-trial ``(singles, distinct, perceived)`` counts.
+Histogram = Counter[tuple[int, int, int]]
 
 
-_ZERO_SUMS = _Sums(0, (0,) * 5, (0,) * 5, 0, Fraction(0), Fraction(0))
+def _block_rows(n_users: int) -> int:
+    return max(1, BLOCK_CODEWORDS // n_users)
 
 
-def _accumulate(config: ScenarioConfig, lo: int, hi: int) -> _Sums:
-    s = [0] * 5
-    sq = [0] * 5
-    cross = 0
-    ratio = Fraction(0)
-    ratio_sq = Fraction(0)
-    for i in range(lo, hi):
-        out = run_trial(config.spec, config.n_users, trial_rng(config.master_seed, i))
-        fields = (
-            out.singles,
-            out.collided_codewords,
-            out.distinct_used,
-            out.perceived,
-            out.phantoms,
-        )
-        for k, v in enumerate(fields):
-            s[k] += v
-            sq[k] += v * v
-        cross += out.singles * out.perceived
-        r = Fraction(out.singles, out.perceived)
-        ratio += r
-        ratio_sq += r * r
-    return _Sums(hi - lo, tuple(s), tuple(sq), cross, ratio, ratio_sq)
+def _histogram(config: ScenarioConfig, first: int, stop: int) -> Histogram:
+    """Histogram of the trials in blocks ``first..stop-1``."""
+    rows = _block_rows(config.n_users)
+    id_stop = codeword_id_stop(config.spec)
+    hist: Histogram = Counter()
+    for b in range(first, stop):
+        shape = (min(rows, config.trials - b * rows), config.n_users)
+        codes = block_rng(config.master_seed, b).integers(1, id_stop, size=shape)
+        hist.update(zip(*(x.tolist() for x in observe_codes(config.spec, codes))))
+    return hist
 
 
-def _mean_se(total: int | Fraction, total_sq: int | Fraction, n: int) -> Estimate:
-    mean = total / Fraction(n) if isinstance(total, Fraction) else total / n
+def _mean_se(hist: Histogram, n: int, value: Callable[[int, int, int], int | Fraction]) -> Estimate:
+    """Mean and standard error of a per-trial quantity, summed exactly."""
+    mean = Fraction(sum(c * value(*k) for k, c in hist.items()), n)
     if n < 2:
         return Estimate(float(mean), None)
-    var = (total_sq - Fraction(total) * total / n) / (n - 1)
-    return Estimate(float(mean), sqrt(max(0.0, float(var)) / n))
+    spread = sum(c * (value(*k) - mean) ** 2 for k, c in hist.items())
+    return Estimate(float(mean), sqrt(spread / (n - 1) / n))
 
 
-def _ratio_of_means(sums: _Sums) -> Estimate:
-    n = sums.trials
-    s_x, s_y = sums.s[0], sums.s[3]
-    mean = s_x / s_y
-    if n < 2:
-        return Estimate(mean, None)
-    # Delta method around (mean singles, mean perceived): centered second
-    # moments of x - r*y, scaled by the perceived mean.
-    c_xx = sums.sq[0] - Fraction(s_x) * s_x / n
-    c_yy = sums.sq[3] - Fraction(s_y) * s_y / n
-    c_xy = sums.cross_sp - Fraction(s_x) * s_y / n
-    spread = float(c_xx) - 2 * mean * float(c_xy) + mean * mean * float(c_yy)
-    se = sqrt(max(0.0, spread) / (n - 1) / n) / (s_y / n)
-    return Estimate(mean, se)
+def _ratio_of_means(hist: Histogram, n: int) -> Estimate:
+    s_x = sum(c * s for (s, _, _), c in hist.items())
+    s_y = sum(c * p for (_, _, p), c in hist.items())
+    # Delta method around (mean singles, mean perceived): the standard error
+    # of the mean of x - r*y, which is 0 at the ratio r, over mean perceived.
+    ratio = Fraction(s_x, s_y)
+    residual = _mean_se(hist, n, lambda s, d, p: s - ratio * p)
+    return Estimate(s_x / s_y, None if residual.se is None else residual.se * n / s_y)
 
 
 def run_batch(config: ScenarioConfig, workers: int = 1) -> AggregateStats:
     """Run the scenario's trials and aggregate them exactly.
 
-    ``workers`` > 1 spreads trials over processes; results are byte-identical
-    for any worker count because every accumulator is an exact sum.
+    ``workers`` > 1 spreads whole blocks over processes when there are at
+    least two blocks per worker; results are byte-identical for any worker
+    count because the histogram is an exact sum.
     """
     if workers < 1:
         raise DomainError("need at least one worker")
     trials = config.trials
-    if workers == 1 or trials < 2 * workers:
-        sums = _accumulate(config, 0, trials)
+    blocks = -(-trials // _block_rows(config.n_users))
+    if workers == 1 or blocks < 2 * workers:
+        hist = _histogram(config, 0, blocks)
     else:
-        bounds = np.linspace(0, trials, workers + 1, dtype=int)
+        bounds = np.linspace(0, blocks, workers + 1, dtype=int).tolist()
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = pool.map(_accumulate, itertools.repeat(config), bounds[:-1], bounds[1:])
-            sums = sum(parts, _ZERO_SUMS)
-    estimates = [_mean_se(sums.s[k], sums.sq[k], trials) for k in range(5)]
+            parts = pool.map(_histogram, itertools.repeat(config), bounds[:-1], bounds[1:])
+            hist = sum(parts, Counter())
+    fields = [_mean_se(hist, trials, lambda *k, i=i: _outcome_fields(*k)[i]) for i in range(5)]
     return AggregateStats(
-        scenario=config,
-        trials=trials,
-        singles=estimates[0],
-        collided_codewords=estimates[1],
-        distinct_used=estimates[2],
-        perceived=estimates[3],
-        phantoms=estimates[4],
-        efficiency=_ratio_of_means(sums),
-        efficiency_per_trial=_mean_se(sums.ratio, sums.ratio_sq, trials),
+        config, trials, *fields,
+        efficiency=_ratio_of_means(hist, trials),
+        efficiency_per_trial=_mean_se(hist, trials, lambda s, d, p: Fraction(s, p)),
     )
 
 
@@ -263,18 +260,17 @@ def brute_force_expected(
     """
     if n_users < 0:
         raise DomainError("user count cannot be negative")
-    words = enumerate_codewords(spec)
-    total = len(words) ** n_users
+    ids = encode_codewords(spec, enumerate_codewords(spec))
+    size = len(ids)
+    total = size**n_users
     if total > cap:
-        raise EnumerationTooLarge(
-            f"{len(words)}**{n_users} assignments exceed the cap of {cap}"
-        )
-    sums = [0] * 5
-    for assignment in itertools.product(words, repeat=n_users):
-        out = observe(spec, assignment)
-        sums[0] += out.singles
-        sums[1] += out.collided_codewords
-        sums[2] += out.distinct_used
-        sums[3] += out.perceived
-        sums[4] += out.phantoms
-    return ExpectedOutcome(*(Fraction(v, total) for v in sums))
+        raise EnumerationTooLarge(f"{size}**{n_users} assignments exceed the cap of {cap}")
+    # Assignment r gives contender k the codeword with index digit k of r in base A.
+    places = size ** np.arange(n_users, dtype=np.int64)
+    rows = _block_rows(max(n_users, 1))
+    sums = [0, 0, 0]
+    for lo in range(0, total, rows):
+        index = np.arange(lo, min(lo + rows, total), dtype=np.int64)
+        counts = observe_codes(spec, ids[index[:, None] // places % size])
+        sums = [t + int(x.sum()) for t, x in zip(sums, counts)]
+    return ExpectedOutcome(*(Fraction(v, total) for v in _outcome_fields(*sums)))

@@ -130,6 +130,21 @@ class TestSimulate:
         assert lines[0] == "N,mean_singles,mean_perceived,mean_phantoms,efficiency,se_efficiency"
         assert len(lines) == 3
 
+    def test_manifest_diagnostics(self, tmp_path):
+        for spec, perceived_at_1 in [("L=2,m=2,2,mode=expanded", 2.0),
+                                     ("L=2,m=3,mode=reference", 1.0)]:
+            out = tmp_path / spec
+            assert run("simulate", "--spec", spec, "--n-range", "1:3", "--trials", 400,
+                       "--seed", 5, "--out", out) == 0
+            loads = json.loads((out / "simulate_manifest.json").read_text())["diagnostics"]
+            assert [d["N"] for d in loads] == [1, 2, 3]
+            assert loads[0]["analytic_singles"] == 1.0
+            assert loads[0]["analytic_perceived"] == pytest.approx(perceived_at_1, rel=1e-12)
+            # a lone contender is always a single: zero standard error, no z-score
+            assert loads[0]["z_singles"] is None
+            for d in loads[1:]:
+                assert abs(d["z_singles"]) < 5 and abs(d["z_perceived"]) < 5
+
     def test_scenario_document(self, tmp_path):
         doc = tmp_path / "scenario.json"
         doc.write_text(json.dumps({

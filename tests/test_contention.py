@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 import scipy.stats  # noqa: F401
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from codexpand import (
     expected_collisions,
     expected_singles,
     reference_efficiency,
+    reference_efficiency_curve,
 )
 
 loads = st.builds(
@@ -110,3 +112,31 @@ class TestReferenceEfficiency:
     def test_rejects_empty_load(self):
         with pytest.raises(DomainError):
             reference_efficiency(0, 8, 2)
+
+
+class TestReferenceEfficiencyCurve:
+    # Both branches of the survival power: direct below 10,000, log space above.
+    GRID = [*range(1, 6241), *range(10_001, 10_101), 50_000, 1_000_000]
+
+    def _worst_relative_gap(self, m, length):
+        curve = reference_efficiency_curve(self.GRID, m, length)
+        scalar = np.array([reference_efficiency(n, m, length) for n in self.GRID])
+        return (np.abs(curve - scalar) / np.maximum(np.abs(scalar), 1e-300)).max()
+
+    def test_matches_scalar_on_planner_codebooks(self):
+        # the reference codebooks of `thresholds --length 4 --preambles 4` and
+        # of the L=2, M=2 figures
+        for m, length in [(4, 4), (2, 2)]:
+            assert self._worst_relative_gap(m, length) <= 1e-15
+
+    def test_matches_scalar_on_large_codebook(self):
+        # numpy's vectorised pow may differ from the C library's by an ulp;
+        # at small loads the collision term cancels and magnifies that to a
+        # few ulps of the result
+        assert self._worst_relative_gap(32, 4) <= 1e-14
+
+    def test_rejects_empty_load(self):
+        with pytest.raises(DomainError):
+            reference_efficiency_curve([1, 0], 8, 2)
+        with pytest.raises(DomainError):
+            reference_efficiency_curve([1], 0, 2)

@@ -1,27 +1,48 @@
 """Monte Carlo trials, aggregation and the brute-force oracle."""
 
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from codexpand import (
     CodebookSpec,
     DomainError,
     EnumerationTooLarge,
     LoadPoint,
+    Mode,
     ScenarioConfig,
+    block_rng,
     brute_force_expected,
+    build_transition_model,
     codebook_size,
+    encode_codewords,
     expected_singles,
     observe,
+    observe_codes,
     perceived_count,
+    perceived_count_rational,
     run_batch,
     run_trial,
-    trial_rng,
+    sample_codewords,
 )
 
 L2M2 = CodebookSpec.expanded((2, 2))
+
+
+def loop_observe(spec, words):
+    """(singles, distinct, perceived) counted one codeword at a time."""
+    multiplicity = Counter(map(tuple, words))
+    singles = sum(1 for c in multiplicity.values() if c == 1)
+    if spec.mode is Mode.REFERENCE:
+        return singles, len(multiplicity), len(multiplicity)
+    perceived = 1
+    for column in zip(*words):
+        perceived *= len(set(column) - {0}) + 1
+    return singles, len(multiplicity), perceived - 1
 
 
 class TestObserve:
@@ -66,6 +87,22 @@ class TestObserve:
         with pytest.raises(DomainError):
             observe(L2M2, [(1, 2, 0)])
 
+    def test_non_codewords_rejected(self):
+        for word in [(0, 0), (3, 0), (0, -1)]:
+            with pytest.raises(DomainError):
+                observe(L2M2, [(1, 1), word])
+        with pytest.raises(DomainError):
+            observe(CodebookSpec.reference(2, 2), [(1, 1)])
+
+    def test_kernel_matches_a_loop_reference(self):
+        rng = np.random.default_rng(21)
+        for spec in [L2M2, CodebookSpec.expanded((1, 3, 0, 2)), CodebookSpec.reference(3, 2)]:
+            for n in (1, 2, 6, 30):
+                rows = [sample_codewords(spec, n, rng) for _ in range(50)]
+                codes = np.stack([encode_codewords(spec, r) for r in rows])
+                got = zip(*(x.tolist() for x in observe_codes(spec, codes)))
+                assert list(got) == [loop_observe(spec, r.tolist()) for r in rows]
+
     def test_outcome_identities_hold_on_random_draws(self):
         rng = np.random.default_rng(5)
         for _ in range(200):
@@ -84,13 +121,20 @@ class TestDeterminism:
         config = ScenarioConfig(L2M2, n_users=5, trials=3_000, master_seed=42)
         assert run_batch(config, workers=1) == run_batch(config, workers=3)
 
-    def test_trial_streams_are_distinct(self):
-        draws = {trial_rng(99, t).integers(0, 2**63).item() for t in range(64)}
+    def test_worker_pool_does_not_change_results(self):
+        # 3,000 trials of 50 contenders fill 10 blocks: enough for a pool of 2 or 3
+        config = ScenarioConfig(L2M2, n_users=50, trials=3_000, master_seed=42)
+        serial = run_batch(config, workers=1)
+        assert run_batch(config, workers=2) == serial
+        assert run_batch(config, workers=3) == serial
+
+    def test_block_streams_are_distinct(self):
+        draws = {block_rng(99, b).integers(0, 2**63).item() for b in range(64)}
         assert len(draws) == 64
 
-    def test_trial_stream_is_stable(self):
-        a = trial_rng(7, 3).integers(0, 2**63, size=4)
-        b = trial_rng(7, 3).integers(0, 2**63, size=4)
+    def test_block_stream_is_stable(self):
+        a = block_rng(7, 3).integers(0, 2**63, size=4)
+        b = block_rng(7, 3).integers(0, 2**63, size=4)
         assert (a == b).all()
 
 
@@ -169,6 +213,21 @@ class TestBruteForce:
             assert float(out.singles) == pytest.approx(
                 expected_singles(point), abs=1e-12
             )
+
+    @given(
+        st.lists(st.integers(0, 3), min_size=1, max_size=3).filter(
+            lambda b: any(b) and codebook_size(CodebookSpec.expanded(b)) <= 12
+        ),
+        st.integers(1, 4),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_three_routes_agree_exactly(self, budgets, n):
+        spec = CodebookSpec.expanded(budgets)
+        out = brute_force_expected(spec, n)
+        assert out.perceived == perceived_count_rational(spec, n)
+        assert out.perceived == build_transition_model(spec).perceived_count_exact(n)
+        size = codebook_size(spec)
+        assert out.singles == n * Fraction(size - 1, size) ** (n - 1)
 
     def test_cap_enforced(self):
         with pytest.raises(EnumerationTooLarge):
