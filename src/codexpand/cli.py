@@ -33,7 +33,7 @@ from typing import Callable, Mapping, Sequence
 
 from . import __version__
 from .codebook import CodebookSpec, Mode, codebook_size
-from .contention import expected_singles_curve
+from .contention import expected_singles_curve, expected_used_curve
 from .errors import (
     CodexpandError,
     DomainError,
@@ -195,10 +195,8 @@ def _diagnostics(spec: CodebookSpec, grid: Sequence[int],
     """
     size = codebook_size(spec)
     singles = expected_singles_curve(grid, size).tolist()
-    if spec.mode is Mode.EXPANDED:
-        perceived = perceived_curve(spec, grid).tolist()
-    else:
-        perceived = [size * (1.0 - (1.0 - 1.0 / size) ** n) for n in grid]
+    perceived = (perceived_curve(spec, grid) if spec.mode is Mode.EXPANDED
+                 else expected_used_curve(grid, size)).tolist()
     return [
         {
             "N": n,
@@ -209,6 +207,15 @@ def _diagnostics(spec: CodebookSpec, grid: Sequence[int],
         }
         for n, stats, s, p in zip(grid, batches, singles, perceived)
     ]
+
+
+def _scenario_int(value, name: str, source: str) -> int:
+    """A scenario number that must be integral: a JSON integer, or a float such as 7.0."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise DomainError(f"scenario {source} has a non-integer {name}: {value!r}")
+    return value
 
 
 def _stats_row(n: int, stats: AggregateStats) -> list[str]:
@@ -284,14 +291,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         if loads is None:
             raise DomainError(f"scenario {args.scenario} is missing 'N'")
         loads = loads if isinstance(loads, list) else [loads]
-        try:
-            grid = [int(n) for n in loads]
-        except (TypeError, ValueError) as exc:
-            raise DomainError(f"scenario {args.scenario} has a non-integer N") from exc
-        trials = doc.get("trials", args.trials)
-        seed = doc.get("master_seed", args.seed)
-        if not isinstance(trials, int) or not isinstance(seed, int):
-            raise DomainError("scenario trials and master_seed must be integers")
+        grid = [_scenario_int(n, "N", args.scenario) for n in loads]
+        trials = _scenario_int(doc.get("trials", args.trials), "trials", args.scenario)
+        seed = _scenario_int(doc.get("master_seed", args.seed), "master_seed", args.scenario)
     else:
         if not args.spec:
             raise DomainError("simulate needs --scenario FILE or --spec SPEC")
@@ -332,9 +334,9 @@ def cmd_inspect_chain(args: argparse.Namespace) -> int:
 
 def cmd_thresholds(args: argparse.Namespace) -> int:
     started = time.perf_counter()
-    full_size = (args.preambles + 1) ** args.length - 1
-    grid = (parse_n_range(args.n_range) if args.n_range
-            else _default_grid(full_size))
+    # the spec checks the geometry before the default grid is sized from it
+    full = CodebookSpec.expanded((args.preambles,) * args.length)
+    grid = parse_n_range(args.n_range) if args.n_range else _default_grid(codebook_size(full))
     candidates = default_candidates(
         args.length, args.preambles, grid, args.reference_preambles
     )
@@ -400,7 +402,7 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
     elif figure in ("adaptive-l2m4", "adaptive-l4m4"):
         length = 2 if figure == "adaptive-l2m4" else 4
         m = 4
-        full = (m + 1) ** length - 1
+        full = codebook_size(CodebookSpec.expanded((m,) * length))
         grid = parse_n_range(args.n_range) if args.n_range else _default_grid(full)
         seed = None
         add_curve("reference", f"reference, M={m}",

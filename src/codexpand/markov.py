@@ -56,7 +56,7 @@ import numpy as np
 from scipy import sparse
 
 from .codebook import CodebookSpec, Mode, codebook_size
-from .contention import LoadPoint, expected_singles, expected_singles_curve
+from .contention import expected_singles_curve
 from .errors import DomainError, StateSpaceTooLarge
 
 #: Per-sub-frame observed-preamble counts, idle included (each entry >= 1).
@@ -201,16 +201,13 @@ class TransitionModel:
 
         Defined as 0 for an empty system; otherwise the cardinality vector
         averaged over the state distribution after ``n_users`` contenders,
-        computed with ``n_users - 1`` sparse vector-matrix products.
+        computed as a one-load `perceived_sweep`.
         """
         if n_users < 0:
             raise DomainError("user count cannot be negative")
         if n_users == 0:
             return 0.0
-        dist = self.initial
-        for _ in range(n_users - 1):
-            dist = self.matrix_t @ dist
-        return float(dist @ self.cardinalities)
+        return float(self.perceived_sweep([n_users])[0])
 
     def perceived_sweep(self, n_values: Sequence[int]) -> np.ndarray:
         """Perceived counts over an increasing grid of user counts.
@@ -234,32 +231,31 @@ class TransitionModel:
         """Expected singles over expected perceived codewords."""
         if n_users < 1:
             raise DomainError("efficiency is undefined without contenders")
-        singles = expected_singles(LoadPoint(n_users, self.denominator))
-        return singles / self.perceived_count(n_users)
+        singles = expected_singles_curve([n_users], self.denominator)[0]
+        return float(singles / self.perceived_count(n_users))
 
     def perceived_count_exact(self, n_users: int) -> Fraction:
         """Exact rational perceived count, for golden-value comparisons.
 
-        Practical only for small states and user counts.
+        Practical only for small states and user counts.  The distribution
+        after ``k`` contenders is carried as integer numerators over ``A**k``.
         """
         if n_users < 0:
             raise DomainError("user count cannot be negative")
         if n_users == 0:
             return Fraction(0)
-        denom = Fraction(self.denominator)
-        dist = [Fraction(int(c)) / denom for c in self.initial_counts]
-        indptr, indices, data = self.counts.indptr, self.counts.indices, self.counts.data
+        dist = self.initial_counts.tolist()
+        indptr, indices, data = (a.tolist() for a in
+                                 (self.counts.indptr, self.counts.indices, self.counts.data))
         for _ in range(n_users - 1):
-            nxt = [Fraction(0)] * len(dist)
+            nxt = [0] * len(dist)
             for i, p in enumerate(dist):
-                if p == 0:
-                    continue
-                for k in range(indptr[i], indptr[i + 1]):
-                    nxt[indices[k]] += p * int(data[k]) / denom
+                if p:
+                    for k in range(indptr[i], indptr[i + 1]):
+                        nxt[indices[k]] += p * data[k]
             dist = nxt
-        return sum(
-            (p * int(a) for p, a in zip(dist, self.cardinalities)), start=Fraction(0)
-        )
+        total = sum(p * a for p, a in zip(dist, self.cardinalities.tolist()))
+        return Fraction(total, self.denominator**n_users)
 
 
 def _checked_grid(n_values: Sequence[int]) -> list[int]:
@@ -292,11 +288,10 @@ def build_transition_model(spec: CodebookSpec, cap: int = STATE_CAP) -> Transiti
     )
     counts.sort_indices()
     _check_row_sums(counts, denom)
-    initial = np.fromiter(
-        (_first_contender_count(c, budgets) for c in space.states),
-        dtype=np.int64,
-        count=len(space),
-    )
+    # the first contender leaves the all-idle configuration, which is no state
+    initial = np.zeros(len(space), dtype=np.int64)
+    for succ, count in _successors((1,) * spec.length, budgets):
+        initial[index[succ]] = count
     return TransitionModel(
         spec=spec,
         states=space.states,
@@ -384,20 +379,6 @@ def perceived_count(spec: CodebookSpec, n_users: int) -> float:
 def expanded_efficiency(spec: CodebookSpec, n_users: int) -> float:
     """Expected singles over expected perceived codewords (closed form)."""
     return float(expanded_efficiency_curve(spec, [n_users])[0])
-
-
-def _first_contender_count(config: Configuration, budgets: tuple[int, ...]) -> int:
-    # One codeword yields C_j = 2 where it sent a preamble (m_j candidates)
-    # and C_j = 1 where it idled; anything else is unreachable in one step.
-    count = 1
-    for c, m in zip(config, budgets):
-        if c == 1:
-            continue
-        if c == 2:
-            count *= m
-        else:
-            return 0
-    return count
 
 
 def _check_row_sums(counts: sparse.csr_matrix, denom: int) -> None:

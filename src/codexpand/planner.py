@@ -131,10 +131,10 @@ def efficiency_curve(
 ) -> list[tuple[int, float]]:
     """Contention efficiency at each grid load.
 
-    Reference codebooks use singles / (singles + collisions).  Expanded ones
-    use expected singles ``N (1 - 1/A)^(N-1)`` over the expected perceived
-    count ``sum_T (-1)^|T| P_T ((P_T - 1)/A)^N - 1`` (see `codexpand.markov`),
-    both evaluated over the whole grid at once.
+    Both divide expected singles ``N (1 - 1/A)^(N-1)``: reference codebooks
+    by the expected used codewords ``A (1 - (1 - 1/A)^N)``, expanded ones by
+    the expected perceived count ``sum_T (-1)^|T| P_T ((P_T - 1)/A)^N - 1``
+    (see `codexpand.markov`), evaluated over the whole grid at once.
     """
     grid = [int(n) for n in load_grid]
     return list(zip(grid, _efficiency_values(spec, grid).tolist()))

@@ -179,6 +179,28 @@ class TestSimulate:
         doc.write_text(json.dumps({"spec": "L=2,m=2,2,mode=expanded", "trials": 10}))
         assert run("simulate", "--scenario", doc, "--out", tmp_path) == 2
 
+    @pytest.mark.parametrize("field,value", [
+        ("N", [2.5, 7.9]), ("N", 3.5), ("N", [True]), ("N", ["3"]),
+        ("trials", True), ("trials", 100.5), ("master_seed", 1.5), ("master_seed", False),
+    ])
+    def test_non_integral_scenario_numbers_rejected(self, tmp_path, field, value):
+        fields = {"spec": "L=2,m=2,2,mode=expanded", "N": [2, 7], "trials": 100,
+                  "master_seed": 3, field: value}
+        doc = tmp_path / "scenario.json"
+        doc.write_text(json.dumps(fields))
+        assert run("simulate", "--scenario", doc, "--out", tmp_path / "out") == 2
+        assert not (tmp_path / "out").exists()
+
+    def test_integral_float_scenario_numbers_accepted(self, tmp_path):
+        doc = tmp_path / "scenario.json"
+        doc.write_text(json.dumps({
+            "spec": "L=2,m=2,2,mode=expanded", "N": [2.0], "trials": 100.0, "master_seed": 3,
+        }))
+        assert run("simulate", "--scenario", doc, "--out", tmp_path) == 0
+        manifest = json.loads((tmp_path / "simulate_manifest.json").read_text())
+        assert manifest["parameters"]["trials"] == 100
+        assert manifest["parameters"]["n_range"] == "2:2:1"
+
     def test_spec_and_scenario_are_exclusive(self, tmp_path):
         doc = tmp_path / "scenario.json"
         doc.write_text(json.dumps({
@@ -208,6 +230,8 @@ class TestThresholds:
 
     def test_requires_positive_geometry(self, tmp_path):
         assert run("thresholds", "--length", 0, "--preambles", 4,
+                   "--out", tmp_path) == 2
+        assert run("thresholds", "--length", -1, "--preambles", 4,
                    "--out", tmp_path) == 2
 
 

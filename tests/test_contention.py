@@ -15,6 +15,7 @@ from codexpand import (
     contention_pmf,
     expected_collisions,
     expected_singles,
+    expected_used_curve,
     reference_efficiency,
     reference_efficiency_curve,
 )
@@ -140,3 +141,40 @@ class TestReferenceEfficiencyCurve:
             reference_efficiency_curve([1, 0], 8, 2)
         with pytest.raises(DomainError):
             reference_efficiency_curve([1], 0, 2)
+
+
+def exact_occupancy(codewords, loads):
+    """Exact (N, singles, used) over a load grid: ``N q^(N-1)`` and ``A (1 - q^N)``."""
+    q = Fraction(codewords - 1, codewords)
+    for n in loads:
+        below = q ** (n - 1)
+        yield n, n * below, codewords * (1 - below * q)
+
+
+class TestReferencePrecision:
+    # power-of-two codebooks, where 1 - 1/A is exact: the reference codebooks
+    # of the L=2 figures, of the planner and of the L=4 figure, and 512 codewords
+    CODEBOOKS = [(2, 2), (4, 4), (32, 4), (64, 8)]
+    LOADS = range(1, 401)
+
+    def test_efficiency_is_singles_over_used_to_full_precision(self):
+        for m, length in self.CODEBOOKS:
+            for n, singles, used in exact_occupancy(m * length, self.LOADS):
+                exact = singles / used
+                error = abs(Fraction(reference_efficiency(n, m, length)) - exact) / exact
+                assert error <= Fraction(1, 10**15), (m, length, n, float(error))
+
+    @pytest.mark.parametrize("codewords", [3, 4, 15, 16, 49, 128, 512])
+    def test_used_codewords_to_full_precision(self, codewords):
+        used_curve = expected_used_curve(self.LOADS, codewords)
+        for (n, _, used), value in zip(exact_occupancy(codewords, self.LOADS), used_curve):
+            error = abs(Fraction(float(value)) - used) / used
+            assert error <= Fraction(1, 10**15), (codewords, n, float(error))
+
+    def test_used_codewords_edge_cases(self):
+        assert expected_used_curve([0, 1, 5], 1).tolist() == [0.0, 1.0, 1.0]
+        assert expected_used_curve([0], 8).tolist() == [0.0]
+        with pytest.raises(DomainError):
+            expected_used_curve([-1], 8)
+        with pytest.raises(DomainError):
+            expected_used_curve([1], 0)

@@ -21,10 +21,13 @@ from codexpand import (
     codebook_size,
     encode_codewords,
     expected_singles,
+    expected_singles_curve,
+    expected_used_curve,
     observe,
     observe_codes,
     perceived_count,
     perceived_count_rational,
+    perceived_curve,
     run_batch,
     run_trial,
     sample_codewords,
@@ -180,6 +183,40 @@ class TestAggregation:
             ScenarioConfig(L2M2, n_users=1, trials=0, master_seed=0)
         with pytest.raises(DomainError):
             ScenarioConfig(L2M2, n_users=1, trials=1, master_seed=-1)
+
+
+small_specs = st.one_of(
+    st.lists(st.integers(0, 4), min_size=1, max_size=3)
+    .filter(lambda b: any(b) and codebook_size(CodebookSpec.expanded(b)) <= 30)
+    .map(CodebookSpec.expanded),
+    st.tuples(st.integers(1, 10), st.integers(1, 4))
+    .filter(lambda ml: ml[0] * ml[1] <= 30)
+    .map(lambda ml: CodebookSpec.reference(*ml)),
+)
+
+
+class TestMonteCarloAgainstClosedForm:
+    TRIALS = 2_000
+
+    @given(small_specs, st.integers(1, 20))
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_means_within_five_standard_errors(self, spec, n):
+        size = codebook_size(spec)
+        stats = run_batch(ScenarioConfig(spec, n, self.TRIALS, master_seed=20_261_018))
+        perceived = (perceived_curve(spec, [n]) if spec.mode is Mode.EXPANDED
+                     else expected_used_curve([n], size))
+        targets = (
+            (stats.singles, expected_singles_curve([n], size)[0]),
+            (stats.perceived, perceived[0]),
+        )
+        for estimate, analytic in targets:
+            if estimate.se == 0.0:
+                # rule of three, as in criterion 7: the unseen tail mass is at
+                # most 3/trials, and both statistics are bounded by A
+                assert abs(estimate.mean - analytic) <= size * 3.0 / self.TRIALS
+            else:
+                z = abs(estimate.mean - analytic) / estimate.se
+                assert z <= 5.0, f"{spec.describe()} N={n}: {estimate.mean} is {z:.2f} SE from {analytic}"
 
 
 class TestBruteForce:
