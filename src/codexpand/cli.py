@@ -231,12 +231,13 @@ def _stats_row(n: int, stats: AggregateStats) -> list[str]:
 
 
 def _grid_parameter(grid: Sequence[int]) -> str | list[int]:
-    """Compact ``A:B:STEP`` form when the grid is arithmetic, else the list."""
+    """Compact ``A:B:STEP`` form when the grid rises by one positive step, else
+    the list; either form re-runs the same grid."""
     if len(grid) == 1:
         return f"{grid[0]}:{grid[0]}:1"
     steps = {b - a for a, b in zip(grid, grid[1:])}
-    if len(steps) == 1:
-        return f"{grid[0]}:{grid[-1]}:{steps.pop()}"
+    if len(steps) == 1 and (step := steps.pop()) > 0:
+        return f"{grid[0]}:{grid[-1]}:{step}"
     return list(grid)
 
 
@@ -292,6 +293,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             raise DomainError(f"scenario {args.scenario} is missing 'N'")
         loads = loads if isinstance(loads, list) else [loads]
         grid = [_scenario_int(n, "N", args.scenario) for n in loads]
+        if not grid:
+            raise DomainError(f"scenario {args.scenario} has an empty 'N' list")
         trials = _scenario_int(doc.get("trials", args.trials), "trials", args.scenario)
         seed = _scenario_int(doc.get("master_seed", args.seed), "master_seed", args.scenario)
     else:

@@ -22,7 +22,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -258,6 +258,21 @@ def strictly_outperforms_reference(m_expanded: int, m_reference: int, length: in
     return (m_expanded + 1) ** length - 1 > m_reference * length
 
 
+def _restrictions(length: int, m_global: int, remaining: int) -> Iterator[tuple[int, ...]]:
+    """Budget vectors of ``length`` sub-frames, each at most ``m_global``, whose
+    factors ``b + 1`` multiply to ``remaining``, lazily in lexicographic order."""
+    if length == 0:
+        if remaining == 1:
+            yield ()
+        return
+    if remaining > (m_global + 1) ** length:
+        return
+    for factor in range(1, min(m_global + 1, remaining) + 1):
+        if remaining % factor == 0:
+            for rest in _restrictions(length - 1, m_global, remaining // factor):
+                yield (factor - 1, *rest)
+
+
 def restrictions_for_cardinality(
     length: int, m_global: int, target: int
 ) -> list[tuple[int, ...]]:
@@ -271,23 +286,4 @@ def restrictions_for_cardinality(
         raise DomainError("need at least one sub-frame and one preamble")
     if target < 1:
         raise DomainError(f"cardinality target must be positive, got {target}")
-    if target > (m_global + 1) ** length - 1:
-        return []
-    results: list[tuple[int, ...]] = []
-    prefix: list[int] = []
-
-    def descend(remaining: int, slots: int) -> None:
-        if slots == 0:
-            if remaining == 1:
-                results.append(tuple(prefix))
-            return
-        if remaining > (m_global + 1) ** slots:
-            return
-        for factor in range(1, min(m_global + 1, remaining) + 1):
-            if remaining % factor == 0:
-                prefix.append(factor - 1)
-                descend(remaining // factor, slots - 1)
-                prefix.pop()
-
-    descend(target + 1, length)
-    return results
+    return list(_restrictions(length, m_global, target + 1))

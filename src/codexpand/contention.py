@@ -10,6 +10,7 @@ quantity is one numpy formula over a load grid; scalars evaluate it at one load.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 from typing import Sequence
@@ -44,12 +45,12 @@ class LoadPoint:
 
 
 def contention_pmf(point: LoadPoint, k: int) -> float:
-    """Probability that exactly ``k`` of the contenders land on a fixed codeword."""
+    """Probability that exactly ``k`` of the contenders land on a fixed codeword,
+    ``C(N, k) (A - 1)^(N - k) / A^N``, one correctly rounded integer division."""
     if not 0 <= k <= point.n_users:
         raise DomainError(f"occupancy {k} outside 0..{point.n_users}")
-    from scipy import stats  # imported here: it dominates the package's import time
-
-    return float(stats.binom.pmf(k, point.n_users, 1.0 / point.codewords))
+    n, a = point.n_users, point.codewords
+    return math.comb(n, k) * (a - 1) ** (n - k) / a**n
 
 
 def _loads(n_values: Sequence[int], codewords: int) -> np.ndarray:

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .codebook import CodebookSpec, Mode, codebook_size, restrictions_for_cardinality
+from .codebook import CodebookSpec, Mode, _restrictions, codebook_size
 from .contention import reference_efficiency_curve
 from .errors import BudgetExceedsTotal, DomainError
 from .markov import expanded_efficiency_curve
@@ -101,14 +101,15 @@ def cardinalities_of_interest(
 def spec_for_cardinality(length: int, m: int, target: int) -> CodebookSpec:
     """Expanded codebook of exactly ``target`` codewords.
 
-    Of all budget vectors realizing the target, the lexicographically smallest
-    is used; the realization is a convention, since only the size matters for
-    the efficiency model.
+    Budget vectors realizing the same size can differ in efficiency, so the
+    realization matters.  The lexicographically smallest one is used, the first
+    the factorization search yields: its budgets are non-decreasing, and its
+    leading sub-frames stay idle (budget 0) wherever the size allows.
     """
-    options = restrictions_for_cardinality(length, m, target)
-    if not options:
+    budgets = next(_restrictions(length, m, target + 1), None)
+    if budgets is None:
         raise DomainError(f"no codebook of size {target} with L={length}, M={m}")
-    return CodebookSpec.expanded(options[0], m_global=m)
+    return CodebookSpec.expanded(budgets, m_global=m)
 
 
 def default_candidates(
@@ -150,23 +151,18 @@ def crossover_point(
     spec_a: CodebookSpec, spec_b: CodebookSpec, load_grid: Sequence[int]
 ) -> int | None:
     """Smallest grid load where ``spec_b`` is strictly more efficient."""
-    curve_a = efficiency_curve(spec_a, load_grid)
-    curve_b = efficiency_curve(spec_b, load_grid)
-    for (n, eff_a), (_, eff_b) in zip(curve_a, curve_b):
-        if eff_b > eff_a:
-            return n
-    return None
+    grid = [int(n) for n in load_grid]
+    wins = np.flatnonzero(_efficiency_values(spec_b, grid) > _efficiency_values(spec_a, grid))
+    return grid[wins[0]] if wins.size else None
 
 
 def supported_load(
     spec: CodebookSpec, load_grid: Sequence[int], floor: float = 0.5
 ) -> int | None:
     """Largest grid load at which efficiency still reaches ``floor``."""
-    curve = efficiency_curve(spec, load_grid)
-    for n, eff in reversed(curve):
-        if eff >= floor:
-            return n
-    return None
+    grid = [int(n) for n in load_grid]
+    reached = np.flatnonzero(_efficiency_values(spec, grid) >= floor)
+    return grid[reached[-1]] if reached.size else None
 
 
 def threshold_schedule(candidates: CandidateSet) -> ThresholdSchedule:
@@ -177,27 +173,26 @@ def threshold_schedule(candidates: CandidateSet) -> ThresholdSchedule:
     segments; segment boundaries are the adaptation thresholds.
     """
     grid = candidates.load_grid
-    curves = np.stack([_efficiency_values(spec, grid) for spec in candidates.candidates])
-    sizes = np.array([codebook_size(spec) for spec in candidates.candidates])
-    order = np.argsort(sizes, kind="stable")
-    best = order[np.argmax(curves[order], axis=0)]
+    specs = sorted(candidates.candidates, key=codebook_size)  # stable: ties keep input order
+    best = _efficiency_values(specs[0], grid)
+    chosen = np.zeros(len(grid), dtype=np.intp)
+    for index, spec in enumerate(specs[1:], start=1):
+        values = _efficiency_values(spec, grid)
+        better = values > best
+        best[better] = values[better]
+        chosen[better] = index
 
-    segments: list[ScheduleSegment] = []
-    start = 0
-    for pos in range(1, len(grid) + 1):
-        if pos == len(grid) or best[pos] != best[start]:
-            chosen = int(best[start])
-            segments.append(
-                ScheduleSegment(
-                    n_low=grid[start],
-                    n_high=grid[pos - 1],
-                    spec=candidates.candidates[chosen],
-                    efficiency_low=float(curves[chosen, start]),
-                    efficiency_high=float(curves[chosen, pos - 1]),
-                )
-            )
-            start = pos
-    return ThresholdSchedule(tuple(segments))
+    cuts = (np.flatnonzero(np.diff(chosen)) + 1).tolist()
+    return ThresholdSchedule(tuple(
+        ScheduleSegment(
+            n_low=grid[lo],
+            n_high=grid[stop - 1],
+            spec=specs[chosen[lo]],
+            efficiency_low=float(best[lo]),
+            efficiency_high=float(best[stop - 1]),
+        )
+        for lo, stop in zip([0, *cuts], [*cuts, len(grid)])
+    ))
 
 
 def partition_preambles(

@@ -201,6 +201,33 @@ class TestSimulate:
         assert manifest["parameters"]["trials"] == 100
         assert manifest["parameters"]["n_range"] == "2:2:1"
 
+    @pytest.mark.parametrize("loads", [[7, 2], [5, 5], [2, 4, 6], [3], [1, 2, 4]])
+    def test_manifest_n_range_reruns_scenario_loads(self, tmp_path, loads):
+        doc = tmp_path / "scenario.json"
+        doc.write_text(json.dumps({"spec": "L=2,m=2,2,mode=expanded", "N": loads,
+                                   "trials": 50, "master_seed": 3}))
+        assert run("simulate", "--scenario", doc, "--out", tmp_path / "first") == 0
+        recorded = json.loads((tmp_path / "first" / "simulate_manifest.json").read_text())
+        n_range = recorded["parameters"]["n_range"]
+        if isinstance(n_range, str):
+            assert parse_n_range(n_range) == loads
+            assert run("simulate", "--spec", recorded["parameters"]["spec"],
+                       "--n-range", n_range, "--trials", 50, "--seed", 3,
+                       "--out", tmp_path / "again") == 0
+        else:
+            assert n_range == loads
+            doc.write_text(json.dumps({"spec": recorded["parameters"]["spec"],
+                                       "N": n_range, "trials": 50, "master_seed": 3}))
+            assert run("simulate", "--scenario", doc, "--out", tmp_path / "again") == 0
+        assert ((tmp_path / "again" / "simulate.csv").read_bytes()
+                == (tmp_path / "first" / "simulate.csv").read_bytes())
+
+    def test_empty_scenario_load_list_exit_code(self, tmp_path):
+        doc = tmp_path / "scenario.json"
+        doc.write_text(json.dumps({"spec": "L=2,m=2,2,mode=expanded", "N": []}))
+        assert run("simulate", "--scenario", doc, "--out", tmp_path / "out") == 2
+        assert not (tmp_path / "out").exists()
+
     def test_spec_and_scenario_are_exclusive(self, tmp_path):
         doc = tmp_path / "scenario.json"
         doc.write_text(json.dumps({

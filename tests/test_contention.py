@@ -5,7 +5,6 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-import scipy.stats  # noqa: F401
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -34,9 +33,6 @@ def exact_pmf(point: LoadPoint, k: int) -> Fraction:
 
 
 class TestPmf:
-    # contention_pmf imports scipy.stats on its first call (about 1 s); the
-    # module import above keeps that one-off cost out of Hypothesis's
-    # per-example deadline.
     @given(loads)
     @settings(max_examples=80)
     def test_sums_to_one(self, point):

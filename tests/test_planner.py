@@ -1,5 +1,9 @@
 """Candidate codebooks, efficiency curves and threshold schedules."""
 
+import itertools
+import math
+
+import numpy as np
 import pytest
 
 from codexpand import (
@@ -14,6 +18,7 @@ from codexpand import (
     crossover_point,
     default_candidates,
     efficiency_curve,
+    expanded_efficiency_curve,
     partition_preambles,
     reference_efficiency,
     spec_for_cardinality,
@@ -50,6 +55,34 @@ class TestCardinalities:
     def test_spec_for_cardinality_picks_smallest_budgets(self):
         assert spec_for_cardinality(2, 4, 9).budgets == (1, 4)
         assert spec_for_cardinality(2, 4, 24).budgets == (4, 4)
+
+    @pytest.mark.parametrize("length, m", itertools.product(range(1, 5), repeat=2))
+    def test_spec_for_cardinality_is_the_smallest_realization(self, length, m):
+        realizations = {}
+        for budgets in itertools.product(range(m + 1), repeat=length):
+            realizations.setdefault(math.prod(b + 1 for b in budgets) - 1, []).append(budgets)
+        realizations.pop(0)
+        assert sorted(realizations) == state_cardinality_values(length, m)
+        for target, options in realizations.items():
+            assert spec_for_cardinality(length, m, target).budgets == min(options)
+
+    @pytest.mark.parametrize("m", [3, 4])
+    def test_chosen_realization_is_never_less_efficient(self, m):
+        # realizations of one size differ in efficiency; the lexicographically
+        # smallest one, with its idle leading sub-frames, wins at every load
+        grid = np.arange(1, 10 * ((m + 1) ** 4 - 1) + 1)
+        contested = 0
+        for target in cardinalities_of_interest(4, m):
+            chosen = spec_for_cardinality(4, m, target)
+            others = {tuple(sorted(b)) for b in itertools.product(range(m + 1), repeat=4)
+                      if math.prod(c + 1 for c in b) - 1 == target}
+            others.discard(tuple(sorted(chosen.budgets)))
+            contested += bool(others)
+            best = expanded_efficiency_curve(chosen, grid)
+            for budgets in others:
+                other = expanded_efficiency_curve(CodebookSpec.expanded(budgets), grid)
+                assert (best >= other).all()
+        assert contested > 0
 
     def test_spec_for_unreachable_cardinality(self):
         with pytest.raises(DomainError):
@@ -143,6 +176,28 @@ class TestSchedule:
         for n in grid:
             best = max(c[n] for c in curves)
             assert chosen[n] >= best - 1e-12
+
+    def test_exact_tie_goes_to_the_smaller_codebook(self):
+        small, large = CodebookSpec.reference(2, 2), CodebookSpec.reference(4, 2)
+        assert efficiency_curve(small, [1]) == efficiency_curve(large, [1]) == [(1, 1.0)]
+        first = threshold_schedule(CandidateSet((large, small), (1, 2, 3))).segments[0]
+        assert (first.n_low, first.n_high, first.spec) == (1, 1, small)
+        assert first.efficiency_low == 1.0
+
+    @pytest.mark.parametrize("length, m", [(2, 4), (4, 3)])
+    def test_segment_efficiencies_are_the_chosen_curve(self, length, m):
+        grid = list(range(1, 301))
+        schedule = threshold_schedule(default_candidates(length, m, grid))
+        assert len(schedule.segments) > 2
+        for seg in schedule.segments:
+            curve = dict(efficiency_curve(seg.spec, grid))
+            assert seg.efficiency_low == curve[seg.n_low]
+            assert seg.efficiency_high == curve[seg.n_high]
+
+    def test_candidate_order_does_not_change_the_schedule(self):
+        cands = default_candidates(4, 3, GRID_200)
+        reversed_cands = CandidateSet(cands.candidates[::-1], cands.load_grid)
+        assert threshold_schedule(reversed_cands) == threshold_schedule(cands)
 
     def test_spec_at_lookup(self):
         grid = list(range(1, 61))
