@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 from pathlib import Path
@@ -318,13 +317,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_inspect_chain(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     spec = load_spec(args.spec)
-    # size the state space from the budgets before materializing anything
-    prospective = math.prod(b + 1 for b in spec.budgets) - 1
-    if prospective > DUMP_STATE_CAP:
-        raise StateSpaceTooLarge(
-            f"{prospective} states exceed the dump cap of {DUMP_STATE_CAP}"
-        )
-    model = build_transition_model(spec)
+    model = build_transition_model(spec, cap=DUMP_STATE_CAP)
     header, rows = chain_dump(model)
     _write_outputs(
         Path(args.out), "inspect-chain",

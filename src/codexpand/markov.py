@@ -27,15 +27,21 @@ float precision.
 The chain.  Contenders pick codewords independently and uniformly, so adding
 one more contender moves the configuration by keeping each ``C_j`` or raising
 it by one, with a probability that depends only on the current configuration
--- never on which codewords produced it.  The number of codewords driving the
-move from ``c`` to ``c'`` is::
+-- never on which codewords produced it.  The new contender picks its symbol
+in each sub-frame independently, so the codewords driving the move from ``c``
+to ``c'`` number::
 
-    prod_j ( C_j           if C'_j == C_j        # symbol already observed
-             m_j + 1 - C_j if C'_j == C_j + 1    # symbol new in sub-frame j
-             0             otherwise )
+    prod_j F_j[C_j - 1, C'_j - 1] - [c == c'],
+    F_j[C - 1, C - 1] = C,  F_j[C - 1, C] = m_j + 1 - C,  0 otherwise,
 
-minus one for a self-loop, because the all-idle word keeps every coordinate
-yet is not in the codebook.  Dividing by the codebook size gives a
+where ``F_j`` is sub-frame ``j``'s bidiagonal table: one of the ``C`` symbols
+already observed keeps the count, one of the ``m_j + 1 - C`` unobserved
+preambles raises it.  The self-loop loses the all-idle word, which keeps every
+coordinate yet is not in the codebook.  The whole count table is therefore
+the Kronecker product of the ``F_j`` minus the identity.  Configuration ``C``
+is numbered like the codeword ``C - 1`` (see `codebook.encode_codewords`): the
+all-ones configuration is 0, the point before the first contender, and the
+states are ``1..A``.  Dividing by the codebook size ``A`` gives a
 row-stochastic transition matrix; the expected perceived count after ``N``
 contenders is the cardinality vector averaged over the N-step state
 distribution.  Counts are kept as integers so small instances can be checked
@@ -45,17 +51,16 @@ numbers and the structure `inspect-chain` prints.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy import sparse
 
-from .codebook import CodebookSpec, Mode, codebook_size
+from .codebook import CodebookSpec, Mode, codebook_size, decode_codewords
 from .contention import expected_singles_curve
 from .errors import DomainError, StateSpaceTooLarge
 
@@ -86,19 +91,19 @@ def configuration_cardinality(config: Configuration) -> int:
 
 @dataclass(frozen=True)
 class StateSpace:
-    """Indexed set of reachable configurations for an expanded codebook."""
+    """Reachable configurations of an expanded codebook, numbered like codewords."""
 
     spec: CodebookSpec
     states: tuple[Configuration, ...]
     cardinalities: np.ndarray
-    index: Mapping[Configuration, int]
 
     def __len__(self) -> int:
         return len(self.states)
 
 
 def build_state_space(spec: CodebookSpec, cap: int = STATE_CAP) -> StateSpace:
-    """Enumerate configurations in lexicographic order.
+    """Configurations in lexicographic order: state ``i`` is codeword ``i + 1``
+    plus one in every sub-frame.
 
     The all-ones configuration is excluded: with at least one contender some
     sub-frame always shows a non-idle preamble.
@@ -106,24 +111,30 @@ def build_state_space(spec: CodebookSpec, cap: int = STATE_CAP) -> StateSpace:
     Raises
     ------
     StateSpaceTooLarge
-        When ``prod(m_j + 1)`` exceeds ``cap``; use `perceived_curve` or
-        Monte Carlo instead.
+        When the ``A`` states exceed ``cap``; use `perceived_curve` or Monte
+        Carlo instead.
     """
     _check_expanded(spec)
-    total = math.prod(b + 1 for b in spec.budgets)
-    if total > cap:
-        raise StateSpaceTooLarge(f"{total - 1} states exceed the cap of {cap}")
-    all_ones = (1,) * spec.length
-    states = tuple(
-        c
-        for c in itertools.product(*(range(1, b + 2) for b in spec.budgets))
-        if c != all_ones
+    size = codebook_size(spec)
+    if size > cap:
+        raise StateSpaceTooLarge(f"{size} states exceed the cap of {cap}")
+    configs = decode_codewords(spec, np.arange(1, size + 1)) + 1
+    return StateSpace(
+        spec=spec,
+        states=tuple(map(tuple, configs.tolist())),
+        cardinalities=configs.prod(axis=1) - 1,
     )
-    cardinalities = np.fromiter(
-        (configuration_cardinality(c) for c in states), dtype=np.int64, count=len(states)
-    )
-    index = {c: i for i, c in enumerate(states)}
-    return StateSpace(spec=spec, states=states, cardinalities=cardinalities, index=index)
+
+
+def _subframe_counts(m: int, frm, to) -> np.ndarray:
+    """One sub-frame's factor of the count table, elementwise: the symbols
+    moving the observed count (idle included) from ``frm`` to ``to``.
+
+    A symbol already observed keeps ``C`` (``C`` choices); an unobserved
+    preamble raises it by one (``m + 1 - C`` choices); no other move exists.
+    """
+    frm, to = np.asarray(frm, dtype=np.int64), np.asarray(to, dtype=np.int64)
+    return np.where(to == frm, frm, np.where(to == frm + 1, m + 1 - frm, 0))
 
 
 def transition_count(frm: Configuration, to: Configuration, spec: CodebookSpec) -> int:
@@ -135,30 +146,9 @@ def transition_count(frm: Configuration, to: Configuration, spec: CodebookSpec) 
     _check_expanded(spec)
     _validate_configuration(frm, spec)
     _validate_configuration(to, spec)
-    return dict(_successors(tuple(frm), spec.budgets)).get(tuple(to), 0)
-
-
-def _successors(
-    config: Configuration, budgets: Sequence[int]
-) -> Iterable[tuple[Configuration, int]]:
-    """Configurations one more contender can lead to, with codeword counts.
-
-    In each sub-frame the new codeword either sends one of the ``C_j``
-    symbols already observed, keeping the count, or (below the budget) one of
-    the ``m_j + 1 - C_j`` unobserved preambles, raising it by one; the
-    self-loop loses the all-idle word.
-    """
-    moves = [
-        ((c, c),) if c > m else ((c, c), (c + 1, m + 1 - c))
-        for c, m in zip(config, budgets)
-    ]
-    for move in itertools.product(*moves):
-        succ, factors = zip(*move)
-        count = math.prod(factors)
-        if succ == config:
-            count -= 1  # the all-idle word is not in the codebook
-        if count:
-            yield succ, count
+    count = math.prod(int(_subframe_counts(m, c, t))
+                      for c, t, m in zip(frm, to, spec.budgets))
+    return count - (tuple(frm) == tuple(to))
 
 
 @dataclass(frozen=True)
@@ -268,36 +258,35 @@ def _checked_grid(n_values: Sequence[int]) -> list[int]:
 
 
 def build_transition_model(spec: CodebookSpec, cap: int = STATE_CAP) -> TransitionModel:
-    """Build the full observation chain for an expanded codebook."""
+    """Build the full observation chain for an expanded codebook.
+
+    The count table over configurations ``0..A`` is grown one sub-frame at a
+    time as the Kronecker product of `_subframe_counts`, minus the identity.
+    Row 0, the all-ones configuration, is the first contender's move.
+    """
     space = build_state_space(spec, cap=cap)
     denom = codebook_size(spec)
-    budgets = spec.budgets
-    index = space.index
-
-    rows: list[int] = []
-    cols: list[int] = []
-    data: list[int] = []
-    for i, config in enumerate(space.states):
-        for succ, count in _successors(config, budgets):
-            rows.append(i)
-            cols.append(index[succ])
-            data.append(count)
-    counts = sparse.csr_matrix(
-        (np.asarray(data, dtype=np.int64), (rows, cols)),
-        shape=(len(space), len(space)),
-    )
+    rows = cols = np.zeros(1, dtype=np.int64)
+    data = np.ones(1, dtype=np.int64)
+    for m in spec.budgets:
+        # the factor's 2m + 1 non-zeros: the diagonal, then the one above it
+        observed = np.arange(1, m + 2, dtype=np.int64)
+        frm = np.concatenate([observed, observed[:-1]])
+        to = np.concatenate([observed, observed[1:]])
+        rows = (rows[:, None] * (m + 1) + frm - 1).ravel()
+        cols = (cols[:, None] * (m + 1) + to - 1).ravel()
+        data = (data[:, None] * _subframe_counts(m, frm, to)).ravel()
+    data[rows == cols] -= 1  # the all-idle word is not in the codebook
+    table = sparse.csr_matrix((data, (rows, cols)), shape=(denom + 1, denom + 1))
+    _check_row_sums(table, denom)
+    counts = table[1:, 1:]
     counts.sort_indices()
-    _check_row_sums(counts, denom)
-    # the first contender leaves the all-idle configuration, which is no state
-    initial = np.zeros(len(space), dtype=np.int64)
-    for succ, count in _successors((1,) * spec.length, budgets):
-        initial[index[succ]] = count
     return TransitionModel(
         spec=spec,
         states=space.states,
         cardinalities=space.cardinalities,
         counts=counts,
-        initial_counts=initial,
+        initial_counts=table[0, 1:].toarray().ravel(),
         denominator=denom,
     )
 

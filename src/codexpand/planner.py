@@ -20,7 +20,7 @@ import numpy as np
 from .codebook import CodebookSpec, Mode, _restrictions, codebook_size
 from .contention import reference_efficiency_curve
 from .errors import BudgetExceedsTotal, DomainError
-from .markov import expanded_efficiency_curve
+from .markov import _checked_grid, expanded_efficiency_curve
 
 
 @dataclass(frozen=True)
@@ -32,14 +32,9 @@ class CandidateSet:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "candidates", tuple(self.candidates))
-        object.__setattr__(self, "load_grid", tuple(int(n) for n in self.load_grid))
         if not self.candidates:
             raise DomainError("need at least one candidate codebook")
-        grid = self.load_grid
-        if not grid or grid[0] < 1:
-            raise DomainError("load grid must be non-empty with positive user counts")
-        if any(b <= a for a, b in zip(grid, grid[1:])):
-            raise DomainError("load grid must be strictly increasing")
+        object.__setattr__(self, "load_grid", tuple(_checked_grid(self.load_grid)))
 
 
 @dataclass(frozen=True)
@@ -150,8 +145,9 @@ def _efficiency_values(spec: CodebookSpec, grid: Sequence[int]) -> np.ndarray:
 def crossover_point(
     spec_a: CodebookSpec, spec_b: CodebookSpec, load_grid: Sequence[int]
 ) -> int | None:
-    """Smallest grid load where ``spec_b`` is strictly more efficient."""
-    grid = [int(n) for n in load_grid]
+    """Smallest load of a strictly increasing grid where ``spec_b`` is
+    strictly more efficient."""
+    grid = _checked_grid(load_grid)
     wins = np.flatnonzero(_efficiency_values(spec_b, grid) > _efficiency_values(spec_a, grid))
     return grid[wins[0]] if wins.size else None
 
@@ -159,8 +155,9 @@ def crossover_point(
 def supported_load(
     spec: CodebookSpec, load_grid: Sequence[int], floor: float = 0.5
 ) -> int | None:
-    """Largest grid load at which efficiency still reaches ``floor``."""
-    grid = [int(n) for n in load_grid]
+    """Largest load of a strictly increasing grid at which efficiency still
+    reaches ``floor``."""
+    grid = _checked_grid(load_grid)
     reached = np.flatnonzero(_efficiency_values(spec, grid) >= floor)
     return grid[reached[-1]] if reached.size else None
 

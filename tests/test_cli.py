@@ -116,9 +116,32 @@ class TestInspectChain:
         lines = (tmp_path / "chain.csv").read_text().splitlines()
         assert lines == ["state_id,C_1,cardinality,initial,transitions", "1,2,1,1,1:1"]
 
+    def test_nonuniform_chain_matches_golden(self, tmp_path, golden_dir):
+        assert run("inspect-chain", "--spec", "L=3,m=2,0,3,mode=expanded",
+                   "--out", tmp_path) == 0
+        produced = (tmp_path / "chain.csv").read_bytes()
+        assert produced == (golden_dir / "chain_l3_m2_0_3.csv").read_bytes()
+
     def test_oversized_chain_exit_code(self, tmp_path):
         assert run("inspect-chain", "--spec", "L=6,m=9,mode=expanded",
                    "--out", tmp_path) == 3
+
+    def test_dump_cap_boundary(self, tmp_path, capsys):
+        # 73 * 137 - 1 = 10,000 states is the largest dump
+        assert run("inspect-chain", "--spec", "L=2,m=72,136,mode=expanded",
+                   "--out", tmp_path / "at") == 0
+        assert len((tmp_path / "at" / "chain.csv").read_text().splitlines()) == 10_001
+        # 2 * 3 * 1667 - 1 = 10,001 states is one too many
+        assert run("inspect-chain", "--spec", "L=3,m=1,2,1666,mode=expanded",
+                   "--out", tmp_path / "over") == 3
+        assert "10001 states" in capsys.readouterr().err
+        assert not (tmp_path / "over").exists()
+
+    def test_reference_codebook_has_no_chain(self, tmp_path, capsys):
+        # 40,400 codewords, but no chain to size: a usage error, not a cap
+        assert run("inspect-chain", "--spec", "L=2,m=200,mode=reference",
+                   "--out", tmp_path) == 2
+        assert "expanded codebooks" in capsys.readouterr().err
 
 
 class TestSimulate:

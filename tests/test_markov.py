@@ -1,5 +1,7 @@
 """Observation-configuration chain over expanded codebooks."""
 
+import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -28,6 +30,26 @@ L2M2 = CodebookSpec.expanded((2, 2))
 small_budgets = st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=3).filter(
     lambda b: any(b)
 )
+
+
+def loop_successors(config, budgets):
+    """{successor: codeword count} for one more contender, one move at a time.
+
+    In each sub-frame the codeword sends one of the ``C_j`` symbols already
+    observed, or (below the budget) one of the ``m_j + 1 - C_j`` unobserved
+    preambles; the self-loop loses the all-idle word.
+    """
+    moves = [
+        ((c, c),) if c > m else ((c, c), (c + 1, m + 1 - c))
+        for c, m in zip(config, budgets)
+    ]
+    out = {}
+    for move in itertools.product(*moves):
+        succ, factors = zip(*move)
+        count = math.prod(factors) - (succ == tuple(config))
+        if count:
+            out[succ] = count
+    return out
 
 
 class TestStateSpace:
@@ -63,6 +85,14 @@ class TestStateSpace:
         with pytest.raises(DomainError):
             build_state_space(CodebookSpec.reference(2, 2))
 
+    def test_cap_counts_states(self):
+        # (2,) has 2 states; the all-ones configuration is not one of them
+        assert len(build_state_space(CodebookSpec.expanded((2,)), cap=2)) == 2
+        with pytest.raises(StateSpaceTooLarge, match="2 states exceed the cap of 1"):
+            build_state_space(CodebookSpec.expanded((2,)), cap=1)
+        with pytest.raises(StateSpaceTooLarge):
+            build_transition_model(CodebookSpec.expanded((2,)), cap=1)
+
 
 class TestTransitionModel:
     def test_transition_counts_match_hand_values(self):
@@ -95,6 +125,47 @@ class TestTransitionModel:
         ] == [
             Fraction(1, 4), 0, Fraction(1, 4), Fraction(1, 2), 0, 0, 0, 0,
         ]
+
+    @given(st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=4)
+           .filter(any))
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    def test_chain_matches_loop_reference(self, budgets):
+        spec = CodebookSpec.expanded(tuple(budgets))
+        model = build_transition_model(spec)
+        all_ones = (1,) * len(budgets)
+        states = tuple(c for c in itertools.product(*(range(1, m + 2) for m in budgets))
+                       if c != all_ones)
+        assert model.states == states
+        index = {c: i for i, c in enumerate(states)}
+        expected = np.zeros((len(states), len(states)), dtype=np.int64)
+        for i, config in enumerate(states):
+            for succ, count in loop_successors(config, budgets).items():
+                expected[i, index[succ]] = count
+        assert np.array_equal(model.counts.toarray(), expected)
+        initial = np.zeros(len(states), dtype=np.int64)
+        for succ, count in loop_successors(all_ones, budgets).items():
+            initial[index[succ]] = count
+        assert np.array_equal(model.initial_counts, initial)
+        for frm in (all_ones, *states):
+            successors = loop_successors(frm, budgets)
+            for to in (all_ones, *states):
+                assert transition_count(frm, to, spec) == successors.get(to, 0)
+
+    def test_large_single_budget_builds_in_linear_space(self):
+        # 10**5 states and 2 * 10**5 - 1 non-zeros; a dense per-sub-frame
+        # factor would need 80 GB here
+        m = 10**5
+        model = build_transition_model(CodebookSpec.expanded((m,)))
+        assert len(model) == m and model.counts.nnz == 2 * m - 1
+        assert model.counts[0, 0] == 1 and model.counts[0, 1] == m - 1
+        assert model.counts[m - 1, m - 1] == m
+        assert model.initial_counts[0] == m and model.initial_counts[1:].sum() == 0
+
+    def test_transition_count_on_a_huge_budget(self):
+        spec = CodebookSpec.expanded((10**6, 1))
+        assert transition_count((5, 1), (6, 2), spec) == 10**6 - 4
+        assert transition_count((5, 2), (5, 2), spec) == 9
+        assert transition_count((5, 1), (7, 1), spec) == 0
 
     def test_absorbing_full_state(self):
         model = build_transition_model(L2M2)

@@ -140,6 +140,18 @@ class TestCurvesAndCrossover:
         spec = CodebookSpec.reference(2, 2)
         assert supported_load(spec, GRID_200, floor=0.999999) == 1
 
+    @pytest.mark.parametrize("grid", [[3, 1], [1, 1], [], [0, 1]])
+    def test_supported_load_needs_an_increasing_grid(self, grid):
+        # both loads of [3, 1] reach 0.5; a silent answer would be 1, not 3
+        with pytest.raises(DomainError):
+            supported_load(CodebookSpec.reference(2, 2), grid, floor=0.5)
+
+    @pytest.mark.parametrize("grid", [[200, 7, 100], [7, 7], [], [-1, 7]])
+    def test_crossover_needs_an_increasing_grid(self, grid):
+        # on [200, 7, 100] a silent answer would be 200, not the smallest win 7
+        with pytest.raises(DomainError):
+            crossover_point(CodebookSpec.reference(2, 2), CodebookSpec.expanded((2, 2)), grid)
+
 
 class TestSchedule:
     def test_single_candidate_single_segment(self):
