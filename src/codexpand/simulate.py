@@ -14,17 +14,25 @@ many others ran before it.  A batch is summarised by an exact integer
 histogram of per-trial (singles, distinct, perceived) counts, which merges by
 addition, so a batch result is byte-identical no matter how blocks are
 scheduled across workers.
+
+Kernel: `observe_codes` sorts each block's ids once for singles and distinct.
+For expanded codebooks it takes each sub-frame's symbols from the ids'
+mixed-radix digits; a sub-frame of fewer than 64 preambles ORs one bit per
+symbol into a word per trial and popcounts it, a wider one counts the runs of
+its sorted symbols.  Means and variances are exact rationals from integer
+power sums over the histogram; floats are taken only at the end.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import sqrt
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -32,7 +40,6 @@ from .codebook import (
     CodebookSpec,
     Mode,
     codeword_id_stop,
-    decode_codewords,
     encode_codewords,
     enumerate_codewords,
     sample_codewords,
@@ -118,24 +125,59 @@ def observe_codes(
     ``codes`` is a ``(B, N)`` integer array of ids in ``1..A`` (see
     `codebook.encode_codewords`), one row per contention round.  Each row is
     sorted once: runs of equal ids are the used codewords, and runs of length
-    one are the singles.  Expanded observations light the distinct non-idle
-    symbols of every sub-frame, so ``perceived = prod_j (lit_j + 1) - 1``;
-    reference observations are unambiguous, so there perceived is distinct.
+    one are the singles.  Reference observations are unambiguous, so there
+    perceived is distinct.  In an expanded row, sub-frame ``j`` lights the
+    ``lit_j`` distinct preambles of its ids' symbols (see `_perceived`), and
+    every codeword built from lit preambles or idle symbols is perceived:
+    ``perceived = prod_j (lit_j + 1) - 1``.
+
+    Raises
+    ------
+    DomainError
+        If an id lies outside ``1..A``.
     """
     codes = np.sort(codes, axis=1)
-    starts = np.ones(codes.shape, dtype=bool)
-    starts[:, 1:] = codes[:, 1:] != codes[:, :-1]
-    ends = np.ones(codes.shape, dtype=bool)
-    ends[:, :-1] = starts[:, 1:]
-    singles = (starts & ends).sum(axis=1)
-    distinct = starts.sum(axis=1)
+    stop = codeword_id_stop(spec)
+    if codes.size and (codes[:, 0].min() < 1 or codes[:, -1].max() >= stop):
+        raise DomainError(f"codeword ids of {spec.describe()} must lie in 1..{stop - 1}")
+    # edges[:, i] marks a boundary before sorted position i (and after the last)
+    edges = np.ones((codes.shape[0], codes.shape[1] + 1), dtype=bool)
+    edges[:, 1:-1] = codes[:, 1:] != codes[:, :-1]
+    singles = np.count_nonzero(edges[:, :-1] & edges[:, 1:], axis=1)
+    distinct = np.count_nonzero(edges[:, :-1], axis=1)
     if spec.mode is Mode.REFERENCE:
         return singles, distinct, distinct
-    symbols = np.sort(decode_codewords(spec, codes), axis=1)
+    return singles, distinct, _perceived(spec.budgets, codes)
+
+
+def _perceived(budgets: tuple[int, ...], codes: np.ndarray) -> np.ndarray:
+    """``prod_j (lit_j + 1) - 1`` of each row of expanded codeword ids.
+
+    Symbol ``s_j`` is digit ``j`` of an id in mixed radix ``m_j + 1``, as in
+    `codebook.decode_codewords`; ``lit_j`` is the number of distinct non-idle
+    symbols in a row.
+    """
+    perceived = np.ones(len(codes), dtype=np.int64)
+    ids = codes.astype(np.uint64)
+    for m in reversed(budgets):
+        quotient = ids // (m + 1)  # twice as fast as np.divmod here
+        perceived *= _lit(m, ids - quotient * (m + 1)) + 1
+        ids = quotient
+    return perceived - 1
+
+
+def _lit(m: int, symbols: np.ndarray) -> np.ndarray:
+    """Distinct non-idle symbols in each row of one sub-frame's ``(B, N)``
+    symbols ``0..m``."""
+    if m < 64:
+        # symbol s sets bit s of the row's word; bit 0, the idle symbol, is shifted out
+        seen = np.bitwise_or.reduce(np.left_shift(np.uint64(1), symbols), axis=1)
+        return np.bitwise_count(seen >> np.uint64(1))
+    # too wide for a word: count the runs of non-idle symbols in the sorted row
+    symbols = np.sort(symbols, axis=1)
     fresh = symbols != 0
     fresh[:, 1:] &= symbols[:, 1:] != symbols[:, :-1]
-    perceived = np.prod(fresh.sum(axis=1) + 1, axis=1) - 1
-    return singles, distinct, perceived
+    return np.count_nonzero(fresh, axis=1)
 
 
 def _outcome_fields(singles, distinct, perceived) -> tuple:
@@ -184,23 +226,48 @@ def _histogram(config: ScenarioConfig, first: int, stop: int) -> Histogram:
     return hist
 
 
-def _mean_se(hist: Histogram, n: int, value: Callable[[int, int, int], int | Fraction]) -> Estimate:
-    """Mean and standard error of a per-trial quantity, summed exactly."""
-    mean = Fraction(sum(c * value(*k) for k, c in hist.items()), n)
+def _estimate(s1: int | Fraction, s2: int | Fraction, n: int) -> Estimate:
+    """Mean and standard error of a per-trial quantity ``v`` over ``n`` trials,
+    from its exact power sums ``s1 = sum v`` and ``s2 = sum v**2``."""
+    mean = Fraction(s1, n)
     if n < 2:
         return Estimate(float(mean), None)
-    spread = sum(c * (value(*k) - mean) ** 2 for k, c in hist.items())
-    return Estimate(float(mean), sqrt(spread / (n - 1) / n))
+    # sum (v - mean)**2 == s2 - 2*mean*s1 + n*mean**2 == s2 - s1*mean
+    return Estimate(float(mean), sqrt((s2 - s1 * mean) / (n - 1) / n))
 
 
-def _ratio_of_means(hist: Histogram, n: int) -> Estimate:
-    s_x = sum(c * s for (s, _, _), c in hist.items())
-    s_y = sum(c * p for (_, _, p), c in hist.items())
+def _power_sums(counts: list[int], values: list[int]) -> tuple[int, int]:
+    """``sum c*v`` and ``sum c*v*v`` over histogram counts ``c``, in Python ints."""
+    weighted = list(map(operator.mul, counts, values))
+    return sum(weighted), sum(map(operator.mul, weighted, values))
+
+
+def _summarise(hist: Histogram, n: int) -> list[Estimate]:
+    """Estimates of ``n`` trials, in `AggregateStats` order: the five
+    `TrialOutcome` fields, the ratio of means and the per-trial ratio."""
+    counts = list(hist.values())
+    keys = np.array(list(hist), dtype=np.int64).reshape(-1, 3)
+    sums = [_power_sums(counts, v.tolist()) for v in _outcome_fields(*keys.T)]
+    singles, _, perceived = keys.T.tolist()
+    (s_x, s_xx), (s_y, s_yy) = sums[0], sums[3]
+    s_xy = sum(map(operator.mul, map(operator.mul, counts, singles), perceived))
     # Delta method around (mean singles, mean perceived): the standard error
     # of the mean of x - r*y, which is 0 at the ratio r, over mean perceived.
-    ratio = Fraction(s_x, s_y)
-    residual = _mean_se(hist, n, lambda s, d, p: s - ratio * p)
-    return Estimate(s_x / s_y, None if residual.se is None else residual.se * n / s_y)
+    r = Fraction(s_x, s_y)
+    residual = _estimate(0, s_xx - 2 * r * s_xy + r * r * s_yy, n)
+    ratio = Estimate(s_x / s_y, None if residual.se is None else residual.se * n / s_y)
+    # the per-trial ratio s/p: sum c*s and c*s*s per perceived value p first
+    by_p: dict[int, list[int]] = {}
+    for c, s, p in zip(counts, singles, perceived):
+        total = by_p.setdefault(p, [0, 0])
+        total[0] += c * s
+        total[1] += c * s * s
+    per_trial = _estimate(
+        sum(Fraction(t1, p) for p, (t1, _) in by_p.items()),
+        sum(Fraction(t2, p * p) for p, (_, t2) in by_p.items()),
+        n,
+    )
+    return [*(_estimate(s1, s2, n) for s1, s2 in sums), ratio, per_trial]
 
 
 def run_batch(config: ScenarioConfig, workers: int = 1) -> AggregateStats:
@@ -221,12 +288,7 @@ def run_batch(config: ScenarioConfig, workers: int = 1) -> AggregateStats:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = pool.map(_histogram, itertools.repeat(config), bounds[:-1], bounds[1:])
             hist = sum(parts, Counter())
-    fields = [_mean_se(hist, trials, lambda *k, i=i: _outcome_fields(*k)[i]) for i in range(5)]
-    return AggregateStats(
-        config, trials, *fields,
-        efficiency=_ratio_of_means(hist, trials),
-        efficiency_per_trial=_mean_se(hist, trials, lambda s, d, p: Fraction(s, p)),
-    )
+    return AggregateStats(config, trials, *_summarise(hist, trials))
 
 
 @dataclass(frozen=True)

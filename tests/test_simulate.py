@@ -2,16 +2,18 @@
 
 from collections import Counter
 from fractions import Fraction
+from math import sqrt
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from codexpand import (
     CodebookSpec,
     DomainError,
     EnumerationTooLarge,
+    Estimate,
     LoadPoint,
     Mode,
     ScenarioConfig,
@@ -19,6 +21,7 @@ from codexpand import (
     brute_force_expected,
     build_transition_model,
     codebook_size,
+    decode_codewords,
     encode_codewords,
     expected_singles,
     expected_singles_curve,
@@ -32,6 +35,8 @@ from codexpand import (
     run_trial,
     sample_codewords,
 )
+from codexpand import simulate
+from codexpand.simulate import _summarise
 
 L2M2 = CodebookSpec.expanded((2, 2))
 
@@ -106,6 +111,15 @@ class TestObserve:
                 got = zip(*(x.tolist() for x in observe_codes(spec, codes)))
                 assert list(got) == [loop_observe(spec, r.tolist()) for r in rows]
 
+    def test_ids_outside_the_codebook_rejected(self):
+        # id 0 is the all-idle word; A + 1 and negative ids are no codewords at all
+        for spec in [L2M2, CodebookSpec.reference(2, 2)]:
+            size = codebook_size(spec)
+            for row in ([0, 1], [-1, 1], [1, size + 1], [size + 1, size + 1], [2**40, 1]):
+                with pytest.raises(DomainError):
+                    observe_codes(spec, np.array([[1, 2], row]))
+            assert observe_codes(spec, np.array([[1, size]]))[1].tolist() == [2]
+
     def test_outcome_identities_hold_on_random_draws(self):
         rng = np.random.default_rng(5)
         for _ in range(200):
@@ -113,6 +127,41 @@ class TestObserve:
             assert out.distinct_used == out.singles + out.collided_codewords
             assert out.phantoms == out.perceived - out.distinct_used
             assert out.phantoms >= 0
+
+
+#: Budgets around the 64-bit word a narrow sub-frame's symbols fill: sub-frames
+#: of 63 preambles (one word) and of 64 or more (sorted instead), mixed with
+#: narrow ones, and one far wider than a word.
+WORD_EDGE_BUDGETS = [(63,), (64,), (32, 32), (63, 1), (1, 64), (65,), (54, 54),
+                     (40, 40, 40), (130,), (2, 70, 3), (2,) * 12 + (1,), (10**5,)]
+
+
+class TestLitKernel:
+    @given(
+        budgets=st.one_of(
+            st.sampled_from(WORD_EDGE_BUDGETS),
+            st.lists(st.integers(0, 80), min_size=1, max_size=3).filter(any).map(tuple),
+        ),
+        n=st.integers(1, 40),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(budgets=(63,), n=40, seed=1)
+    @example(budgets=(64,), n=40, seed=2)
+    @example(budgets=(1, 64), n=40, seed=3)
+    @example(budgets=(130,), n=40, seed=4)
+    @example(budgets=(10**5,), n=3, seed=5)
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_matches_the_loop_reference(self, budgets, n, seed):
+        spec = CodebookSpec.expanded(budgets)
+        codes = np.random.default_rng(seed).integers(1, codebook_size(spec) + 1, size=(20, n))
+        got = zip(*(x.tolist() for x in observe_codes(spec, codes)))
+        assert list(got) == [loop_observe(spec, w.tolist()) for w in decode_codewords(spec, codes)]
+
+    def test_wide_sub_frame_counts_repeated_and_idle_symbols(self):
+        # symbols 0 (idle), 64, 64 and 130 in the one sub-frame: two lit preambles
+        spec = CodebookSpec.expanded((130, 2))
+        ids = encode_codewords(spec, [(0, 1), (64, 0), (64, 2), (130, 1)])
+        assert observe_codes(spec, ids[None, :])[2].tolist() == [(2 + 1) * (2 + 1) - 1]
 
 
 class TestDeterminism:
@@ -183,6 +232,61 @@ class TestAggregation:
             ScenarioConfig(L2M2, n_users=1, trials=0, master_seed=0)
         with pytest.raises(DomainError):
             ScenarioConfig(L2M2, n_users=1, trials=1, master_seed=-1)
+
+
+def reference_mean_se(hist, n, value):
+    """Mean and standard error of ``value(s, d, p)``, one Fraction per histogram key."""
+    mean = Fraction(sum(c * value(*k) for k, c in hist.items()), n)
+    if n < 2:
+        return Estimate(float(mean), None)
+    spread = sum(c * (value(*k) - mean) ** 2 for k, c in hist.items())
+    return Estimate(float(mean), sqrt(spread / (n - 1) / n))
+
+
+def reference_summary(hist, n):
+    """The `AggregateStats` estimates from per-key Fraction sums."""
+    fields = [
+        reference_mean_se(hist, n, value)
+        for value in (lambda s, d, p: s, lambda s, d, p: d - s, lambda s, d, p: d,
+                      lambda s, d, p: p, lambda s, d, p: p - d)
+    ]
+    s_x = sum(c * s for (s, _, _), c in hist.items())
+    s_y = sum(c * p for (_, _, p), c in hist.items())
+    ratio = Fraction(s_x, s_y)
+    residual = reference_mean_se(hist, n, lambda s, d, p: s - ratio * p)
+    efficiency = Estimate(s_x / s_y, None if residual.se is None else residual.se * n / s_y)
+    per_trial = reference_mean_se(hist, n, lambda s, d, p: Fraction(s, p))
+    return [*fields, efficiency, per_trial]
+
+
+def histogram_key(singles, collided, phantoms):
+    """A (singles, distinct, perceived) key; every trial uses at least one codeword."""
+    distinct = max(singles + collided, 1)
+    return singles, distinct, distinct + phantoms
+
+
+histogram_keys = st.builds(
+    histogram_key, st.integers(0, 40), st.integers(0, 40), st.integers(0, 10**6)
+)
+
+
+class TestExactAggregation:
+    @given(st.dictionaries(histogram_keys, st.integers(1, 10**4), min_size=1, max_size=40))
+    @example({(1, 1, 1): 1})  # n = 1 and p = 1
+    @example({(2, 3, 7): 500})  # zero spread
+    @example({(1, 1, 1): 3, (0, 1, 1): 2})  # p = 1 throughout
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_power_sums_equal_the_per_key_fractions(self, keys):
+        hist = Counter(keys)
+        n = sum(hist.values())
+        assert _summarise(hist, n) == reference_summary(hist, n)
+
+    def test_batch_estimates_equal_the_per_key_fractions(self):
+        config = ScenarioConfig(CodebookSpec.expanded((3, 1, 2)), 12, 3_000, master_seed=6)
+        hist = simulate._histogram(config, 0, -(-3_000 // simulate._block_rows(12)))
+        stats = run_batch(config)
+        assert [stats.singles, stats.collided_codewords, stats.distinct_used, stats.perceived,
+                stats.phantoms, stats.efficiency, stats.efficiency_per_trial] == reference_summary(hist, 3_000)
 
 
 small_specs = st.one_of(
