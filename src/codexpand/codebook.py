@@ -129,7 +129,7 @@ def enumerate_codewords(spec: CodebookSpec, cap: int = ENUMERATION_CAP) -> list[
     ------
     SizeExceedsCap
         If the codebook holds more than ``cap`` codewords; callers should
-        fall back to `sample_codeword`.
+        fall back to `sample_codewords`.
     """
     size = codebook_size(spec)
     if size > cap:
@@ -230,11 +230,6 @@ def sample_codewords(spec: CodebookSpec, n: int, rng: np.random.Generator) -> np
     if n < 0:
         raise DomainError("cannot draw a negative number of codewords")
     return decode_codewords(spec, rng.integers(1, codeword_id_stop(spec), size=n))
-
-
-def sample_codeword(spec: CodebookSpec, rng: np.random.Generator) -> Codeword:
-    """Draw one codeword uniformly at random."""
-    return tuple(int(s) for s in sample_codewords(spec, 1, rng)[0])
 
 
 def min_expanded_preambles(m_reference: int, length: int) -> int:

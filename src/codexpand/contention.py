@@ -10,7 +10,6 @@ quantity is one numpy formula over a load grid; scalars evaluate it at one load.
 
 from __future__ import annotations
 
-import math
 import numbers
 from dataclasses import dataclass
 from typing import Sequence
@@ -44,17 +43,21 @@ class LoadPoint:
             raise DomainError("need at least one codeword")
 
 
-def contention_pmf(point: LoadPoint, k: int) -> float:
-    """Probability that exactly ``k`` of the contenders land on a fixed codeword,
-    ``C(N, k) (A - 1)^(N - k) / A^N``, one correctly rounded integer division."""
-    if not 0 <= k <= point.n_users:
-        raise DomainError(f"occupancy {k} outside 0..{point.n_users}")
-    n, a = point.n_users, point.codewords
-    return math.comb(n, k) * (a - 1) ** (n - k) / a**n
+def _whole_loads(n_values) -> np.ndarray:
+    """User counts, a scalar or a grid, as int64; a fractional load raises
+    `DomainError` instead of being truncated."""
+    loads = np.asarray(n_values)
+    if loads.dtype.kind == "f" and (np.abs(loads) < 2.0**63).all():
+        fractional = loads[loads != np.trunc(loads)]
+        if fractional.size:
+            raise DomainError(f"user counts must be whole numbers, got {fractional[0]:g}")
+    elif loads.dtype.kind not in "iu":
+        raise DomainError(f"user counts must be whole numbers, got {n_values!r}")
+    return loads.astype(np.int64)
 
 
 def _loads(n_values: Sequence[int], codewords: int) -> np.ndarray:
-    n = np.asarray(n_values, dtype=np.int64).astype(np.float64)
+    n = _whole_loads(n_values).astype(np.float64)
     if (n < 0).any():
         raise DomainError("user count cannot be negative")
     if codewords < 1:
@@ -85,7 +88,7 @@ def reference_efficiency_curve(n_values: Sequence[int], m: int, length: int) -> 
     reference scheme with ``m`` preambles over ``length`` sub-frames."""
     if m < 1 or length < 1:
         raise DomainError("need at least one preamble and one sub-frame")
-    n = np.asarray(n_values, dtype=np.int64)
+    n = _whole_loads(n_values)
     if (n < 1).any():
         raise DomainError("efficiency is undefined without contenders")
     a = m * length
@@ -97,14 +100,6 @@ def reference_efficiency_curve(n_values: Sequence[int], m: int, length: int) -> 
 def expected_singles(point: LoadPoint) -> float:
     """Expected number of codewords chosen by exactly one contender."""
     return float(expected_singles_curve([point.n_users], point.codewords)[0])
-
-
-def expected_collisions(point: LoadPoint) -> float:
-    """Expected number of codewords chosen by more than one contender."""
-    if point.n_users <= 1:
-        return 0.0
-    n, a = [point.n_users], point.codewords
-    return max(0.0, float(expected_used_curve(n, a)[0] - expected_singles_curve(n, a)[0]))
 
 
 def reference_efficiency(n_users: int, m: int, length: int) -> float:

@@ -21,9 +21,5 @@ class EnumerationTooLarge(CodexpandError):
     """Exhaustive enumeration of codeword assignments exceeds the cap."""
 
 
-class BudgetExceedsTotal(CodexpandError):
-    """Per-class preamble budgets exceed the provisioned total."""
-
-
 class InputParseError(CodexpandError):
     """An input document (JSON scenario or spec file) could not be parsed."""

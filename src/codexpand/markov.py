@@ -44,9 +44,15 @@ all-ones configuration is 0, the point before the first contender, and the
 states are ``1..A``.  Dividing by the codebook size ``A`` gives a
 row-stochastic transition matrix; the expected perceived count after ``N``
 contenders is the cardinality vector averaged over the N-step state
-distribution.  Counts are kept as integers so small instances can be checked
-in exact rational arithmetic.  The chain is an independent route to the same
-numbers and the structure `inspect-chain` prints.
+distribution.
+
+A step needs no matrix.  Reshaped to one axis per sub-frame, shape
+``(m_1 + 1, ..., m_L + 1)``, a distribution over configurations ``0..A``
+advances by applying each ``F_j`` along its own axis and subtracting itself
+once for the all-idle word (`_step`).  In Python integers the step is exact,
+so small instances are checked in rational arithmetic.  The count table
+itself is built only when read, for `inspect-chain` and the chain goldens.
+The chain is an independent route to the closed form's numbers.
 """
 
 from __future__ import annotations
@@ -58,16 +64,15 @@ from functools import cached_property
 from typing import Sequence
 
 import numpy as np
-from scipy import sparse
 
 from .codebook import CodebookSpec, Mode, codebook_size, decode_codewords
-from .contention import expected_singles_curve
+from .contention import _whole_loads, expected_singles_curve
 from .errors import DomainError, StateSpaceTooLarge
 
 #: Per-sub-frame observed-preamble counts, idle included (each entry >= 1).
 Configuration = tuple[int, ...]
 
-#: Largest state space `build_state_space` will materialize.
+#: Largest chain `build_transition_model` accepts, in states.
 STATE_CAP = 10**7
 
 
@@ -82,48 +87,6 @@ def _validate_configuration(config: Configuration, spec: CodebookSpec) -> None:
     for c, m in zip(config, spec.budgets):
         if not 1 <= c <= m + 1:
             raise DomainError(f"configuration {config} out of range for budgets {spec.budgets}")
-
-
-def configuration_cardinality(config: Configuration) -> int:
-    """Codewords consistent with a configuration: ``prod(C_j) - 1``."""
-    return math.prod(config) - 1
-
-
-@dataclass(frozen=True)
-class StateSpace:
-    """Reachable configurations of an expanded codebook, numbered like codewords."""
-
-    spec: CodebookSpec
-    states: tuple[Configuration, ...]
-    cardinalities: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.states)
-
-
-def build_state_space(spec: CodebookSpec, cap: int = STATE_CAP) -> StateSpace:
-    """Configurations in lexicographic order: state ``i`` is codeword ``i + 1``
-    plus one in every sub-frame.
-
-    The all-ones configuration is excluded: with at least one contender some
-    sub-frame always shows a non-idle preamble.
-
-    Raises
-    ------
-    StateSpaceTooLarge
-        When the ``A`` states exceed ``cap``; use `perceived_curve` or Monte
-        Carlo instead.
-    """
-    _check_expanded(spec)
-    size = codebook_size(spec)
-    if size > cap:
-        raise StateSpaceTooLarge(f"{size} states exceed the cap of {cap}")
-    configs = decode_codewords(spec, np.arange(1, size + 1)) + 1
-    return StateSpace(
-        spec=spec,
-        states=tuple(map(tuple, configs.tolist())),
-        cardinalities=configs.prod(axis=1) - 1,
-    )
 
 
 def _subframe_counts(m: int, frm, to) -> np.ndarray:
@@ -151,40 +114,113 @@ def transition_count(frm: Configuration, to: Configuration, spec: CodebookSpec) 
     return count - (tuple(frm) == tuple(to))
 
 
+def _step(dist: np.ndarray, budgets: Sequence[int]) -> np.ndarray:
+    """Unnormalised distribution over configurations after one more contender.
+
+    ``dist`` has one axis per sub-frame, index ``C_j - 1`` on axis ``j``, so
+    its C-order ravel index is the codeword id.  On axis ``j``, index ``k``
+    becomes ``(k + 1) * d[k] + (m_j + 1 - k) * d[k - 1]``: one of the ``k + 1``
+    observed symbols keeps the count, one of the ``m_j + 1 - k`` unobserved
+    preambles raises it.  The all-idle word keeps every count, so ``dist`` is
+    subtracted once.  Only integers multiply, so object arrays of Python ints
+    stay exact; the result sums to ``A`` times ``dist``'s sum.
+    """
+    nxt = dist
+    for axis, m in enumerate(budgets):
+        d = nxt.reshape(math.prod(dist.shape[:axis]), m + 1, -1)
+        k = np.arange(m + 1, dtype=dist.dtype)[:, None]
+        nxt = (k + 1) * d
+        nxt[:, 1:] += (m + 1 - k[1:]) * d[:, :-1]
+    return nxt.reshape(dist.shape) - dist
+
+
 @dataclass(frozen=True)
 class TransitionModel:
-    """Observation chain: integer transition counts over the codebook size.
+    """Observation chain of an expanded codebook, over the states ``1..A``.
 
-    ``counts[i, j]`` is the number of codewords moving state ``i`` to state
-    ``j``; every row sums to ``denominator`` (the codebook size), so
-    ``counts / denominator`` is row-stochastic.  ``initial_counts / denominator``
-    is the state distribution after the first contender.
+    Build it with `build_transition_model`.  The sweeps step the distribution
+    with `_step`; the count table is built only when `counts` is read.
     """
 
     spec: CodebookSpec
-    states: tuple[Configuration, ...]
-    cardinalities: np.ndarray
-    counts: sparse.csr_matrix
-    initial_counts: np.ndarray
-    denominator: int
 
     def __len__(self) -> int:
-        return len(self.states)
+        return self.denominator
 
     @cached_property
-    def matrix(self) -> sparse.csr_matrix:
-        """Row-stochastic transition matrix (float)."""
+    def denominator(self) -> int:
+        """The codebook size ``A``, over which counts become probabilities."""
+        return codebook_size(self.spec)
+
+    @cached_property
+    def states(self) -> tuple[Configuration, ...]:
+        """Configurations in lexicographic order: state ``i`` is codeword ``i + 1``
+        plus one in every sub-frame.
+
+        The all-ones configuration is excluded: with at least one contender
+        some sub-frame always shows a non-idle preamble.
+        """
+        configs = decode_codewords(self.spec, np.arange(1, len(self) + 1)) + 1
+        return tuple(map(tuple, configs.tolist()))
+
+    @cached_property
+    def cardinalities(self) -> np.ndarray:
+        """Codewords consistent with each state, ``prod(C_j) - 1``."""
+        products = np.ones(1, dtype=np.int64)
+        for m in self.spec.budgets:
+            products = np.multiply.outer(products, np.arange(1, m + 2)).ravel()
+        return products[1:] - 1
+
+    @cached_property
+    def counts(self):
+        """Integer transition counts as a scipy CSR matrix.
+
+        ``counts[i, j]`` is the number of codewords moving state ``i`` to
+        state ``j``; every row sums to `denominator`.  The table over
+        configurations ``0..A`` is grown one sub-frame at a time as the
+        Kronecker product of `_subframe_counts`, minus the identity.
+        """
+        from scipy import sparse  # only the chain dump and its checks read the table
+
+        rows = cols = np.zeros(1, dtype=np.int64)
+        data = np.ones(1, dtype=np.int64)
+        for m in self.spec.budgets:
+            # the factor's 2m + 1 non-zeros: the diagonal, then the one above it
+            observed = np.arange(1, m + 2, dtype=np.int64)
+            frm = np.concatenate([observed, observed[:-1]])
+            to = np.concatenate([observed, observed[1:]])
+            rows = (rows[:, None] * (m + 1) + frm - 1).ravel()
+            cols = (cols[:, None] * (m + 1) + to - 1).ravel()
+            data = (data[:, None] * _subframe_counts(m, frm, to)).ravel()
+        data[rows == cols] -= 1  # the all-idle word is not in the codebook
+        size = len(self) + 1
+        table = sparse.csr_matrix((data, (rows, cols)), shape=(size, size))
+        _check_row_sums(table, self.denominator)
+        counts = table[1:, 1:]
+        counts.sort_indices()
+        return counts
+
+    @cached_property
+    def initial_counts(self) -> np.ndarray:
+        """Codewords moving the empty observation to each state: the first
+        contender's step."""
+        return _step(self._origin(np.int64), self.spec.budgets).ravel()[1:]
+
+    @cached_property
+    def matrix(self):
+        """Row-stochastic transition matrix (float CSR)."""
         return self.counts.astype(np.float64) / self.denominator
-
-    @cached_property
-    def matrix_t(self) -> sparse.csr_matrix:
-        """Transposed transition matrix, so a step is one CSR product."""
-        return self.matrix.T.tocsr()
 
     @cached_property
     def initial(self) -> np.ndarray:
         """State distribution after the first contender (float)."""
-        return self.initial_counts.astype(np.float64) / self.denominator
+        return self.initial_counts / self.denominator
+
+    def _origin(self, dtype) -> np.ndarray:
+        """All mass on the all-ones configuration, one axis per sub-frame."""
+        dist = np.zeros(tuple(m + 1 for m in self.spec.budgets), dtype=dtype)
+        dist.flat[0] = 1
+        return dist
 
     def perceived_count(self, n_users: int) -> float:
         """Expected number of codewords the base station perceives.
@@ -203,53 +239,34 @@ class TransitionModel:
         """Perceived counts over an increasing grid of user counts.
 
         Shares one state-distribution iteration across the whole grid, so a
-        sweep up to ``max(n_values)`` costs ``max(n_values) - 1`` products.
+        sweep up to ``max(n_values)`` costs ``max(n_values)`` steps.
         """
         grid = _checked_grid(n_values)
-        out = np.empty(len(grid), dtype=np.float64)
-        dist = self.initial
-        pos = 0
+        out: list[float] = []
+        dist = self._origin(np.float64)
         for n in range(1, grid[-1] + 1):
-            if n > 1:
-                dist = self.matrix_t @ dist
-            while pos < len(grid) and grid[pos] == n:
-                out[pos] = float(dist @ self.cardinalities)
-                pos += 1
-        return out
-
-    def efficiency(self, n_users: int) -> float:
-        """Expected singles over expected perceived codewords."""
-        if n_users < 1:
-            raise DomainError("efficiency is undefined without contenders")
-        singles = expected_singles_curve([n_users], self.denominator)[0]
-        return float(singles / self.perceived_count(n_users))
+            dist = _step(dist, self.spec.budgets) / self.denominator
+            if n == grid[len(out)]:
+                out.append(float(dist.ravel()[1:] @ self.cardinalities))
+        return np.array(out)
 
     def perceived_count_exact(self, n_users: int) -> Fraction:
         """Exact rational perceived count, for golden-value comparisons.
 
         Practical only for small states and user counts.  The distribution
-        after ``k`` contenders is carried as integer numerators over ``A**k``.
+        after ``k`` contenders is carried as Python-int numerators over ``A**k``.
         """
-        if n_users < 0:
+        n = int(_whole_loads(n_users))
+        if n < 0:
             raise DomainError("user count cannot be negative")
-        if n_users == 0:
-            return Fraction(0)
-        dist = self.initial_counts.tolist()
-        indptr, indices, data = (a.tolist() for a in
-                                 (self.counts.indptr, self.counts.indices, self.counts.data))
-        for _ in range(n_users - 1):
-            nxt = [0] * len(dist)
-            for i, p in enumerate(dist):
-                if p:
-                    for k in range(indptr[i], indptr[i + 1]):
-                        nxt[indices[k]] += p * data[k]
-            dist = nxt
-        total = sum(p * a for p, a in zip(dist, self.cardinalities.tolist()))
-        return Fraction(total, self.denominator**n_users)
+        dist = self._origin(object)
+        for _ in range(n):
+            dist = _step(dist, self.spec.budgets)
+        return Fraction(int(dist.ravel()[1:] @ self.cardinalities), self.denominator**n)
 
 
 def _checked_grid(n_values: Sequence[int]) -> list[int]:
-    grid = [int(n) for n in n_values]
+    grid = _whole_loads(n_values).tolist()
     if not grid or any(n < 1 for n in grid):
         raise DomainError("grid must be non-empty with positive user counts")
     if any(b <= a for a, b in zip(grid, grid[1:])):
@@ -258,37 +275,24 @@ def _checked_grid(n_values: Sequence[int]) -> list[int]:
 
 
 def build_transition_model(spec: CodebookSpec, cap: int = STATE_CAP) -> TransitionModel:
-    """Build the full observation chain for an expanded codebook.
+    """The observation chain of an expanded codebook, with its ``A`` states.
 
-    The count table over configurations ``0..A`` is grown one sub-frame at a
-    time as the Kronecker product of `_subframe_counts`, minus the identity.
-    Row 0, the all-ones configuration, is the first contender's move.
+    Checks the codebook and the state count only; every table is built when
+    first read.
+
+    Raises
+    ------
+    DomainError
+        For a reference codebook, whose observations are unambiguous.
+    StateSpaceTooLarge
+        When the ``A`` states exceed ``cap``; use `perceived_curve` or Monte
+        Carlo instead.
     """
-    space = build_state_space(spec, cap=cap)
-    denom = codebook_size(spec)
-    rows = cols = np.zeros(1, dtype=np.int64)
-    data = np.ones(1, dtype=np.int64)
-    for m in spec.budgets:
-        # the factor's 2m + 1 non-zeros: the diagonal, then the one above it
-        observed = np.arange(1, m + 2, dtype=np.int64)
-        frm = np.concatenate([observed, observed[:-1]])
-        to = np.concatenate([observed, observed[1:]])
-        rows = (rows[:, None] * (m + 1) + frm - 1).ravel()
-        cols = (cols[:, None] * (m + 1) + to - 1).ravel()
-        data = (data[:, None] * _subframe_counts(m, frm, to)).ravel()
-    data[rows == cols] -= 1  # the all-idle word is not in the codebook
-    table = sparse.csr_matrix((data, (rows, cols)), shape=(denom + 1, denom + 1))
-    _check_row_sums(table, denom)
-    counts = table[1:, 1:]
-    counts.sort_indices()
-    return TransitionModel(
-        spec=spec,
-        states=space.states,
-        cardinalities=space.cardinalities,
-        counts=counts,
-        initial_counts=table[0, 1:].toarray().ravel(),
-        denominator=denom,
-    )
+    _check_expanded(spec)
+    size = codebook_size(spec)
+    if size > cap:
+        raise StateSpaceTooLarge(f"{size} states exceed the cap of {cap}")
+    return TransitionModel(spec)
 
 
 #: Loads whose float closed form may be off by more than this relative error
@@ -317,7 +321,7 @@ def perceived_terms(budgets: Sequence[int]) -> dict[int, int]:
 def perceived_count_rational(spec: CodebookSpec, n_users: int) -> Fraction:
     """Exact expected perceived count, ``sum coef*P*(P-1)^N / A^N - 1``."""
     _check_expanded(spec)
-    n = int(n_users)
+    n = int(_whole_loads(n_users))
     if n < 0:
         raise DomainError("user count cannot be negative")
     total = sum(c * p * (p - 1) ** n for p, c in perceived_terms(spec.budgets).items())
@@ -332,7 +336,7 @@ def perceived_curve(spec: CodebookSpec, n_values: Sequence[int]) -> np.ndarray:
     over many sub-frames, where large terms cancel -- is evaluated exactly.
     """
     _check_expanded(spec)
-    loads = np.asarray(n_values, dtype=np.int64)
+    loads = _whole_loads(n_values)
     if (loads < 0).any():
         raise DomainError("user count cannot be negative")
     size = codebook_size(spec)
@@ -354,7 +358,7 @@ def perceived_curve(spec: CodebookSpec, n_values: Sequence[int]) -> np.ndarray:
 
 def expanded_efficiency_curve(spec: CodebookSpec, n_values: Sequence[int]) -> np.ndarray:
     """Expected singles over expected perceived codewords at every load."""
-    loads = np.asarray(n_values, dtype=np.int64)
+    loads = _whole_loads(n_values)
     if (loads < 1).any():
         raise DomainError("efficiency is undefined without contenders")
     return expected_singles_curve(loads, codebook_size(spec)) / perceived_curve(spec, loads)
@@ -370,7 +374,7 @@ def expanded_efficiency(spec: CodebookSpec, n_users: int) -> float:
     return float(expanded_efficiency_curve(spec, [n_users])[0])
 
 
-def _check_row_sums(counts: sparse.csr_matrix, denom: int) -> None:
+def _check_row_sums(counts, denom: int) -> None:
     sums = np.asarray(counts.sum(axis=1)).ravel()
     if not (sums == denom).all():
         raise AssertionError("transition counts do not cover the codebook")

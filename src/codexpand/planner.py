@@ -18,8 +18,8 @@ from typing import Sequence
 import numpy as np
 
 from .codebook import CodebookSpec, Mode, _restrictions, codebook_size
-from .contention import reference_efficiency_curve
-from .errors import BudgetExceedsTotal, DomainError
+from .contention import _whole_loads, reference_efficiency_curve
+from .errors import DomainError
 from .markov import _checked_grid, expanded_efficiency_curve
 
 
@@ -132,7 +132,7 @@ def efficiency_curve(
     the expected perceived count ``sum_T (-1)^|T| P_T ((P_T - 1)/A)^N - 1``
     (see `codexpand.markov`), evaluated over the whole grid at once.
     """
-    grid = [int(n) for n in load_grid]
+    grid = _whole_loads(load_grid).tolist()
     return list(zip(grid, _efficiency_values(spec, grid).tolist()))
 
 
@@ -190,28 +190,3 @@ def threshold_schedule(candidates: CandidateSet) -> ThresholdSchedule:
         )
         for lo, stop in zip([0, *cuts], [*cuts, len(grid)])
     ))
-
-
-def partition_preambles(
-    m_total: int, class_budgets: Sequence[int]
-) -> list[tuple[int, int]]:
-    """Reserve disjoint contiguous preamble ranges for user classes.
-
-    Ranges are 1-based inclusive, assigned in the order the budgets are
-    given; preambles past the last range stay unassigned.
-    """
-    if m_total < 1:
-        raise DomainError("need at least one preamble to partition")
-    budgets = [int(b) for b in class_budgets]
-    if any(b < 1 for b in budgets):
-        raise DomainError("every class needs at least one preamble")
-    if sum(budgets) > m_total:
-        raise BudgetExceedsTotal(
-            f"budgets {budgets} need {sum(budgets)} of {m_total} preambles"
-        )
-    ranges = []
-    start = 1
-    for b in budgets:
-        ranges.append((start, start + b - 1))
-        start += b
-    return ranges

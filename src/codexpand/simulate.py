@@ -42,7 +42,6 @@ from .codebook import (
     codeword_id_stop,
     encode_codewords,
     enumerate_codewords,
-    sample_codewords,
 )
 from .errors import DomainError, EnumerationTooLarge
 
@@ -199,11 +198,6 @@ def block_rng(master_seed: int, block_index: int) -> np.random.Generator:
     """
     bits = np.random.Philox(key=master_seed, counter=[0, 0, 0, block_index])
     return np.random.Generator(bits)
-
-
-def run_trial(spec: CodebookSpec, n_users: int, rng: np.random.Generator) -> TrialOutcome:
-    """One contention round: sample codewords uniformly, observe the result."""
-    return observe(spec, sample_codewords(spec, n_users, rng))
 
 
 #: Histogram of per-trial ``(singles, distinct, perceived)`` counts.

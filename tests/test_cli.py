@@ -1,10 +1,15 @@
 """Command line interface: grammar, file outputs, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
+import codexpand
 from codexpand import CodebookSpec, DomainError, Mode
 from codexpand.cli import main, parse_inline_spec, parse_n_range
 
@@ -315,3 +320,14 @@ class TestReproduce:
             "--trials", 100, "--out", tmp_path)
         leftovers = [p for p in tmp_path.iterdir() if p.name.startswith(".")]
         assert leftovers == []
+
+
+class TestImport:
+    def test_cli_import_leaves_scipy_unloaded(self):
+        # only the chain's count table needs scipy, and it imports it when built
+        src = Path(codexpand.__file__).resolve().parents[1]
+        code = ("import sys, codexpand.cli; "
+                "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))")
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+        assert done.stdout.strip() == "[]"

@@ -11,8 +11,6 @@ from hypothesis import strategies as st
 from codexpand import (
     DomainError,
     LoadPoint,
-    contention_pmf,
-    expected_collisions,
     expected_singles,
     expected_used_curve,
     reference_efficiency,
@@ -33,26 +31,6 @@ def exact_pmf(point: LoadPoint, k: int) -> Fraction:
 
 
 class TestPmf:
-    @given(loads)
-    @settings(max_examples=80)
-    def test_sums_to_one(self, point):
-        total = sum(contention_pmf(point, k) for k in range(point.n_users + 1))
-        assert total == pytest.approx(1.0, abs=1e-12)
-
-    @pytest.mark.parametrize("n,a", [(1, 8), (4, 8), (7, 3), (12, 24)])
-    def test_matches_exact_binomial(self, n, a):
-        point = LoadPoint(n, a)
-        for k in range(n + 1):
-            assert contention_pmf(point, k) == pytest.approx(
-                float(exact_pmf(point, k)), rel=1e-12
-            )
-
-    def test_out_of_support_rejected(self):
-        with pytest.raises(DomainError):
-            contention_pmf(LoadPoint(3, 8), 4)
-        with pytest.raises(DomainError):
-            contention_pmf(LoadPoint(3, 8), -1)
-
     def test_non_integral_load_rejected(self):
         with pytest.raises(DomainError):
             LoadPoint(2.5, 8)
@@ -61,7 +39,6 @@ class TestPmf:
 class TestMoments:
     def test_single_user_always_succeeds(self):
         assert expected_singles(LoadPoint(1, 8)) == 1.0
-        assert expected_collisions(LoadPoint(1, 8)) == 0.0
 
     def test_empty_frame(self):
         assert expected_singles(LoadPoint(0, 8)) == 0.0
@@ -69,24 +46,19 @@ class TestMoments:
     def test_two_users_one_codeword_always_collide(self):
         point = LoadPoint(2, 1)
         assert expected_singles(point) == 0.0
-        assert expected_collisions(point) == pytest.approx(1.0)
 
     @pytest.mark.parametrize("n,a", [(2, 3), (3, 8), (5, 8), (4, 24)])
     def test_moments_match_exact_occupancy_sums(self, n, a):
-        # E[singles] = A * P[X = 1], E[collisions] = A * P[X >= 2]
+        # E[singles] = A * P[X = 1]
         point = LoadPoint(n, a)
         singles = a * exact_pmf(point, 1)
-        collisions = a * (1 - exact_pmf(point, 0) - exact_pmf(point, 1))
         assert expected_singles(point) == pytest.approx(float(singles), rel=1e-12)
-        assert expected_collisions(point) == pytest.approx(float(collisions), rel=1e-12)
 
     @given(loads)
     @settings(max_examples=80)
     def test_bounds(self, point):
         singles = expected_singles(point)
-        collisions = expected_collisions(point)
         assert 0.0 <= singles <= min(point.n_users, point.codewords)
-        assert 0.0 <= collisions <= point.codewords
 
     def test_log_space_path_agrees_with_direct_power(self):
         # either side of the switchover to log-space exponentiation

@@ -1,11 +1,14 @@
-"""Output gate: Monte Carlo tables against committed goldens.
+"""Output gate: Monte Carlo and analytic figure tables against committed goldens.
 
-Tables are compared as data, not bytes: the load column must be equal and
-every other value within 1e-6, one unit in the sixth printed decimal, so an
-ulp of difference in a float library cannot fail the gate.
+Tables are compared as data, not bytes: loads, modes, budgets and codebook
+sizes must be equal and every other value within 1e-6, one unit in the sixth
+printed decimal, so an ulp of difference in a float library cannot fail the
+gate.  The goldens of the long analytic curves keep every 25th row; their
+SVG overlays are checked only for structure.
 """
 
 import csv
+import xml.etree.ElementTree as ET
 
 import pytest
 
@@ -13,6 +16,10 @@ from codexpand.cli import main
 
 FIGURE_DIR = "figures"
 TOLERANCE = 1e-6
+#: Columns compared as text: loads, modes, budgets and codebook sizes.
+EXACT_COLUMNS = {"N", "N_low", "N_high", "mode", "budgets", "cardinality"}
+#: The curve goldens keep rows 0, 25, 50, ... of each produced table.
+CURVE_STRIDE = 25
 
 SIMULATE = ["simulate", "--trials", "2000", "--seed", "5"]
 CASES = {
@@ -35,6 +42,12 @@ CASES = {
                    "comparison_montecarlo.csv", "comparison_montecarlo.csv"),
 }
 
+THRESHOLDS = {
+    "l4m4": ["--length", "4", "--preambles", "4"],
+    "l2m4": ["--length", "2", "--preambles", "4"],
+    "l4m3_ref32": ["--length", "4", "--preambles", "3", "--reference-preambles", "32"],
+}
+
 
 def read_table(path):
     with open(path, newline="") as handle:
@@ -42,16 +55,21 @@ def read_table(path):
     return header, rows
 
 
-def assert_same_table(produced, golden):
+def assert_same_table(produced, golden, stride=1):
     header, rows = read_table(produced)
     golden_header, golden_rows = read_table(golden)
     assert header == golden_header
-    assert [r[0] for r in rows] == [r[0] for r in golden_rows], "loads differ"
+    rows = rows[::stride]
+    exact = [i for i, name in enumerate(header) if name in EXACT_COLUMNS]
+    assert [[r[i] for i in exact] for r in rows] == [[r[i] for i in exact] for r in golden_rows], (
+        "loads, modes, budgets or sizes differ"
+    )
     for row, expected in zip(rows, golden_rows):
-        for name, got, want in zip(header[1:], row[1:], expected[1:]):
-            assert abs(float(got) - float(want)) <= TOLERANCE, (
-                f"N={row[0]} {name}: {got} against golden {want}"
-            )
+        for name, got, want in zip(header, row, expected):
+            if name not in EXACT_COLUMNS:
+                assert abs(float(got) - float(want)) <= TOLERANCE, (
+                    f"row {row[0]} {name}: {got} against golden {want}"
+                )
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -59,3 +77,21 @@ def test_monte_carlo_table_matches_golden(case, tmp_path, golden_dir):
     argv, produced, golden = CASES[case]
     assert main([*argv, "--out", str(tmp_path)]) == 0
     assert_same_table(tmp_path / produced, golden_dir / FIGURE_DIR / golden)
+
+
+@pytest.mark.parametrize("case", sorted(THRESHOLDS))
+def test_threshold_table_matches_golden(case, tmp_path, golden_dir):
+    assert main(["thresholds", *THRESHOLDS[case], "--out", str(tmp_path)]) == 0
+    assert_same_table(tmp_path / "thresholds.csv",
+                      golden_dir / FIGURE_DIR / f"thresholds_{case}.csv")
+
+
+@pytest.mark.parametrize("figure", ["application-l4", "adaptive-l4m4"])
+def test_figure_curves_match_golden(figure, tmp_path, golden_dir):
+    assert main(["reproduce", "--figure", figure, "--out", str(tmp_path)]) == 0
+    goldens = sorted((golden_dir / FIGURE_DIR / figure).glob("*.csv"))
+    assert sorted(p.name for p in tmp_path.glob("*.csv")) == [p.name for p in goldens]
+    for golden in goldens:
+        assert_same_table(tmp_path / golden.name, golden, stride=CURVE_STRIDE)
+    plot = ET.parse(tmp_path / f"{figure}.svg").getroot()
+    assert len(plot.findall("{http://www.w3.org/2000/svg}polyline")) == len(goldens)

@@ -13,17 +13,18 @@ from codexpand import (
     CodebookSpec,
     DomainError,
     StateSpaceTooLarge,
-    build_state_space,
     build_transition_model,
-    configuration_cardinality,
+    efficiency_curve,
     expanded_efficiency,
+    expected_singles_curve,
     perceived_count,
     perceived_count_rational,
     perceived_curve,
     perceived_terms,
     reference_efficiency,
+    reference_efficiency_curve,
 )
-from codexpand.markov import transition_count
+from codexpand.markov import _step, transition_count
 
 L2M2 = CodebookSpec.expanded((2, 2))
 
@@ -54,7 +55,7 @@ def loop_successors(config, budgets):
 
 class TestStateSpace:
     def test_two_by_two_states(self):
-        space = build_state_space(L2M2)
+        space = build_transition_model(L2M2)
         assert space.states == (
             (1, 2), (1, 3),
             (2, 1), (2, 2), (2, 3),
@@ -64,33 +65,31 @@ class TestStateSpace:
 
     def test_all_idle_configuration_excluded(self):
         for budgets in [(1,), (2, 2), (1, 2, 1)]:
-            space = build_state_space(CodebookSpec.expanded(budgets))
+            space = build_transition_model(CodebookSpec.expanded(budgets))
             assert (1,) * len(budgets) not in space.states
 
     def test_cardinality_formula(self):
-        assert configuration_cardinality((3, 3)) == 8
-        assert configuration_cardinality((1, 2)) == 1
-        assert configuration_cardinality((5, 5)) == 24
+        # prod(C_j) - 1 at the states (3, 3), (1, 2) and (5, 5)
+        assert build_transition_model(L2M2).cardinalities[[7, 0]].tolist() == [8, 1]
+        assert build_transition_model(CodebookSpec.expanded((4, 4))).cardinalities[-1] == 24
 
     def test_nonuniform_budgets(self):
-        space = build_state_space(CodebookSpec.expanded((1, 2)))
+        space = build_transition_model(CodebookSpec.expanded((1, 2)))
         assert space.states == ((1, 2), (1, 3), (2, 1), (2, 2), (2, 3))
         assert space.cardinalities.tolist() == [1, 2, 1, 3, 5]
 
     def test_cap_guards_state_blowup(self):
         with pytest.raises(StateSpaceTooLarge):
-            build_state_space(CodebookSpec.expanded((9,) * 9))
+            build_transition_model(CodebookSpec.expanded((9,) * 9))
 
     def test_reference_mode_has_no_chain(self):
-        with pytest.raises(DomainError):
-            build_state_space(CodebookSpec.reference(2, 2))
+        with pytest.raises(DomainError, match="expanded codebooks"):
+            build_transition_model(CodebookSpec.reference(2, 2))
 
     def test_cap_counts_states(self):
         # (2,) has 2 states; the all-ones configuration is not one of them
-        assert len(build_state_space(CodebookSpec.expanded((2,)), cap=2)) == 2
+        assert len(build_transition_model(CodebookSpec.expanded((2,)), cap=2)) == 2
         with pytest.raises(StateSpaceTooLarge, match="2 states exceed the cap of 1"):
-            build_state_space(CodebookSpec.expanded((2,)), cap=1)
-        with pytest.raises(StateSpaceTooLarge):
             build_transition_model(CodebookSpec.expanded((2,)), cap=1)
 
 
@@ -166,6 +165,24 @@ class TestTransitionModel:
         assert transition_count((5, 1), (6, 2), spec) == 10**6 - 4
         assert transition_count((5, 2), (5, 2), spec) == 9
         assert transition_count((5, 1), (7, 1), spec) == 0
+
+    @given(st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=4)
+           .filter(any), st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_step_is_one_product_with_the_count_table(self, budgets, seed):
+        # over configurations 0..A: row 0, the empty observation, moves as the
+        # loop reference says, and no configuration moves back to it
+        model = build_transition_model(CodebookSpec.expanded(tuple(budgets)))
+        index = {c: i for i, c in enumerate(model.states)}
+        origin = np.zeros(len(model), dtype=np.int64)
+        for succ, count in loop_successors((1,) * len(budgets), budgets).items():
+            origin[index[succ]] = count
+        dist = np.random.default_rng(seed).integers(0, 10**6, size=len(model) + 1)
+        expected = [0, *(model.counts.T @ dist[1:] + dist[0] * origin).tolist()]
+        shape = tuple(m + 1 for m in budgets)
+        assert _step(dist.reshape(shape), budgets).ravel().tolist() == expected
+        exact = _step(dist.astype(object).reshape(shape), budgets).ravel().tolist()
+        assert exact == expected and all(type(v) is int for v in exact)
 
     def test_absorbing_full_state(self):
         model = build_transition_model(L2M2)
@@ -267,6 +284,32 @@ class TestEfficiency:
             )
 
     def test_efficiency_stays_in_unit_interval(self):
-        model = build_transition_model(CodebookSpec.expanded((2, 3)))
+        spec = CodebookSpec.expanded((2, 3))
         for n in (1, 2, 5, 12, 40):
-            assert 0.0 < model.efficiency(n) <= 1.0
+            assert 0.0 < expanded_efficiency(spec, n) <= 1.0
+
+
+class TestWholeLoads:
+    def test_fractional_loads_are_rejected(self):
+        model = build_transition_model(L2M2)
+        for evaluate in (
+            lambda n: perceived_curve(L2M2, [1, n]),
+            lambda n: perceived_count_rational(L2M2, n),
+            lambda n: efficiency_curve(L2M2, [n]),
+            lambda n: efficiency_curve(CodebookSpec.reference(2, 2), [n]),
+            lambda n: expected_singles_curve([n], 8),
+            lambda n: reference_efficiency_curve([n], 2, 2),
+            lambda n: model.perceived_sweep([1, n]),
+            model.perceived_count,
+            model.perceived_count_exact,
+        ):
+            with pytest.raises(DomainError, match="whole numbers"):
+                evaluate(2.5)
+
+    def test_whole_loads_of_any_integer_type_work(self):
+        expected = perceived_curve(L2M2, [2, 3]).tolist()
+        for grid in ([2.0, 3.0], np.array([2, 3], dtype=np.int32),
+                     [np.int64(2), np.uint8(3)], range(2, 4)):
+            assert perceived_curve(L2M2, grid).tolist() == expected
+        assert perceived_count_rational(L2M2, np.int16(2)) == perceived_count_rational(L2M2, 2)
+        assert efficiency_curve(L2M2, []) == []

@@ -7,19 +7,17 @@ import numpy as np
 import pytest
 
 from codexpand import (
-    BudgetExceedsTotal,
     CandidateSet,
     CodebookSpec,
     DomainError,
     Mode,
-    build_state_space,
+    build_transition_model,
     cardinalities_of_interest,
     codebook_size,
     crossover_point,
     default_candidates,
     efficiency_curve,
     expanded_efficiency_curve,
-    partition_preambles,
     reference_efficiency,
     spec_for_cardinality,
     state_cardinality_values,
@@ -38,8 +36,8 @@ class TestCardinalities:
 
     @pytest.mark.parametrize("length, m", [(2, 4), (4, 3), (4, 4)])
     def test_values_match_the_state_space(self, length, m):
-        space = build_state_space(CodebookSpec.expanded((m,) * length))
-        assert state_cardinality_values(length, m) == sorted(set(space.cardinalities.tolist()))
+        model = build_transition_model(CodebookSpec.expanded((m,) * length))
+        assert state_cardinality_values(length, m) == sorted(set(model.cardinalities.tolist()))
 
     def test_interest_exceeds_reference_pool(self):
         assert cardinalities_of_interest(2, 4) == [9, 11, 14, 15, 19, 24]
@@ -234,19 +232,3 @@ class TestSchedule:
         l2 = last_above_half(2, 4)
         assert (l4, l2) == (20, 10)
         assert l4 > l2
-
-
-class TestPartition:
-    def test_contiguous_split(self):
-        assert partition_preambles(64, [32, 4]) == [(1, 32), (33, 36)]
-
-    def test_single_class(self):
-        assert partition_preambles(32, [3]) == [(1, 3)]
-
-    def test_overcommitted_pool_rejected(self):
-        with pytest.raises(BudgetExceedsTotal):
-            partition_preambles(64, [64, 1])
-
-    def test_zero_budget_rejected(self):
-        with pytest.raises(DomainError):
-            partition_preambles(8, [0, 2])

@@ -32,7 +32,6 @@ from codexpand import (
     perceived_count_rational,
     perceived_curve,
     run_batch,
-    run_trial,
     sample_codewords,
 )
 from codexpand import simulate
@@ -123,7 +122,7 @@ class TestObserve:
     def test_outcome_identities_hold_on_random_draws(self):
         rng = np.random.default_rng(5)
         for _ in range(200):
-            out = run_trial(L2M2, int(rng.integers(1, 9)), rng)
+            out = observe(L2M2, sample_codewords(L2M2, int(rng.integers(1, 9)), rng))
             assert out.distinct_used == out.singles + out.collided_codewords
             assert out.phantoms == out.perceived - out.distinct_used
             assert out.phantoms >= 0
