@@ -65,8 +65,10 @@ def parse_inline_spec(text: str) -> CodebookSpec:
     Keys: ``L`` (sub-frames), ``m`` (one budget per sub-frame, or a single
     budget reused L times), ``mode`` (reference or expanded), optional ``M``
     (provisioned preambles).  Bare values after ``m=`` extend the budget list.
+    The tokens form the mapping a JSON spec holds, validated by
+    `spec_from_json_value`.
     """
-    data: dict[str, list[str]] = {}
+    data: dict[str, str | list[str]] = {}
     collecting: list[str] | None = None
     for token in text.split(","):
         token = token.strip()
@@ -75,65 +77,58 @@ def parse_inline_spec(text: str) -> CodebookSpec:
             key = key.strip()
             if key in data:
                 raise DomainError(f"duplicate key {key!r} in spec {text!r}")
-            data[key] = [value.strip()]
+            data[key] = [value.strip()] if key == "m" else value.strip()
             collecting = data[key] if key == "m" else None
         elif collecting is not None and token:
             collecting.append(token)
         else:
             raise DomainError(f"cannot parse spec token {token!r} in {text!r}")
-    return _spec_from_fields(
-        length=data.pop("L", [None])[0],
-        budgets=data.pop("m", None),
-        mode=data.pop("mode", [None])[0],
-        m_global=data.pop("M", [None])[0],
-        leftovers=data,
-        source=text,
-    )
-
-
-def _spec_from_fields(length, budgets, mode, m_global, leftovers, source) -> CodebookSpec:
-    if leftovers:
-        raise DomainError(f"unknown spec keys {sorted(leftovers)} in {source!r}")
-    if mode not in ("reference", "expanded"):
-        raise DomainError(f"spec {source!r} needs mode=reference or mode=expanded")
-    if budgets is None:
-        raise DomainError(f"spec {source!r} needs per-sub-frame budgets m=...")
-    try:
-        budget_values = [int(b) for b in budgets]
-        length_value = int(length) if length is not None else len(budget_values)
-    except (TypeError, ValueError) as exc:
-        raise DomainError(f"non-integer value in spec {source!r}") from exc
-    if len(budget_values) == 1 and length_value > 1:
-        budget_values = budget_values * length_value
-    if len(budget_values) != length_value:
-        raise DomainError(
-            f"spec {source!r} lists {len(budget_values)} budgets for L={length_value}"
-        )
-    m_value = int(m_global) if m_global is not None else None
-    if mode == "reference":
-        if len(set(budget_values)) != 1:
-            raise DomainError("reference mode uses one uniform preamble budget")
-        return CodebookSpec.reference(budget_values[0], length_value, m_value)
-    return CodebookSpec.expanded(budget_values, m_value)
+    return spec_from_json_value(data, text)
 
 
 def spec_from_json_value(value, source: str) -> CodebookSpec:
-    """Build a spec from a scenario's ``spec`` entry: inline string or object."""
+    """Build a spec from an inline string, or from an object with the keys of
+    the inline grammar (``m`` a list of budgets or a single one).
+
+    Numbers must be integral: JSON integers, integral floats such as 2.0, or
+    strings that `int` parses.
+    """
     if isinstance(value, str):
         return parse_inline_spec(value)
     if not isinstance(value, Mapping):
         raise DomainError(f"spec in {source} must be a string or an object")
-    budgets = value.get("m")
-    if isinstance(budgets, (int, float)):
-        budgets = [budgets]
-    return _spec_from_fields(
-        length=value.get("L"),
-        budgets=budgets,
-        mode=value.get("mode"),
-        m_global=value.get("M"),
-        leftovers={k: v for k, v in value.items() if k not in ("L", "m", "mode", "M")},
-        source=source,
-    )
+    leftovers = sorted(set(value) - {"L", "m", "mode", "M"})
+    if leftovers:
+        raise DomainError(f"unknown spec keys {leftovers} in {source!r}")
+    mode, budgets = value.get("mode"), value.get("m")
+    if mode not in ("reference", "expanded"):
+        raise DomainError(f"spec {source!r} needs mode=reference or mode=expanded")
+    if budgets is None:
+        raise DomainError(f"spec {source!r} needs per-sub-frame budgets m=...")
+    budgets = [_spec_int(b, "m", source) for b in
+               (budgets if isinstance(budgets, list) else [budgets])]
+    length = len(budgets) if value.get("L") is None else _spec_int(value["L"], "L", source)
+    if len(budgets) == 1 and length > 1:
+        budgets = budgets * length
+    if len(budgets) != length:
+        raise DomainError(f"spec {source!r} lists {len(budgets)} budgets for L={length}")
+    m_global = None if value.get("M") is None else _spec_int(value["M"], "M", source)
+    if mode == "reference":
+        if len(set(budgets)) != 1:
+            raise DomainError("reference mode uses one uniform preamble budget")
+        return CodebookSpec.reference(budgets[0], length, m_global)
+    return CodebookSpec.expanded(budgets, m_global)
+
+
+def _spec_int(value, name: str, source: str) -> int:
+    """A spec number: a string parsed by `int`, or a JSON number as `_scenario_int`
+    takes it."""
+    if not isinstance(value, str):
+        return _scenario_int(value, name, source)
+    try:
+        return int(value)
+    except ValueError:
+        raise DomainError(f"non-integer {name} {value!r} in spec {source!r}") from None
 
 
 def load_spec(text: str) -> CodebookSpec:
@@ -209,11 +204,12 @@ def _diagnostics(spec: CodebookSpec, grid: Sequence[int],
 
 
 def _scenario_int(value, name: str, source: str) -> int:
-    """A scenario number that must be integral: a JSON integer, or a float such as 7.0."""
+    """A scenario or spec number that must be integral: a JSON integer, or a
+    float such as 7.0."""
     if isinstance(value, float) and value.is_integer():
         return int(value)
     if isinstance(value, bool) or not isinstance(value, int):
-        raise DomainError(f"scenario {source} has a non-integer {name}: {value!r}")
+        raise DomainError(f"{source} has a non-integer {name}: {value!r}")
     return value
 
 

@@ -51,7 +51,8 @@ A step needs no matrix.  Reshaped to one axis per sub-frame, shape
 advances by applying each ``F_j`` along its own axis and subtracting itself
 once for the all-idle word (`_step`).  In Python integers the step is exact,
 so small instances are checked in rational arithmetic.  The count table
-itself is built only when read, for `inspect-chain` and the chain goldens.
+itself is built only when read, for `inspect-chain` and the chain goldens, as
+the ``sparse.kron`` of the per-sub-frame factors.
 The chain is an independent route to the closed form's numbers.
 """
 
@@ -89,17 +90,6 @@ def _validate_configuration(config: Configuration, spec: CodebookSpec) -> None:
             raise DomainError(f"configuration {config} out of range for budgets {spec.budgets}")
 
 
-def _subframe_counts(m: int, frm, to) -> np.ndarray:
-    """One sub-frame's factor of the count table, elementwise: the symbols
-    moving the observed count (idle included) from ``frm`` to ``to``.
-
-    A symbol already observed keeps ``C`` (``C`` choices); an unobserved
-    preamble raises it by one (``m + 1 - C`` choices); no other move exists.
-    """
-    frm, to = np.asarray(frm, dtype=np.int64), np.asarray(to, dtype=np.int64)
-    return np.where(to == frm, frm, np.where(to == frm + 1, m + 1 - frm, 0))
-
-
 def transition_count(frm: Configuration, to: Configuration, spec: CodebookSpec) -> int:
     """Number of codewords that move the observation from ``frm`` to ``to``.
 
@@ -109,7 +99,9 @@ def transition_count(frm: Configuration, to: Configuration, spec: CodebookSpec) 
     _check_expanded(spec)
     _validate_configuration(frm, spec)
     _validate_configuration(to, spec)
-    count = math.prod(int(_subframe_counts(m, c, t))
+    # per sub-frame: one of the C observed symbols keeps the count C, one of
+    # the m + 1 - C unobserved preambles raises it by one
+    count = math.prod(c if t == c else m + 1 - c if t == c + 1 else 0
                       for c, t, m in zip(frm, to, spec.budgets))
     return count - (tuple(frm) == tuple(to))
 
@@ -177,24 +169,17 @@ class TransitionModel:
 
         ``counts[i, j]`` is the number of codewords moving state ``i`` to
         state ``j``; every row sums to `denominator`.  The table over
-        configurations ``0..A`` is grown one sub-frame at a time as the
-        Kronecker product of `_subframe_counts`, minus the identity.
+        configurations ``0..A`` is the Kronecker product of each sub-frame's
+        bidiagonal factor, the one `_step` applies, minus the identity.
         """
         from scipy import sparse  # only the chain dump and its checks read the table
 
-        rows = cols = np.zeros(1, dtype=np.int64)
-        data = np.ones(1, dtype=np.int64)
+        table = sparse.identity(1, dtype=np.int64)
         for m in self.spec.budgets:
-            # the factor's 2m + 1 non-zeros: the diagonal, then the one above it
-            observed = np.arange(1, m + 2, dtype=np.int64)
-            frm = np.concatenate([observed, observed[:-1]])
-            to = np.concatenate([observed, observed[1:]])
-            rows = (rows[:, None] * (m + 1) + frm - 1).ravel()
-            cols = (cols[:, None] * (m + 1) + to - 1).ravel()
-            data = (data[:, None] * _subframe_counts(m, frm, to)).ravel()
-        data[rows == cols] -= 1  # the all-idle word is not in the codebook
-        size = len(self) + 1
-        table = sparse.csr_matrix((data, (rows, cols)), shape=(size, size))
+            k = np.arange(m + 1, dtype=np.int64)
+            table = sparse.kron(table, sparse.diags([k + 1, m - k[:-1]], [0, 1], dtype=np.int64))
+        # the all-idle word is not in the codebook
+        table = table.tocsr() - sparse.identity(table.shape[0], dtype=np.int64)
         _check_row_sums(table, self.denominator)
         counts = table[1:, 1:]
         counts.sort_indices()

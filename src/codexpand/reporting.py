@@ -29,11 +29,6 @@ def format_float(value: float) -> str:
     return f"{value:.6f}"
 
 
-def format_fraction(value: Fraction) -> str:
-    """Exact rational rendering: ``p/q``, or a bare integer when q == 1."""
-    return str(value)
-
-
 def write_text_atomic(path: Path, text: str) -> None:
     """Write a file so readers never observe a partially written one."""
     path = Path(path)
@@ -75,7 +70,7 @@ def chain_dump(model: TransitionModel) -> tuple[list[str], list[list[str]]]:
         initial = Fraction(int(model.initial_counts[i]), model.denominator)
         rows.append(
             [str(i + 1), *(str(c) for c in config), str(int(model.cardinalities[i])),
-             format_fraction(initial), pairs]
+             str(initial), pairs]
         )
     return header, rows
 

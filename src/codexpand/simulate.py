@@ -3,7 +3,7 @@
 Both exist to cross-check the closed forms and the observation chain by a
 route that shares none of their machinery: trials draw codewords and count
 what a base station would see; the oracle enumerates every equally likely
-codeword assignment and averages exactly.
+assignment of codeword ids to contenders and averages exactly.
 
 Reproducibility contract: a batch's trials fall into blocks of
 ``max(1, BLOCK_CODEWORDS // N)`` trials, whose size depends only on the
@@ -26,6 +26,7 @@ power sums over the histogram; floats are taken only at the end.
 from __future__ import annotations
 
 import itertools
+import numbers
 import operator
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
@@ -36,13 +37,8 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .codebook import (
-    CodebookSpec,
-    Mode,
-    codeword_id_stop,
-    encode_codewords,
-    enumerate_codewords,
-)
+from .codebook import CodebookSpec, Mode, codebook_size, codeword_id_stop, encode_codewords
+from .contention import _whole_loads
 from .errors import DomainError, EnumerationTooLarge
 
 #: Largest number of ordered codeword assignments `brute_force_expected` will visit.
@@ -51,6 +47,17 @@ BRUTE_FORCE_CAP = 10**7
 #: Codewords per block of Monte Carlo trials (and per chunk of the oracle);
 #: fixes the block layout, and with it the random streams, of every batch.
 BLOCK_CODEWORDS = 2**14
+
+
+def _whole(value, name: str) -> int:
+    """``value`` as a Python int; a fraction or a bool raises `DomainError`
+    instead of being truncated."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        try:
+            _whole_loads(value)
+        except DomainError:
+            raise DomainError(f"{name} must be a whole number, got {value!r}") from None
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -63,6 +70,8 @@ class ScenarioConfig:
     master_seed: int
 
     def __post_init__(self) -> None:
+        for name in ("n_users", "trials", "master_seed"):
+            object.__setattr__(self, name, _whole(getattr(self, name), name))
         if self.n_users < 1:
             raise DomainError("a scenario needs at least one contender")
         if self.trials < 1:
@@ -100,9 +109,6 @@ class AggregateStats:
 
     ``efficiency`` is the ratio of means mean(singles)/mean(perceived) with a
     delta-method standard error, matching the analytic ratio of expectations.
-    ``efficiency_per_trial`` averages the per-trial ratio instead; it is
-    reported alongside because either reading of "simulated efficiency" is
-    defensible.
     """
 
     scenario: ScenarioConfig
@@ -113,7 +119,6 @@ class AggregateStats:
     perceived: Estimate
     phantoms: Estimate
     efficiency: Estimate
-    efficiency_per_trial: Estimate
 
 
 def observe_codes(
@@ -238,7 +243,7 @@ def _power_sums(counts: list[int], values: list[int]) -> tuple[int, int]:
 
 def _summarise(hist: Histogram, n: int) -> list[Estimate]:
     """Estimates of ``n`` trials, in `AggregateStats` order: the five
-    `TrialOutcome` fields, the ratio of means and the per-trial ratio."""
+    `TrialOutcome` fields and the ratio of means."""
     counts = list(hist.values())
     keys = np.array(list(hist), dtype=np.int64).reshape(-1, 3)
     sums = [_power_sums(counts, v.tolist()) for v in _outcome_fields(*keys.T)]
@@ -250,18 +255,7 @@ def _summarise(hist: Histogram, n: int) -> list[Estimate]:
     r = Fraction(s_x, s_y)
     residual = _estimate(0, s_xx - 2 * r * s_xy + r * r * s_yy, n)
     ratio = Estimate(s_x / s_y, None if residual.se is None else residual.se * n / s_y)
-    # the per-trial ratio s/p: sum c*s and c*s*s per perceived value p first
-    by_p: dict[int, list[int]] = {}
-    for c, s, p in zip(counts, singles, perceived):
-        total = by_p.setdefault(p, [0, 0])
-        total[0] += c * s
-        total[1] += c * s * s
-    per_trial = _estimate(
-        sum(Fraction(t1, p) for p, (t1, _) in by_p.items()),
-        sum(Fraction(t2, p * p) for p, (_, t2) in by_p.items()),
-        n,
-    )
-    return [*(_estimate(s1, s2, n) for s1, s2 in sums), ratio, per_trial]
+    return [*(_estimate(s1, s2, n) for s1, s2 in sums), ratio]
 
 
 def run_batch(config: ScenarioConfig, workers: int = 1) -> AggregateStats:
@@ -303,7 +297,7 @@ class ExpectedOutcome:
 def brute_force_expected(
     spec: CodebookSpec, n_users: int, cap: int = BRUTE_FORCE_CAP
 ) -> ExpectedOutcome:
-    """Average the observation over every ordered codeword assignment.
+    """Average the observation over every ordered assignment of codeword ids.
 
     All ``A**n_users`` assignments are equally likely because contenders pick
     independently and uniformly, so the unweighted average is the exact
@@ -314,19 +308,19 @@ def brute_force_expected(
     EnumerationTooLarge
         When ``A**n_users`` exceeds ``cap``.
     """
+    n_users = _whole(n_users, "user count")
     if n_users < 0:
         raise DomainError("user count cannot be negative")
-    ids = encode_codewords(spec, enumerate_codewords(spec))
-    size = len(ids)
+    size = codebook_size(spec)
     total = size**n_users
     if total > cap:
         raise EnumerationTooLarge(f"{size}**{n_users} assignments exceed the cap of {cap}")
-    # Assignment r gives contender k the codeword with index digit k of r in base A.
+    # Assignment r gives contender k the id 1 + digit k of r in base A.
     places = size ** np.arange(n_users, dtype=np.int64)
     rows = _block_rows(max(n_users, 1))
     sums = [0, 0, 0]
     for lo in range(0, total, rows):
         index = np.arange(lo, min(lo + rows, total), dtype=np.int64)
-        counts = observe_codes(spec, ids[index[:, None] // places % size])
+        counts = observe_codes(spec, index[:, None] // places % size + 1)
         sums = [t + int(x.sum()) for t, x in zip(sums, counts)]
     return ExpectedOutcome(*(Fraction(v, total) for v in _outcome_fields(*sums)))

@@ -87,6 +87,39 @@ class TestAnalyze:
         assert run("analyze", "--spec", doc, "--n-range", "1", "--out", tmp_path) == 0
         assert (tmp_path / "analyze.csv").read_text().endswith("1,0.500000\n")
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"L": 2.9, "m": [2, 2], "mode": "expanded"},
+            {"L": 2, "m": [2.7, 2], "mode": "expanded"},
+            {"L": 2, "m": [True, 2], "mode": "expanded"},
+            {"L": True, "m": 2, "mode": "expanded"},
+            {"L": 2, "m": 2.5, "mode": "reference"},
+            {"L": 2, "m": [1, 4], "mode": "expanded", "M": 5.5},
+            {"L": 2, "m": [[2], 2], "mode": "expanded"},
+        ],
+    )
+    def test_non_integral_json_spec_numbers_rejected(self, tmp_path, doc):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(doc))
+        assert run("analyze", "--spec", path, "--n-range", "1", "--out", tmp_path / "out") == 2
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "doc, expected",
+        [
+            ({"L": 2.0, "m": [2.0, 2], "mode": "expanded"}, CodebookSpec.expanded((2, 2))),
+            ({"L": 4, "m": 32.0, "mode": "reference"}, CodebookSpec.reference(32, 4)),
+            ({"m": [1, "4"], "mode": "expanded", "M": 5.0}, CodebookSpec.expanded((1, 4), 5)),
+        ],
+    )
+    def test_integral_float_json_spec_numbers_accepted(self, tmp_path, doc, expected):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(doc))
+        assert run("analyze", "--spec", path, "--n-range", "1", "--out", tmp_path) == 0
+        manifest = json.loads((tmp_path / "analyze_manifest.json").read_text())
+        assert manifest["parameters"]["spec"] == expected.describe()
+
     def test_manifest_written(self, tmp_path):
         run("analyze", "--spec", "L=2,m=2,2,mode=expanded",
             "--n-range", "1:3", "--out", tmp_path)

@@ -10,10 +10,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from codexpand import (
+    ENUMERATION_CAP,
     CodebookSpec,
     DomainError,
     EnumerationTooLarge,
     Estimate,
+    ExpectedOutcome,
     LoadPoint,
     Mode,
     ScenarioConfig,
@@ -220,10 +222,6 @@ class TestAggregation:
             stats.singles.mean / stats.perceived.mean, rel=1e-12
         )
 
-    def test_per_trial_estimator_is_also_reported(self):
-        stats = run_batch(ScenarioConfig(L2M2, n_users=4, trials=500, master_seed=2))
-        assert stats.efficiency_per_trial.mean != stats.efficiency.mean
-
     def test_config_validation(self):
         with pytest.raises(DomainError):
             ScenarioConfig(L2M2, n_users=0, trials=10, master_seed=0)
@@ -231,6 +229,15 @@ class TestAggregation:
             ScenarioConfig(L2M2, n_users=1, trials=0, master_seed=0)
         with pytest.raises(DomainError):
             ScenarioConfig(L2M2, n_users=1, trials=1, master_seed=-1)
+        # fractions and bools are refused, not truncated; integral values are stored as ints
+        for bad in ({"n_users": 2.5}, {"trials": 10.5}, {"master_seed": 1.5},
+                    {"n_users": True}, {"trials": "10"}):
+            with pytest.raises(DomainError):
+                ScenarioConfig(**{"spec": L2M2, "n_users": 2, "trials": 10,
+                                  "master_seed": 1, **bad})
+        config = ScenarioConfig(L2M2, np.int64(3), 10.0, 2**64 - 1)
+        assert (config.n_users, config.trials, config.master_seed) == (3, 10, 2**64 - 1)
+        assert all(type(v) is int for v in (config.n_users, config.trials, config.master_seed))
 
 
 def reference_mean_se(hist, n, value):
@@ -254,8 +261,7 @@ def reference_summary(hist, n):
     ratio = Fraction(s_x, s_y)
     residual = reference_mean_se(hist, n, lambda s, d, p: s - ratio * p)
     efficiency = Estimate(s_x / s_y, None if residual.se is None else residual.se * n / s_y)
-    per_trial = reference_mean_se(hist, n, lambda s, d, p: Fraction(s, p))
-    return [*fields, efficiency, per_trial]
+    return [*fields, efficiency]
 
 
 def histogram_key(singles, collided, phantoms):
@@ -285,7 +291,7 @@ class TestExactAggregation:
         hist = simulate._histogram(config, 0, -(-3_000 // simulate._block_rows(12)))
         stats = run_batch(config)
         assert [stats.singles, stats.collided_codewords, stats.distinct_used, stats.perceived,
-                stats.phantoms, stats.efficiency, stats.efficiency_per_trial] == reference_summary(hist, 3_000)
+                stats.phantoms, stats.efficiency] == reference_summary(hist, 3_000)
 
 
 small_specs = st.one_of(
@@ -372,3 +378,17 @@ class TestBruteForce:
     def test_cap_enforced(self):
         with pytest.raises(EnumerationTooLarge):
             brute_force_expected(L2M2, 9, cap=10**6)
+
+    @pytest.mark.parametrize("n_users", [2.5, True, "2"])
+    def test_non_whole_user_counts_rejected(self, n_users):
+        with pytest.raises(DomainError):
+            brute_force_expected(L2M2, n_users)
+
+    def test_integral_float_user_count_accepted(self):
+        assert brute_force_expected(L2M2, 2.0) == brute_force_expected(L2M2, 2)
+
+    def test_no_contenders_on_a_codebook_too_large_to_enumerate(self):
+        # one assignment, though the codebook is above the enumeration cap
+        spec = CodebookSpec.expanded((3000, 3000))
+        assert codebook_size(spec) > ENUMERATION_CAP
+        assert brute_force_expected(spec, 0) == ExpectedOutcome(0, 0, 0, 0, 0)
