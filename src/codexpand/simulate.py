@@ -2,8 +2,10 @@
 
 Both exist to cross-check the closed forms and the observation chain by a
 route that shares none of their machinery: trials draw codewords and count
-what a base station would see; the oracle enumerates every equally likely
-assignment of codeword ids to contenders and averages exactly.
+what a base station would see; the oracle averages exactly over every
+equally likely assignment of codeword ids to contenders.  What is seen
+depends only on the multiset of ids picked, so the oracle observes each
+multiset once, as a sorted row, weighted by its number of orderings.
 
 Reproducibility contract: a batch's trials fall into blocks of
 ``max(1, BLOCK_CODEWORDS // N)`` trials, whose size depends only on the
@@ -25,7 +27,9 @@ power sums over the histogram; floats are taken only at the end.
 
 from __future__ import annotations
 
+import bisect
 import itertools
+import math
 import numbers
 import operator
 from collections import Counter
@@ -33,7 +37,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import sqrt
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -41,11 +45,14 @@ from .codebook import CodebookSpec, Mode, codebook_size, codeword_id_stop, encod
 from .contention import _whole_loads
 from .errors import DomainError, EnumerationTooLarge
 
-#: Largest number of ordered codeword assignments `brute_force_expected` will visit.
+#: Largest number ``A**N`` of ordered codeword assignments that
+#: `brute_force_expected` will average over; it observes only the
+#: ``C(A+N-1, N)`` multisets among them, each weighted by its orderings.
 BRUTE_FORCE_CAP = 10**7
 
-#: Codewords per block of Monte Carlo trials (and per chunk of the oracle);
-#: fixes the block layout, and with it the random streams, of every batch.
+#: Codewords per block of Monte Carlo trials (and at most per block of the
+#: oracle); fixes the block layout, and with it the random streams, of every
+#: batch.
 BLOCK_CODEWORDS = 2**14
 
 
@@ -294,33 +301,116 @@ class ExpectedOutcome:
         return self.singles / self.perceived
 
 
+def _exceeds(base: int, exponent: int, cap: int) -> bool:
+    """Whether ``base**exponent > cap``, multiplying no further than past ``cap``."""
+    power = 1
+    for _ in range(exponent if base > 1 else 0):
+        power *= base
+        if power > cap:
+            return True
+    return power > cap
+
+
 def brute_force_expected(
     spec: CodebookSpec, n_users: int, cap: int = BRUTE_FORCE_CAP
 ) -> ExpectedOutcome:
-    """Average the observation over every ordered assignment of codeword ids.
+    """Average the observation over every assignment of codeword ids.
 
-    All ``A**n_users`` assignments are equally likely because contenders pick
-    independently and uniformly, so the unweighted average is the exact
-    expectation.
+    All ``A**n_users`` ordered assignments are equally likely because
+    contenders pick independently and uniformly.  The observation depends
+    only on the multiset of picked ids, so each multiset, as a sorted row, is
+    observed once and weighted by its number of orderings: the weighted sums
+    are exact integers, and their averages over ``A**n_users`` the exact
+    expectations.
 
     Raises
     ------
     EnumerationTooLarge
-        When ``A**n_users`` exceeds ``cap``.
+        When ``A**n_users`` exceeds ``cap``, or when its weighted sums could
+        overflow 64-bit integers.
     """
     n_users = _whole(n_users, "user count")
     if n_users < 0:
         raise DomainError("user count cannot be negative")
     size = codebook_size(spec)
-    total = size**n_users
-    if total > cap:
-        raise EnumerationTooLarge(f"{size}**{n_users} assignments exceed the cap of {cap}")
-    # Assignment r gives contender k the id 1 + digit k of r in base A.
-    places = size ** np.arange(n_users, dtype=np.int64)
-    rows = _block_rows(max(n_users, 1))
+    # weighted sums stay in int64: the weights add up to A**N, each count is at most A
+    limit = min(cap, np.iinfo(np.int64).max // size)
+    if _exceeds(size, n_users, limit):
+        raise EnumerationTooLarge(f"{size}**{n_users} assignments exceed the cap of {limit}")
+    if n_users == 0:
+        return ExpectedOutcome(*[Fraction(0)] * 5)
     sums = [0, 0, 0]
-    for lo in range(0, total, rows):
-        index = np.arange(lo, min(lo + rows, total), dtype=np.int64)
-        counts = observe_codes(spec, index[:, None] // places % size + 1)
-        sums = [t + int(x.sum()) for t, x in zip(sums, counts)]
+    for codes in _multisets(size, n_users):
+        counts = observe_codes(spec, codes)
+        weights = _orderings(codes)
+        sums = [t + int(weights @ x) for t, x in zip(sums, counts)]
+    total = size**n_users
     return ExpectedOutcome(*(Fraction(v, total) for v in _outcome_fields(*sums)))
+
+
+def _multisets(size: int, n: int, prefix: tuple[int, ...] = ()) -> Iterator[np.ndarray]:
+    """Every non-decreasing row of ``n`` ids in ``1..size`` that starts with
+    ``prefix``, in lexicographic order, in blocks of at most `_block_rows`
+    rows.
+
+    A block holds the rows of a range of next ids.  Its bounds come from the
+    count ``C(size - v + k, k)`` of rows whose ``k`` free ids are all at
+    least ``v``; a next id whose rows alone overflow a block becomes part of
+    the prefix instead.
+    """
+    free = n - len(prefix)
+    rows = _block_rows(n)
+
+    def at_least(v: int) -> int:
+        return math.comb(size - v + free, free)
+
+    v = prefix[-1] if prefix else 1
+    while v <= size:
+        above = at_least(v)
+        # each next id starts a row, so a block spans at most `rows` of them
+        stops = range(v, min(v + rows, size + 1) + 1)
+        stop = v - 1 + bisect.bisect_right(stops, rows, key=lambda w: above - at_least(w))
+        if stop == v:
+            yield from _multisets(size, n, prefix + (v,))
+            stop += 1
+        else:
+            head = np.broadcast_to(np.array(prefix, dtype=np.int64), (stop - v, len(prefix)))
+            yield _extend(np.hstack((head, np.arange(v, stop, dtype=np.int64)[:, None])), size, n)
+        v = stop
+
+
+def _extend(codes: np.ndarray, size: int, n: int) -> np.ndarray:
+    """Every non-decreasing extension to ``n`` ids in ``1..size`` of each
+    sorted row of ``codes``, in lexicographic order."""
+    while codes.shape[1] < n:
+        last = codes[:, -1]
+        if last.min() == size:  # only ``size`` can follow any row
+            return np.pad(codes, ((0, 0), (0, n - codes.shape[1])), constant_values=size)
+        # row i is followed by each of the ids last_i..size in turn
+        fan = size + 1 - last
+        start = np.cumsum(fan) - fan
+        following = np.arange(start[-1] + fan[-1]) - np.repeat(start - last, fan)
+        codes = np.column_stack((np.repeat(codes, fan, axis=0), following))
+    return codes
+
+
+def _orderings(codes: np.ndarray) -> np.ndarray:
+    """Number of orderings ``N!/prod_j c_j!`` of each sorted row of ids, whose
+    runs of equal ids have lengths ``c_j``.
+
+    It is the product over runs of C(run end, run length), taken one
+    position at a time: position ``i`` (from 0) multiplies the orderings of
+    the row's first ``i`` ids by ``(i + 1)/t``, where ``t`` is its place in
+    its run (from 1).  Every partial product is the orderings of a prefix and
+    divides the whole, so none overflows where the whole fits.
+    """
+    n = codes.shape[1]
+    # positions inside every row's first run have t = i + 1 and multiply by 1
+    start = int(np.argmin(np.append((codes == codes[:, :1]).all(axis=0), False)))
+    weights = np.ones(len(codes), dtype=np.int64)
+    place = start
+    for i in range(start, n):
+        place = np.where(codes[:, i] == codes[:, i - 1], place + 1, 1)
+        common = np.gcd(place, i + 1)
+        weights = weights // (place // common) * ((i + 1) // common)
+    return weights

@@ -1,5 +1,9 @@
 """Monte Carlo trials, aggregation and the brute-force oracle."""
 
+import dataclasses
+import itertools
+import math
+import time
 from collections import Counter
 from fractions import Fraction
 from math import sqrt
@@ -25,6 +29,7 @@ from codexpand import (
     codebook_size,
     decode_codewords,
     encode_codewords,
+    enumerate_codewords,
     expected_singles,
     expected_singles_curve,
     expected_used_curve,
@@ -40,6 +45,27 @@ from codexpand import simulate
 from codexpand.simulate import _summarise
 
 L2M2 = CodebookSpec.expanded((2, 2))
+
+
+def enumerable_specs(size_cap):
+    """Every reference codebook, and every expanded one of at most three
+    sub-frames, with at most ``size_cap`` codewords."""
+    for length in range(1, size_cap + 1):
+        for m in range(1, size_cap // length + 1):
+            yield CodebookSpec.reference(m, length)
+    for length in range(1, 4):
+        for budgets in itertools.product(range(size_cap + 1), repeat=length):
+            if any(budgets) and math.prod(b + 1 for b in budgets) - 1 <= size_cap:
+                yield CodebookSpec.expanded(budgets)
+
+
+def ordered_average(spec, n):
+    """Exact mean `TrialOutcome` over all ``A**n`` ordered assignments, one
+    `observe` call each."""
+    assignments = list(itertools.product(enumerate_codewords(spec), repeat=n))
+    outcomes = [observe(spec, words) for words in assignments]
+    return ExpectedOutcome(*(Fraction(sum(getattr(o, f.name) for o in outcomes), len(outcomes))
+                             for f in dataclasses.fields(ExpectedOutcome)))
 
 
 def loop_observe(spec, words):
@@ -375,9 +401,39 @@ class TestBruteForce:
         size = codebook_size(spec)
         assert out.singles == n * Fraction(size - 1, size) ** (n - 1)
 
+    @pytest.mark.parametrize("spec", enumerable_specs(6), ids=CodebookSpec.describe)
+    def test_matches_ordered_definition(self, spec):
+        for n in range(5):
+            assert brute_force_expected(spec, n) == ordered_average(spec, n), n
+
+    def test_one_codeword_many_contenders(self):
+        out = brute_force_expected(CodebookSpec.expanded((1,)), 200)
+        assert out.singles == 0 and out.perceived == 1
+
+    def test_single_contender_on_a_wide_codebook(self):
+        spec = CodebookSpec.expanded((300, 300))
+        out = brute_force_expected(spec, 1)
+        assert out.singles == 1
+        assert out.perceived == perceived_count_rational(spec, 1)
+
+    @pytest.mark.parametrize("budgets", [(2, 3), (1, 5), (1, 1, 2)])
+    def test_size_eleven_codebooks_at_five_contenders(self, budgets):
+        spec = CodebookSpec.expanded(budgets)
+        assert codebook_size(spec) == 11
+        out = brute_force_expected(spec, 5)
+        assert out.perceived == perceived_count_rational(spec, 5)
+        assert out.singles == 5 * Fraction(10, 11) ** 4
+
     def test_cap_enforced(self):
         with pytest.raises(EnumerationTooLarge):
             brute_force_expected(L2M2, 9, cap=10**6)
+
+    def test_cap_refuses_without_forming_the_power(self):
+        # forming 1,002,000**(10**7) before comparing takes about a minute
+        started = time.perf_counter()
+        with pytest.raises(EnumerationTooLarge, match=r"1002000\*\*10000000 "):
+            brute_force_expected(CodebookSpec.expanded((1000, 1000)), 10**7)
+        assert time.perf_counter() - started < 2.0
 
     @pytest.mark.parametrize("n_users", [2.5, True, "2"])
     def test_non_whole_user_counts_rejected(self, n_users):
