@@ -203,6 +203,17 @@ def _diagnostics(spec: CodebookSpec, grid: Sequence[int],
     ]
 
 
+def _max_abs_z(diagnostics: Sequence[Mapping]) -> dict | None:
+    """The largest |z| over ``diagnostics``, with its load and field (the
+    first in load order on a tie); ``None`` when every z-score is ``None``."""
+    scores = [(abs(d[field]), d["N"], field) for d in diagnostics
+              for field in ("z_singles", "z_perceived") if d[field] is not None]
+    if not scores:
+        return None
+    abs_z, n, field = max(scores, key=lambda score: score[0])
+    return {"abs_z": abs_z, "N": n, "field": field}
+
+
 def _scenario_int(value, name: str, source: str) -> int:
     """A scenario or spec number that must be integral: a JSON integer, or a
     float such as 7.0."""
@@ -300,12 +311,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         trials, seed = args.trials, args.seed
     batches = _simulate(spec, grid, trials, seed, args.workers)
     rows = [_stats_row(n, stats) for n, stats in zip(grid, batches)]
+    diagnostics = _diagnostics(spec, grid, batches)
     _write_outputs(
         Path(args.out), "simulate",
         {"spec": spec.describe(), "n_range": _grid_parameter(grid), "trials": trials},
         seed, started,
         {"simulate.csv": lambda p: write_csv(p, _SIMULATE_HEADER, rows)},
-        extra={"diagnostics": _diagnostics(spec, grid, batches)},
+        extra={"diagnostics": diagnostics, "max_abs_z": _max_abs_z(diagnostics)},
     )
     return 0
 

@@ -17,12 +17,16 @@ histogram of per-trial (singles, distinct, perceived) counts, which merges by
 addition, so a batch result is byte-identical no matter how blocks are
 scheduled across workers.
 
-Kernel: `observe_codes` sorts each block's ids once for singles and distinct.
-For expanded codebooks it takes each sub-frame's symbols from the ids'
-mixed-radix digits; a sub-frame of fewer than 64 preambles ORs one bit per
-symbol into a word per trial and popcounts it, a wider one counts the runs of
-its sorted symbols.  Means and variances are exact rationals from integer
-power sums over the histogram; floats are taken only at the end.
+Kernel: `observe_codes` checks a block's ids against ``1..A``, casts them once
+to the narrowest unsigned type of at least 16 bits that holds ``A + 1`` (16
+bits for every codebook of the paper), and sorts them once for singles and
+distinct.  For expanded codebooks it takes each sub-frame's symbols from the
+ids' mixed-radix digits in that type; a sub-frame of ``m`` < 64 preambles ORs
+one bit per symbol into a word of the narrowest type that holds bit ``m`` and
+popcounts it, a wider one counts the runs of its sorted symbols.  Every count
+is at most ``A``, so the counts stay in the id type too.  Means and variances
+are exact rationals from integer power sums over the histogram; floats are
+taken only at the end.
 """
 
 from __future__ import annotations
@@ -142,20 +146,31 @@ def observe_codes(
     every codeword built from lit preambles or idle symbols is perceived:
     ``perceived = prod_j (lit_j + 1) - 1``.
 
+    The ids are checked, then cast once to the narrowest unsigned type of at
+    least 16 bits that holds ``A + 1``; the sort, the neighbour compares and
+    the digit split run in that type.  The three counts, each at most ``A``,
+    are returned in it, whatever the type of ``codes``, which is left as it
+    is.
+
     Raises
     ------
     DomainError
         If an id lies outside ``1..A``.
     """
-    codes = np.sort(codes, axis=1)
+    codes = np.asarray(codes)
     stop = codeword_id_stop(spec)
-    if codes.size and (codes[:, 0].min() < 1 or codes[:, -1].max() >= stop):
+    # check before narrowing, so that no out-of-range id wraps into range
+    if codes.size and (codes.min() < 1 or codes.max() >= stop):
         raise DomainError(f"codeword ids of {spec.describe()} must lie in 1..{stop - 1}")
+    # the narrowest unsigned type that holds A + 1, the largest radix m_j + 1 of
+    # the digit split; at least 16 bits, as numpy sorts 8-bit rows slower
+    codes = codes.astype(np.promote_types(np.uint16, np.min_scalar_type(stop)))
+    codes.sort(axis=1)
     # edges[:, i] marks a boundary before sorted position i (and after the last)
     edges = np.ones((codes.shape[0], codes.shape[1] + 1), dtype=bool)
     edges[:, 1:-1] = codes[:, 1:] != codes[:, :-1]
-    singles = np.count_nonzero(edges[:, :-1] & edges[:, 1:], axis=1)
-    distinct = np.count_nonzero(edges[:, :-1], axis=1)
+    singles = np.sum(edges[:, :-1] & edges[:, 1:], axis=1, dtype=codes.dtype)
+    distinct = np.sum(edges[:, :-1], axis=1, dtype=codes.dtype)
     if spec.mode is Mode.REFERENCE:
         return singles, distinct, distinct
     return singles, distinct, _perceived(spec.budgets, codes)
@@ -168,27 +183,34 @@ def _perceived(budgets: tuple[int, ...], codes: np.ndarray) -> np.ndarray:
     `codebook.decode_codewords`; ``lit_j`` is the number of distinct non-idle
     symbols in a row.
     """
-    perceived = np.ones(len(codes), dtype=np.int64)
-    ids = codes.astype(np.uint64)
+    # every partial product is at most prod_j (m_j + 1) = A + 1: it fits the ids' type
+    perceived = np.ones(len(codes), dtype=codes.dtype)
     for m in reversed(budgets):
-        quotient = ids // (m + 1)  # twice as fast as np.divmod here
-        perceived *= _lit(m, ids - quotient * (m + 1)) + 1
-        ids = quotient
+        quotient = codes // (m + 1)  # twice as fast as np.divmod here
+        perceived *= _lit(m, codes - quotient * (m + 1)) + 1
+        codes = quotient
     return perceived - 1
 
 
 def _lit(m: int, symbols: np.ndarray) -> np.ndarray:
     """Distinct non-idle symbols in each row of one sub-frame's ``(B, N)``
-    symbols ``0..m``."""
+    symbols ``0..m``, given in an unsigned type that holds ``m``.
+
+    Below 64 preambles, each row's symbols are ORed into a word of the
+    narrowest unsigned type that holds bit ``m`` (8 bits up to ``m = 7``);
+    wider sub-frames count the runs of their sorted symbols, in the symbols'
+    type.
+    """
     if m < 64:
         # symbol s sets bit s of the row's word; bit 0, the idle symbol, is shifted out
-        seen = np.bitwise_or.reduce(np.left_shift(np.uint64(1), symbols), axis=1)
-        return np.bitwise_count(seen >> np.uint64(1))
+        word = np.min_scalar_type(1 << m)
+        seen = np.bitwise_or.reduce(np.left_shift(word.type(1), symbols, dtype=word), axis=1)
+        return np.bitwise_count(seen >> word.type(1))
     # too wide for a word: count the runs of non-idle symbols in the sorted row
     symbols = np.sort(symbols, axis=1)
     fresh = symbols != 0
     fresh[:, 1:] &= symbols[:, 1:] != symbols[:, :-1]
-    return np.count_nonzero(fresh, axis=1)
+    return np.sum(fresh, axis=1, dtype=symbols.dtype)
 
 
 def _outcome_fields(singles, distinct, perceived) -> tuple:
@@ -333,7 +355,9 @@ def brute_force_expected(
     if n_users < 0:
         raise DomainError("user count cannot be negative")
     size = codebook_size(spec)
-    # weighted sums stay in int64: the weights add up to A**N, each count is at most A
+    # weighted sums stay in int64: the weights add up to A**N, each count is at
+    # most A; A**(N+1) fitting int64 keeps A < 2**32 for N >= 1, so the counts'
+    # unsigned id type promotes to int64 against the weights
     limit = min(cap, np.iinfo(np.int64).max // size)
     if _exceeds(size, n_users, limit):
         raise EnumerationTooLarge(f"{size}**{n_users} assignments exceed the cap of {limit}")

@@ -197,7 +197,8 @@ class TestSimulate:
             out = tmp_path / spec
             assert run("simulate", "--spec", spec, "--n-range", "1:3", "--trials", 400,
                        "--seed", 5, "--out", out) == 0
-            loads = json.loads((out / "simulate_manifest.json").read_text())["diagnostics"]
+            manifest = json.loads((out / "simulate_manifest.json").read_text())
+            loads = manifest["diagnostics"]
             assert [d["N"] for d in loads] == [1, 2, 3]
             assert loads[0]["analytic_singles"] == 1.0
             assert loads[0]["analytic_perceived"] == pytest.approx(perceived_at_1, rel=1e-12)
@@ -205,6 +206,16 @@ class TestSimulate:
             assert loads[0]["z_singles"] is None
             for d in loads[1:]:
                 assert abs(d["z_singles"]) < 5 and abs(d["z_perceived"]) < 5
+            scores = [(abs(d[f]), d["N"], f) for d in loads
+                      for f in ("z_singles", "z_perceived") if d[f] is not None]
+            top = manifest["max_abs_z"]
+            assert (top["abs_z"], top["N"], top["field"]) in scores
+            assert top["abs_z"] == max(s[0] for s in scores)
+        # one contender on a reference codebook: every trial sees one single codeword
+        out = tmp_path / "lone"
+        assert run("simulate", "--spec", "L=2,m=3,mode=reference", "--n-range", "1",
+                   "--trials", 50, "--out", out) == 0
+        assert json.loads((out / "simulate_manifest.json").read_text())["max_abs_z"] is None
 
     def test_scenario_document(self, tmp_path):
         doc = tmp_path / "scenario.json"

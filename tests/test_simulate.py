@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import math
 import time
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from math import sqrt
@@ -189,6 +190,90 @@ class TestLitKernel:
         spec = CodebookSpec.expanded((130, 2))
         ids = encode_codewords(spec, [(0, 1), (64, 0), (64, 2), (130, 1)])
         assert observe_codes(spec, ids[None, :])[2].tolist() == [(2 + 1) * (2 + 1) - 1]
+
+
+def assert_matches_loop(spec, codes, counts):
+    assert list(zip(*(x.tolist() for x in counts))) == [
+        loop_observe(spec, w.tolist()) for w in decode_codewords(spec, np.asarray(codes))]
+
+
+class TestNarrowKernel:
+    """Ids are sorted and split in the narrowest unsigned type, of at least 16
+    bits, that holds A + 1, and symbols are ORed into the narrowest word that
+    holds bit m."""
+
+    @pytest.mark.parametrize("budgets, id_type", [
+        ((65534,), np.uint16),  # A + 1 = 2**16 - 1
+        ((65535,), np.uint32),  # A fits in 16 bits, the radix A + 1 does not
+        ((255, 255), np.uint32),
+        ((65536,), np.uint32),
+        ((2**32 - 1,), np.uint64),
+    ])
+    def test_id_type_edges(self, budgets, id_type):
+        spec = CodebookSpec.expanded(budgets)
+        size = codebook_size(spec)
+        near = [min(v, size) for v in (2**16 - 1, 2**16, 2**16 + 1)]
+        codes = np.array([[size, size, 1, size - 1, 2, 2],
+                          [1] * 6,
+                          [size] * 6,
+                          [*near, size // 2, size - 1, 1]])
+        counts = observe_codes(spec, codes)
+        assert [x.dtype for x in counts] == [id_type] * 3
+        assert_matches_loop(spec, codes, counts)
+
+    @pytest.mark.parametrize("m", [7, 8, 15, 16, 31, 32, 63, 64])
+    def test_bit_word_edges(self, m):
+        spec = CodebookSpec.expanded((m, 1))
+        n = m + 2
+        words = [
+            [(s, 0 if s else 1) for s in range(m + 1)] + [(m, 1)],  # every symbol, top one twice
+            [(m, 0)] * n,  # only the top bit
+            [(m - i % 2, 1) for i in range(n)],  # the top two bits
+            sample_codewords(spec, n, np.random.default_rng(m)).tolist(),
+        ]
+        codes = np.stack([encode_codewords(spec, w) for w in words])
+        assert_matches_loop(spec, codes, observe_codes(spec, codes))
+
+    @pytest.mark.parametrize("spec", [CodebookSpec.expanded((3, 3, 3, 3)),
+                                      CodebookSpec.reference(8, 4)])
+    def test_input_types_give_the_same_counts(self, spec):
+        # A <= 255, so every id also fits in uint8
+        codes = np.random.default_rng(8).integers(1, codebook_size(spec) + 1, size=(40, 30))
+        counts = observe_codes(spec, codes)
+        assert_matches_loop(spec, codes, counts)
+        want = [x.tolist() for x in counts]
+        for given in (codes.astype(np.uint8), codes.astype(np.int32), codes.astype(np.uint16),
+                      codes.astype(np.uint64), codes.tolist()):
+            before = np.array(given, copy=True)
+            assert [x.tolist() for x in observe_codes(spec, given)] == want
+            assert np.array_equal(given, before)  # the caller's rows are not sorted in place
+
+    @pytest.mark.parametrize("spec", [CodebookSpec.expanded((3, 3, 3, 3)), L2M2,
+                                      CodebookSpec.reference(2, 2)])
+    def test_out_of_range_ids_raise_instead_of_wrapping(self, spec):
+        # 2**16 + 1 would wrap to id 1 in a 16-bit type
+        size = codebook_size(spec)
+        for bad in (-1, 0, size + 1, 2**16 + 1):
+            types = (np.int64, np.int32) + ((np.uint64,) if bad >= 0 else ())
+            for given in [np.array([[1, bad]], dtype=t) for t in types] + [[[1, bad]]]:
+                with pytest.raises(DomainError):
+                    observe_codes(spec, given)
+
+    def test_block_peak_memory(self):
+        # one 16,384-id block at N = 100; tracemalloc sees numpy's data buffers
+        spec = CodebookSpec.expanded((3, 3, 3, 3))
+        n = 100
+        codes = block_rng(1, 0).integers(1, codebook_size(spec) + 1,
+                                         size=(simulate._block_rows(n), n))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            observe_codes(spec, codes)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 256 * 1024, f"peak {peak / 1024:.0f} KiB"
 
 
 class TestDeterminism:
