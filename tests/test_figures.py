@@ -5,9 +5,14 @@ sizes must be equal and every other value within 1e-6, one unit in the sixth
 printed decimal, so an ulp of difference in a float library cannot fail the
 gate.  The goldens of the long analytic curves keep every 25th row; their
 SVG overlays are checked only for structure.
+
+A second gate pins bytes: every CSV and SVG of a few short commands must hash
+to the recorded sha256, so a change in formatting, rounding or plot geometry
+cannot pass unseen.
 """
 
 import csv
+import hashlib
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -46,6 +51,28 @@ THRESHOLDS = {
     "l4m4": ["--length", "4", "--preambles", "4"],
     "l2m4": ["--length", "2", "--preambles", "4"],
     "l4m3_ref32": ["--length", "4", "--preambles", "3", "--reference-preambles", "32"],
+}
+
+
+FIGURE_ARGS = ["--n-range", "1:40", "--trials", "200"]
+#: sha256 over the sorted ``name sha256`` lines of every CSV and SVG a command writes.
+BYTE_PINS = {
+    "comparison": (["reproduce", "--figure", "comparison", *FIGURE_ARGS],
+                   4, "f169b46b889f5e2b8438c4382ab285de90fdddb91902d1a5a743363459c096dc"),
+    "adaptive-l2m4": (["reproduce", "--figure", "adaptive-l2m4", *FIGURE_ARGS],
+                      8, "308bbb9f8894609d067f626f2d757f90fbfc2170ff89ea30b695d315af59ad8f"),
+    "adaptive-l4m4": (["reproduce", "--figure", "adaptive-l4m4", *FIGURE_ARGS],
+                      45, "66a75d46ac521c0978eac277a47f30d267c327fa700a90737ef42b7b5fbcaa6c"),
+    "application-l4": (["reproduce", "--figure", "application-l4", *FIGURE_ARGS],
+                       4, "93525ea69cc98c3aa43f3045057bc30042518fc1e3bd7cffff4904ef45fea58b"),
+    # one trial per load leaves every se_efficiency cell empty
+    "simulate-one-trial": (["simulate", "--spec", "L=2,m=2,2,mode=expanded",
+                            "--n-range", "1:6", "--trials", "1"],
+                           1, "366ffc6c70bae791894fd125402b1de589b8aca2848fb5d12a48d046c4eeb05d"),
+    "thresholds-l2m4": (["thresholds", "--length", "2", "--preambles", "4"],
+                        1, "549e26f4b92f29a00eecb82643a8e0feda9ca2646c0cbcf519559a5f9ba3a38d"),
+    "analyze-reference": (["analyze", "--spec", "L=4,m=8,mode=reference"],
+                          1, "899b047bd1fb5d2b8ccdfed0af1425029b00936a741799d1f108a3f457709d05"),
 }
 
 
@@ -95,3 +122,15 @@ def test_figure_curves_match_golden(figure, tmp_path, golden_dir):
         assert_same_table(tmp_path / golden.name, golden, stride=CURVE_STRIDE)
     plot = ET.parse(tmp_path / f"{figure}.svg").getroot()
     assert len(plot.findall("{http://www.w3.org/2000/svg}polyline")) == len(goldens)
+
+
+@pytest.mark.parametrize("case", sorted(BYTE_PINS))
+def test_output_bytes_match_pin(case, tmp_path):
+    argv, files, pin = BYTE_PINS[case]
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    listing = "".join(
+        f"{p.name} {hashlib.sha256(p.read_bytes()).hexdigest()}\n"
+        for p in sorted(tmp_path.iterdir()) if p.suffix in (".csv", ".svg")
+    )
+    assert listing.count("\n") == files
+    assert hashlib.sha256(listing.encode()).hexdigest() == pin, listing
