@@ -28,11 +28,11 @@ import json
 import sys
 import time
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from . import __version__
 from .codebook import CodebookSpec, Mode, codebook_size
-from .contention import expected_singles_curve, expected_used_curve
+from .contention import expected_singles_curve, expected_used_curve, whole_number
 from .errors import (
     CodexpandError,
     DomainError,
@@ -43,7 +43,7 @@ from .errors import (
 )
 from .markov import build_transition_model, perceived_curve
 from .planner import default_candidates, efficiency_curve, threshold_schedule
-from .reporting import chain_dump, format_float, svg_line_plot, write_csv, write_manifest
+from .reporting import chain_dump, svg_line_plot, write_csv, write_manifest
 from .simulate import AggregateStats, Estimate, ScenarioConfig, run_batch
 
 #: Master seed used when a command that needs randomness is not given one.
@@ -55,8 +55,52 @@ LOAD_SPAN_FACTOR = 10
 #: Largest chain the inspect-chain dump will print.
 DUMP_STATE_CAP = 10**4
 
-_SIMULATE_HEADER = ["N", "mean_singles", "mean_perceived", "mean_phantoms",
-                    "efficiency", "se_efficiency"]
+_BATCH_HEADER = ["N", "mean_singles", "mean_perceived", "mean_phantoms",
+                 "efficiency", "se_efficiency"]
+_CURVE_HEADER = ["N", "efficiency"]
+#: One efficiency-curve row, from `efficiency_curve`'s ``(N, e)`` tuples.
+_CURVE_ROW = "{},{:.6f}"
+
+
+class Figure(NamedTuple):
+    """A standard figure: its default grid spans ``LOAD_SPAN_FACTOR * size``
+    loads; ``curves(grid)`` names its analytic curves as ``(name, label,
+    spec)``; ``montecarlo`` is the codebook simulated beside them, if any."""
+
+    size: int
+    curves: Callable[[Sequence[int]], list[tuple[str, str, CodebookSpec]]]
+    montecarlo: CodebookSpec | None = None
+
+
+def _adaptive(length: int) -> Callable[[Sequence[int]], list]:
+    """The reference scheme and every candidate codebook of the adaptive
+    schedule over 4 preambles per sub-frame, searched only when the figure is
+    drawn."""
+    m = 4
+
+    def curves(grid: Sequence[int]) -> list[tuple[str, str, CodebookSpec]]:
+        expanded = default_candidates(length, m, grid).candidates[1:]
+        sizes = map(codebook_size, expanded)
+        return [("reference", f"reference, M={m}", CodebookSpec.reference(m, length)),
+                *((f"card{a}", f"code-expanded, {a} codewords", spec)
+                  for a, spec in zip(sizes, expanded))]
+    return curves
+
+
+#: The figures `reproduce` draws; sizes are the full expanded codebooks'.
+FIGURES = {
+    "comparison": Figure(8, lambda grid: [
+        ("reference", "reference, M=2", CodebookSpec.reference(2, 2)),
+        ("expanded", "code-expanded, M=2", CodebookSpec.expanded((2, 2))),
+    ], montecarlo=CodebookSpec.expanded((2, 2))),
+    "adaptive-l2m4": Figure(24, _adaptive(2)),
+    "adaptive-l4m4": Figure(624, _adaptive(4)),
+    "application-l4": Figure(624, lambda grid: [
+        ("reference", "reference, M=32", CodebookSpec.reference(32, 4)),
+        ("m3", "code-expanded, M=3", CodebookSpec.expanded((3,) * 4)),
+        ("m4", "code-expanded, M=4", CodebookSpec.expanded((4,) * 4)),
+    ]),
+}
 
 
 def parse_inline_spec(text: str) -> CodebookSpec:
@@ -121,10 +165,9 @@ def spec_from_json_value(value, source: str) -> CodebookSpec:
 
 
 def _spec_int(value, name: str, source: str) -> int:
-    """A spec number: a string parsed by `int`, or a JSON number as `_scenario_int`
-    takes it."""
+    """A spec number: a string parsed by `int`, or a number by `whole_number`'s rule."""
     if not isinstance(value, str):
-        return _scenario_int(value, name, source)
+        return whole_number(value, f"{name} in spec {source!r}")
     try:
         return int(value)
     except ValueError:
@@ -214,26 +257,16 @@ def _max_abs_z(diagnostics: Sequence[Mapping]) -> dict | None:
     return {"abs_z": abs_z, "N": n, "field": field}
 
 
-def _scenario_int(value, name: str, source: str) -> int:
-    """A scenario or spec number that must be integral: a JSON integer, or a
-    float such as 7.0."""
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise DomainError(f"{source} has a non-integer {name}: {value!r}")
-    return value
-
-
-def _stats_row(n: int, stats: AggregateStats) -> list[str]:
-    se = stats.efficiency.se
-    return [
-        str(n),
-        format_float(stats.singles.mean),
-        format_float(stats.perceived.mean),
-        format_float(stats.phantoms.mean),
-        format_float(stats.efficiency.mean),
-        format_float(se) if se is not None else "",
-    ]
+def _write_batches(path: Path, grid: Sequence[int], batches: Sequence[AggregateStats],
+                   trials: int) -> None:
+    """One row per load: mean singles, perceived and phantoms, and the
+    efficiency with its standard error, an empty cell below two trials (where
+    `Estimate.se` is ``None`` and the pattern leaves it unused)."""
+    row = "{},{:.6f},{:.6f},{:.6f},{:.6f}," + ("{:.6f}" if trials > 1 else "")
+    write_csv(path, _BATCH_HEADER, row, (
+        (n, b.singles.mean, b.perceived.mean, b.phantoms.mean, *b.efficiency)
+        for n, b in zip(grid, batches)
+    ))
 
 
 def _grid_parameter(grid: Sequence[int]) -> str | list[int]:
@@ -273,12 +306,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     spec = load_spec(args.spec)
     grid = parse_n_range(args.n_range) if args.n_range else _default_grid(codebook_size(spec))
     curve = efficiency_curve(spec, grid)
-    rows = [[str(n), format_float(e)] for n, e in curve]
     _write_outputs(
         Path(args.out), "analyze",
         {"spec": spec.describe(), "n_range": _grid_parameter(grid)},
         None, started,
-        {"analyze.csv": lambda p: write_csv(p, ["N", "efficiency"], rows)},
+        {"analyze.csv": lambda p: write_csv(p, _CURVE_HEADER, _CURVE_ROW, curve)},
     )
     return 0
 
@@ -298,11 +330,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         if loads is None:
             raise DomainError(f"scenario {args.scenario} is missing 'N'")
         loads = loads if isinstance(loads, list) else [loads]
-        grid = [_scenario_int(n, "N", args.scenario) for n in loads]
+        grid = [whole_number(n, f"N in {args.scenario}") for n in loads]
         if not grid:
             raise DomainError(f"scenario {args.scenario} has an empty 'N' list")
-        trials = _scenario_int(doc.get("trials", args.trials), "trials", args.scenario)
-        seed = _scenario_int(doc.get("master_seed", args.seed), "master_seed", args.scenario)
+        trials = whole_number(doc.get("trials", args.trials), f"trials in {args.scenario}")
+        seed = whole_number(doc.get("master_seed", args.seed), f"master_seed in {args.scenario}")
     else:
         if not args.spec:
             raise DomainError("simulate needs --scenario FILE or --spec SPEC")
@@ -310,13 +342,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         grid = parse_n_range(args.n_range) if args.n_range else _default_grid(codebook_size(spec))
         trials, seed = args.trials, args.seed
     batches = _simulate(spec, grid, trials, seed, args.workers)
-    rows = [_stats_row(n, stats) for n, stats in zip(grid, batches)]
     diagnostics = _diagnostics(spec, grid, batches)
     _write_outputs(
         Path(args.out), "simulate",
         {"spec": spec.describe(), "n_range": _grid_parameter(grid), "trials": trials},
         seed, started,
-        {"simulate.csv": lambda p: write_csv(p, _SIMULATE_HEADER, rows)},
+        {"simulate.csv": lambda p: _write_batches(p, grid, batches, trials)},
         extra={"diagnostics": diagnostics, "max_abs_z": _max_abs_z(diagnostics)},
     )
     return 0
@@ -326,12 +357,12 @@ def cmd_inspect_chain(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     spec = load_spec(args.spec)
     model = build_transition_model(spec, cap=DUMP_STATE_CAP)
-    header, rows = chain_dump(model)
+    table = chain_dump(model)
     _write_outputs(
         Path(args.out), "inspect-chain",
         {"spec": spec.describe()},
         None, started,
-        {"chain.csv": lambda p: write_csv(p, header, rows)},
+        {"chain.csv": lambda p: write_csv(p, *table)},
     )
     return 0
 
@@ -344,20 +375,14 @@ def cmd_thresholds(args: argparse.Namespace) -> int:
     candidates = default_candidates(
         args.length, args.preambles, grid, args.reference_preambles
     )
-    schedule = threshold_schedule(candidates)
-    rows = []
-    for seg in schedule.segments:
-        rows.append([
-            str(seg.n_low),
-            str(seg.n_high),
-            seg.spec.mode.value,
-            "|".join(str(b) for b in seg.spec.budgets),
-            str(codebook_size(seg.spec)),
-            format_float(seg.efficiency_low),
-            format_float(seg.efficiency_high),
-        ])
+    segments = threshold_schedule(candidates).segments
     header = ["N_low", "N_high", "mode", "budgets", "cardinality",
               "efficiency_low", "efficiency_high"]
+    rows = (
+        (seg.n_low, seg.n_high, seg.spec.mode.value, "|".join(map(str, seg.spec.budgets)),
+         codebook_size(seg.spec), seg.efficiency_low, seg.efficiency_high)
+        for seg in segments
+    )
     _write_outputs(
         Path(args.out), "thresholds",
         {
@@ -367,7 +392,7 @@ def cmd_thresholds(args: argparse.Namespace) -> int:
             "n_range": _grid_parameter(grid),
         },
         None, started,
-        {"thresholds.csv": lambda p: write_csv(p, header, rows)},
+        {"thresholds.csv": lambda p: write_csv(p, header, "{},{},{},{},{},{:.6f},{:.6f}", rows)},
     )
     return 0
 
@@ -375,61 +400,31 @@ def cmd_thresholds(args: argparse.Namespace) -> int:
 def cmd_reproduce(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     figure = args.figure
-    trials = args.trials
-    seed = args.seed
-    csv_files: dict[str, Callable[[Path], None]] = {}
+    entry = FIGURES[figure]
+    grid = parse_n_range(args.n_range) if args.n_range else _default_grid(entry.size)
+    outputs: dict[str, Callable[[Path], None]] = {}
     plot_curves: list[tuple[str, Sequence[float], Sequence[float]]] = []
-
-    def add_curve(name: str, label: str, spec: CodebookSpec, grid: list[int]) -> None:
+    for name, label, spec in entry.curves(grid):
         curve = efficiency_curve(spec, grid)
-        rows = [[str(n), format_float(e)] for n, e in curve]
-        csv_files[f"{figure}_{name}.csv"] = (
-            lambda p, r=rows: write_csv(p, ["N", "efficiency"], r)
+        outputs[f"{figure}_{name}.csv"] = (
+            lambda p, c=curve: write_csv(p, _CURVE_HEADER, _CURVE_ROW, c)
         )
-        plot_curves.append((label, [n for n, _ in curve], [e for _, e in curve]))
-
-    if figure == "comparison":
-        grid = parse_n_range(args.n_range) if args.n_range else _default_grid(8)
-        add_curve("reference", "reference, M=2", CodebookSpec.reference(2, 2), grid)
-        add_curve("expanded", "code-expanded, M=2", CodebookSpec.expanded((2, 2)), grid)
-        batches = _simulate(CodebookSpec.expanded((2, 2)), grid, trials, seed, args.workers)
-        mc_rows = [_stats_row(n, stats) for n, stats in zip(grid, batches)]
-        csv_files[f"{figure}_montecarlo.csv"] = (
-            lambda p: write_csv(p, _SIMULATE_HEADER, mc_rows)
+        plot_curves.append((label, *zip(*curve)))
+    parameters = {"figure": figure, "n_range": _grid_parameter(grid)}
+    seed = None
+    if entry.montecarlo is not None:
+        seed, parameters["trials"] = args.seed, args.trials
+        batches = _simulate(entry.montecarlo, grid, args.trials, seed, args.workers)
+        outputs[f"{figure}_montecarlo.csv"] = (
+            lambda p: _write_batches(p, grid, batches, args.trials)
         )
-        plot_curves.append((
-            "code-expanded, Monte Carlo",
-            [float(r[0]) for r in mc_rows],
-            [float(r[4]) for r in mc_rows],
-        ))
-        parameters = {"figure": figure, "n_range": _grid_parameter(grid), "trials": trials}
-    elif figure in ("adaptive-l2m4", "adaptive-l4m4"):
-        length = 2 if figure == "adaptive-l2m4" else 4
-        m = 4
-        full = codebook_size(CodebookSpec.expanded((m,) * length))
-        grid = parse_n_range(args.n_range) if args.n_range else _default_grid(full)
-        seed = None
-        add_curve("reference", f"reference, M={m}",
-                  CodebookSpec.reference(m, length), grid)
-        candidates = default_candidates(length, m, grid)
-        for spec in candidates.candidates[1:]:
-            size = codebook_size(spec)
-            add_curve(f"card{size}", f"code-expanded, {size} codewords", spec, grid)
-        parameters = {"figure": figure, "n_range": _grid_parameter(grid)}
-    elif figure == "application-l4":
-        grid = parse_n_range(args.n_range) if args.n_range else _default_grid(624)
-        seed = None
-        add_curve("reference", "reference, M=32", CodebookSpec.reference(32, 4), grid)
-        add_curve("m3", "code-expanded, M=3", CodebookSpec.expanded((3,) * 4), grid)
-        add_curve("m4", "code-expanded, M=4", CodebookSpec.expanded((4,) * 4), grid)
-        parameters = {"figure": figure, "n_range": _grid_parameter(grid)}
-    else:  # pragma: no cover - argparse choices reject unknown ids first
-        raise DomainError(f"unknown figure id {figure!r}")
-
-    csv_files[f"{figure}.svg"] = lambda p: svg_line_plot(
+        # the plot shows the printed, six-decimal means
+        plot_curves.append(("code-expanded, Monte Carlo", grid,
+                            [round(b.efficiency.mean, 6) for b in batches]))
+    outputs[f"{figure}.svg"] = lambda p: svg_line_plot(
         p, plot_curves, figure, "contending users N", "efficiency"
     )
-    _write_outputs(Path(args.out), "reproduce", parameters, seed, started, csv_files,
+    _write_outputs(Path(args.out), "reproduce", parameters, seed, started, outputs,
                    manifest_name=f"{figure.replace('-', '_')}_manifest.json")
     return 0
 
@@ -476,8 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_thresholds)
 
     p = sub.add_parser("reproduce", help="regenerate a standard figure (CSV + SVG)")
-    p.add_argument("--figure", required=True,
-                   choices=["comparison", "adaptive-l2m4", "adaptive-l4m4", "application-l4"])
+    p.add_argument("--figure", required=True, choices=list(FIGURES))
     p.add_argument("--n-range", help="override the figure's default load grid")
     p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="master seed")

@@ -23,29 +23,37 @@ from .errors import DomainError
 class LoadPoint:
     """A contention load: ``n_users`` contenders over ``codewords`` resources.
 
-    The user count is an exact integer; fractional loads are rejected rather
-    than interpolated.
+    Both are whole numbers (`whole_number`); fractional loads are rejected
+    rather than interpolated.
     """
 
     n_users: int
     codewords: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n_users, numbers.Integral):
-            raise DomainError(f"user count must be an integer, got {self.n_users!r}")
-        if not isinstance(self.codewords, numbers.Integral):
-            raise DomainError(f"codeword count must be an integer, got {self.codewords!r}")
-        object.__setattr__(self, "n_users", int(self.n_users))
-        object.__setattr__(self, "codewords", int(self.codewords))
+        object.__setattr__(self, "n_users", whole_number(self.n_users, "user count"))
+        object.__setattr__(self, "codewords", whole_number(self.codewords, "codeword count"))
         if self.n_users < 0:
             raise DomainError("user count cannot be negative")
         if self.codewords < 1:
             raise DomainError("need at least one codeword")
 
 
+def whole_number(value, name: str) -> int:
+    """``value`` as a Python int, by the package's one rule for counts:
+    integers and integral floats are taken; bools, fractional values and
+    non-numbers raise `DomainError` instead of being truncated."""
+    if isinstance(value, (float, np.floating)) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise DomainError(f"{name} must be a whole number, got {value!r}")
+    return int(value)
+
+
 def _whole_loads(n_values) -> np.ndarray:
-    """User counts, a scalar or a grid, as int64; a fractional load raises
-    `DomainError` instead of being truncated."""
+    """User counts, a scalar or a grid, as int64, by `whole_number`'s rule
+    applied to the array's type: integer arrays, and float arrays of whole
+    values inside the int64 range; bool and other arrays raise."""
     loads = np.asarray(n_values)
     if loads.dtype.kind == "f" and (np.abs(loads) < 2.0**63).all():
         fractional = loads[loads != np.trunc(loads)]

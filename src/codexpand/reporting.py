@@ -3,7 +3,9 @@
 Every file is written atomically (temp file in the target directory, then
 rename) and with fixed formatting -- six decimal places for real numbers,
 ``p/q`` for exact rationals, LF line endings -- so identical runs produce
-byte-identical files.
+byte-identical files.  A table's rows are value tuples, each formatted by
+one ``str.format`` pattern for the whole table; SVG vertices are likewise
+computed over a whole curve at once and formatted by one pattern.
 """
 
 from __future__ import annotations
@@ -12,8 +14,11 @@ import json
 import math
 import os
 from fractions import Fraction
+from itertools import starmap
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
+
+import numpy as np
 
 from .markov import TransitionModel
 
@@ -22,11 +27,6 @@ PALETTE = (
     "#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
     "#8c564b", "#17becf", "#7f7f7f", "#bcbd22", "#e377c2",
 )
-
-
-def format_float(value: float) -> str:
-    """Fixed six-decimal rendering used in all CSV output."""
-    return f"{value:.6f}"
 
 
 def write_text_atomic(path: Path, text: str) -> None:
@@ -38,11 +38,12 @@ def write_text_atomic(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
-def write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence[str]]) -> None:
-    """Write pre-formatted cells as comma-separated lines."""
-    lines = [",".join(header)]
-    lines.extend(",".join(row) for row in rows)
-    write_text_atomic(path, "\n".join(lines) + "\n")
+def write_csv(path: Path, header: Sequence[str], row: str, rows: Iterable[tuple]) -> None:
+    """Write ``header``, then one line per value tuple of ``rows``, formatted
+    by the `str.format` pattern ``row`` (one field per column, such as
+    ``"{},{:.6f}"``)."""
+    body = "".join(starmap((row + "\n").format, rows))
+    write_text_atomic(path, ",".join(header) + "\n" + body)
 
 
 def write_manifest(path: Path, manifest: Mapping) -> None:
@@ -50,8 +51,8 @@ def write_manifest(path: Path, manifest: Mapping) -> None:
     write_text_atomic(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-def chain_dump(model: TransitionModel) -> tuple[list[str], list[list[str]]]:
-    """Chain dump table: one row per state, 1-based ids.
+def chain_dump(model: TransitionModel) -> tuple[list[str], str, Iterator[tuple]]:
+    """Chain dump table (header, row pattern, rows): one row per state, 1-based ids.
 
     The ``transitions`` cell holds space-separated ``to:count`` pairs, where
     count over the codebook size is the transition probability; ``initial``
@@ -61,18 +62,16 @@ def chain_dump(model: TransitionModel) -> tuple[list[str], list[list[str]]]:
     header = ["state_id", *(f"C_{j + 1}" for j in range(length)), "cardinality",
               "initial", "transitions"]
     counts = model.counts
-    rows = []
-    for i, config in enumerate(model.states):
-        pairs = " ".join(
-            f"{counts.indices[k] + 1}:{counts.data[k]}"
-            for k in range(counts.indptr[i], counts.indptr[i + 1])
-        )
-        initial = Fraction(int(model.initial_counts[i]), model.denominator)
-        rows.append(
-            [str(i + 1), *(str(c) for c in config), str(int(model.cardinalities[i])),
-             str(initial), pairs]
-        )
-    return header, rows
+    targets, data = (counts.indices + 1).tolist(), counts.data.tolist()
+    bounds = counts.indptr.tolist()
+    rows = (
+        (i, *config, cardinality, Fraction(initial, model.denominator),
+         " ".join(map("{}:{}".format, targets[lo:hi], data[lo:hi])))
+        for i, config, cardinality, initial, lo, hi in zip(
+            range(1, len(model) + 1), model.states, model.cardinalities.tolist(),
+            model.initial_counts.tolist(), bounds, bounds[1:])
+    )
+    return header, ",".join(["{}"] * len(header)), rows
 
 
 def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
@@ -109,10 +108,12 @@ def svg_line_plot(
     left, right, top, bottom = 70, 24, 48, 58
     plot_w, plot_h = width - left - right, height - top - bottom
 
-    xs_all = [x for _, xs, _ in curves for x in xs]
-    ys_all = [y for _, _, ys in curves for y in ys]
-    x_lo, x_hi = (min(xs_all), max(xs_all)) if xs_all else (0.0, 1.0)
-    y_lo, y_hi = (min(ys_all), max(ys_all)) if ys_all else (0.0, 1.0)
+    curves = [(label, np.asarray(xs, dtype=float), np.asarray(ys, dtype=float))
+              for label, xs, ys in curves]
+    xs_all = np.concatenate([np.empty(0), *(xs for _, xs, _ in curves)])
+    ys_all = np.concatenate([np.empty(0), *(ys for _, _, ys in curves)])
+    x_lo, x_hi = (float(xs_all.min()), float(xs_all.max())) if xs_all.size else (0.0, 1.0)
+    y_lo, y_hi = (float(ys_all.min()), float(ys_all.max())) if ys_all.size else (0.0, 1.0)
     if x_hi <= x_lo:
         x_hi = x_lo + 1.0
     if y_hi <= y_lo:
@@ -120,10 +121,11 @@ def svg_line_plot(
     y_pad = 0.05 * (y_hi - y_lo)
     y_lo, y_hi = max(0.0, y_lo - y_pad), y_hi + y_pad
 
-    def px(x: float) -> float:
+    # one expression for tick scalars and whole-curve arrays alike
+    def px(x):
         return left + (x - x_lo) / (x_hi - x_lo) * plot_w
 
-    def py(y: float) -> float:
+    def py(y):
         return top + plot_h - (y - y_lo) / (y_hi - y_lo) * plot_h
 
     parts = [
@@ -165,7 +167,7 @@ def svg_line_plot(
     )
     for k, (label, xs, ys) in enumerate(curves):
         color = PALETTE[k % len(PALETTE)]
-        points = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(xs, ys))
+        points = " ".join(starmap("{:.2f},{:.2f}".format, zip(px(xs).tolist(), py(ys).tolist())))
         parts.append(
             f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.5"/>'
         )

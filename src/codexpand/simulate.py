@@ -34,7 +34,6 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-import numbers
 import operator
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
@@ -46,7 +45,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .codebook import CodebookSpec, Mode, codebook_size, codeword_id_stop, encode_codewords
-from .contention import _whole_loads
+from .contention import whole_number
 from .errors import DomainError, EnumerationTooLarge
 
 #: Largest number ``A**N`` of ordered codeword assignments that
@@ -60,17 +59,6 @@ BRUTE_FORCE_CAP = 10**7
 BLOCK_CODEWORDS = 2**14
 
 
-def _whole(value, name: str) -> int:
-    """``value`` as a Python int; a fraction or a bool raises `DomainError`
-    instead of being truncated."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        try:
-            _whole_loads(value)
-        except DomainError:
-            raise DomainError(f"{name} must be a whole number, got {value!r}") from None
-    return int(value)
-
-
 @dataclass(frozen=True)
 class ScenarioConfig:
     """One Monte Carlo scenario: a codebook under a fixed contender count."""
@@ -82,7 +70,7 @@ class ScenarioConfig:
 
     def __post_init__(self) -> None:
         for name in ("n_users", "trials", "master_seed"):
-            object.__setattr__(self, name, _whole(getattr(self, name), name))
+            object.__setattr__(self, name, whole_number(getattr(self, name), name))
         if self.n_users < 1:
             raise DomainError("a scenario needs at least one contender")
         if self.trials < 1:
@@ -351,7 +339,7 @@ def brute_force_expected(
         When ``A**n_users`` exceeds ``cap``, or when its weighted sums could
         overflow 64-bit integers.
     """
-    n_users = _whole(n_users, "user count")
+    n_users = whole_number(n_users, "user count")
     if n_users < 0:
         raise DomainError("user count cannot be negative")
     size = codebook_size(spec)

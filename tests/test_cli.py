@@ -7,11 +7,12 @@ import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import codexpand
 from codexpand import CodebookSpec, DomainError, Mode
-from codexpand.cli import main, parse_inline_spec, parse_n_range
+from codexpand.cli import main, parse_inline_spec, parse_n_range, spec_from_json_value
 
 
 def run(*argv):
@@ -119,6 +120,13 @@ class TestAnalyze:
         assert run("analyze", "--spec", path, "--n-range", "1", "--out", tmp_path) == 0
         manifest = json.loads((tmp_path / "analyze_manifest.json").read_text())
         assert manifest["parameters"]["spec"] == expected.describe()
+
+    def test_spec_numbers_follow_the_whole_number_rule(self):
+        doc = {"L": np.int64(2), "m": [np.int64(2), np.float64(2.0)], "mode": "expanded"}
+        assert spec_from_json_value(doc, "doc") == CodebookSpec.expanded((2, 2))
+        for budget in (np.bool_(True), np.float64(2.5)):
+            with pytest.raises(DomainError, match="m in spec 'doc' must be a whole number"):
+                spec_from_json_value({"m": [budget, 2], "mode": "expanded"}, "doc")
 
     def test_manifest_written(self, tmp_path):
         run("analyze", "--spec", "L=2,m=2,2,mode=expanded",
@@ -262,6 +270,12 @@ class TestSimulate:
         doc.write_text(json.dumps(fields))
         assert run("simulate", "--scenario", doc, "--out", tmp_path / "out") == 2
         assert not (tmp_path / "out").exists()
+
+    def test_non_integral_scenario_number_named_in_error(self, tmp_path, capsys):
+        doc = tmp_path / "scenario.json"
+        doc.write_text(json.dumps({"spec": "L=2,m=2,2,mode=expanded", "N": [2, True]}))
+        assert run("simulate", "--scenario", doc, "--out", tmp_path / "out") == 2
+        assert f"N in {doc} must be a whole number, got True" in capsys.readouterr().err
 
     def test_integral_float_scenario_numbers_accepted(self, tmp_path):
         doc = tmp_path / "scenario.json"

@@ -16,6 +16,7 @@ from codexpand import (
     reference_efficiency,
     reference_efficiency_curve,
 )
+from codexpand.contention import _whole_loads, whole_number
 
 loads = st.builds(
     LoadPoint,
@@ -34,6 +35,44 @@ class TestPmf:
     def test_non_integral_load_rejected(self):
         with pytest.raises(DomainError):
             LoadPoint(2.5, 8)
+
+
+WHOLE = [2, 2.0, np.int64(2), np.uint8(2), np.float64(2.0), np.float32(2.0)]
+NOT_WHOLE = [True, False, np.bool_(True), 2.5, np.float64(2.5), float("nan"), float("inf"),
+             "2", None, Fraction(5, 2)]
+
+
+class TestWholeNumber:
+    """One rule for counts: integers and integral floats, never bools or fractions."""
+
+    @pytest.mark.parametrize("value", WHOLE)
+    def test_integers_and_integral_floats_taken(self, value):
+        taken = whole_number(value, "count")
+        assert taken == 2 and type(taken) is int
+        assert _whole_loads([value]).tolist() == [2]
+
+    @pytest.mark.parametrize("value", NOT_WHOLE)
+    def test_bools_fractions_and_non_numbers_refused(self, value):
+        with pytest.raises(DomainError, match="count must be a whole number"):
+            whole_number(value, "count")
+        with pytest.raises(DomainError, match="whole numbers"):
+            _whole_loads([value])
+
+    def test_integers_of_any_size_taken(self):
+        assert whole_number(2**70, "seed") == 2**70
+
+    @pytest.mark.parametrize("value", [2.0, np.int64(2), np.float64(2.0)])
+    def test_load_point_takes_whole_numbers(self, value):
+        point = LoadPoint(value, 4 * value)
+        assert (point.n_users, point.codewords) == (2, 8)
+        assert type(point.n_users) is int and type(point.codewords) is int
+
+    @pytest.mark.parametrize("value", [True, 2.5, "2"])
+    def test_load_point_refuses_bools_and_fractions(self, value):
+        with pytest.raises(DomainError, match="user count must be a whole number"):
+            LoadPoint(value, 8)
+        with pytest.raises(DomainError, match="codeword count must be a whole number"):
+            LoadPoint(2, value)
 
 
 class TestMoments:

@@ -528,8 +528,28 @@ class TestBruteForce:
     def test_integral_float_user_count_accepted(self):
         assert brute_force_expected(L2M2, 2.0) == brute_force_expected(L2M2, 2)
 
+    @pytest.mark.parametrize("n_users", [np.int64(2), np.float64(2.0)])
+    def test_numpy_whole_user_counts_accepted(self, n_users):
+        assert brute_force_expected(L2M2, n_users) == brute_force_expected(L2M2, 2)
+
     def test_no_contenders_on_a_codebook_too_large_to_enumerate(self):
         # one assignment, though the codebook is above the enumeration cap
         spec = CodebookSpec.expanded((3000, 3000))
         assert codebook_size(spec) > ENUMERATION_CAP
         assert brute_force_expected(spec, 0) == ExpectedOutcome(0, 0, 0, 0, 0)
+
+
+class TestScenarioWholeNumbers:
+    FIELDS = {"n_users": 2, "trials": 2, "master_seed": 1}
+
+    @pytest.mark.parametrize("field", sorted(FIELDS))
+    @pytest.mark.parametrize("value", [np.int64(3), 3.0, np.float64(3.0)])
+    def test_whole_numbers_taken(self, field, value):
+        config = ScenarioConfig(L2M2, **{**self.FIELDS, field: value})
+        assert getattr(config, field) == 3 and type(getattr(config, field)) is int
+
+    @pytest.mark.parametrize("field", sorted(FIELDS))
+    @pytest.mark.parametrize("value", [True, 2.5, "3"])
+    def test_bools_fractions_and_strings_refused(self, field, value):
+        with pytest.raises(DomainError, match=f"{field} must be a whole number"):
+            ScenarioConfig(L2M2, **{**self.FIELDS, field: value})
