@@ -6,9 +6,9 @@ printed decimal, so an ulp of difference in a float library cannot fail the
 gate.  The goldens of the long analytic curves keep every 25th row; their
 SVG overlays are checked only for structure.
 
-A second gate pins bytes: every CSV and SVG of a few short commands must hash
-to the recorded sha256, so a change in formatting, rounding or plot geometry
-cannot pass unseen.
+A second gate pins bytes: every CSV and SVG of a few commands, on short
+grids and long, must hash to the recorded sha256, so a change in formatting,
+rounding or plot geometry cannot pass unseen.
 """
 
 import csv
@@ -73,6 +73,17 @@ BYTE_PINS = {
                         1, "549e26f4b92f29a00eecb82643a8e0feda9ca2646c0cbcf519559a5f9ba3a38d"),
     "analyze-reference": (["analyze", "--spec", "L=4,m=8,mode=reference"],
                           1, "899b047bd1fb5d2b8ccdfed0af1425029b00936a741799d1f108a3f457709d05"),
+    # long grids, out to loads where every closed-form term but the leading
+    # one has decayed far below its weight
+    "thresholds-l4m4": (["thresholds", "--length", "4", "--preambles", "4"],
+                        1, "d372a9858b110cb09db9904e8d471dc3404d4c652f40a632d27261ce65a2e624"),
+    "analyze-l1m2000": (["analyze", "--spec", "L=1,m=2000,mode=expanded"],
+                        1, "aa41ac7e04c26c102b1f2fccc48d95157f9fd7b8048658c007ff112fcfec3d72"),
+    "analyze-reference-l4m32": (["analyze", "--spec", "L=4,m=32,mode=reference"],
+                                1, "2c3b20d0605e6724358996bca23dbbddf293dc6b606ce951011661be104c3aec"),
+    "analyze-l6": (["analyze", "--spec", "L=6,m=5,5,5,5,5,4,mode=expanded",
+                    "--n-range", "1:5000"],
+                   1, "17c4b187268fb4239fcbcaf3217929c9487e6bf8415f6673492f9011ac419461"),
 }
 
 
