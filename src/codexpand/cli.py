@@ -30,9 +30,11 @@ import time
 from pathlib import Path
 from typing import Callable, Mapping, NamedTuple, Sequence
 
+import numpy as np
+
 from . import __version__
-from .codebook import CodebookSpec, Mode, codebook_size
-from .contention import expected_singles_curve, expected_used_curve, whole_number
+from .codebook import CodebookSpec, codebook_size
+from .contention import expected_singles_curve, whole_number
 from .errors import (
     CodexpandError,
     DomainError,
@@ -225,15 +227,10 @@ def _z_score(estimate: Estimate, analytic: float) -> float | None:
 
 def _diagnostics(spec: CodebookSpec, grid: Sequence[int],
                  batches: Sequence[AggregateStats]) -> list[dict]:
-    """Analytic singles and perceived means per load, with each sample mean's z-score.
-
-    Reference observations are unambiguous, so there perceived is the
-    expected number of used codewords, ``A (1 - (1 - 1/A)^N)``.
-    """
-    size = codebook_size(spec)
-    singles = expected_singles_curve(grid, size).tolist()
-    perceived = (perceived_curve(spec, grid) if spec.mode is Mode.EXPANDED
-                 else expected_used_curve(grid, size)).tolist()
+    """Analytic singles and perceived means per load, with each sample mean's
+    z-score; a reference codebook perceives exactly its used codewords."""
+    singles = expected_singles_curve(grid, codebook_size(spec)).tolist()
+    perceived = perceived_curve(spec, grid).tolist()
     return [
         {
             "N": n,
@@ -274,9 +271,9 @@ def _grid_parameter(grid: Sequence[int]) -> str | list[int]:
     the list; either form re-runs the same grid."""
     if len(grid) == 1:
         return f"{grid[0]}:{grid[0]}:1"
-    steps = {b - a for a, b in zip(grid, grid[1:])}
-    if len(steps) == 1 and (step := steps.pop()) > 0:
-        return f"{grid[0]}:{grid[-1]}:{step}"
+    steps = np.diff(grid)
+    if steps[0] > 0 and (steps == steps[0]).all():
+        return f"{grid[0]}:{grid[-1]}:{steps[0]}"
     return list(grid)
 
 

@@ -6,12 +6,15 @@ Codewords picked by exactly one contender (singles) number ``N (1 - 1/A)^(N-1)``
 on average, and codewords picked by any (used) ``A (1 - (1 - 1/A)^N)``.  The
 reference scheme's contention efficiency is singles over used codewords.  Each
 quantity is one numpy formula over a load grid; scalars evaluate it at one load.
+Used codewords are the one-sub-frame case of the perceived count's closed form
+(`codexpand.markov`), and `_closed_form` evaluates that form for both alphabets.
 """
 
 from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -74,21 +77,57 @@ def _loads(n_values: Sequence[int], codewords: int) -> np.ndarray:
 
 
 def expected_singles_curve(n_values: Sequence[int], codewords: int) -> np.ndarray:
-    """Expected singles at every load of a grid, ``N * (1 - 1/A)**(N - 1)``."""
+    """Expected singles at every load of a grid, ``N * (1 - 1/A)**(N - 1)``,
+    as ``N * x**(N - 1) * (1 + (N - 1) * delta)`` with ``x`` the rounded base
+    and ``delta`` its relative rounding, 0 for power-of-two ``A``."""
     n = _loads(n_values, codewords)
-    return n * np.power(1.0 - 1.0 / codewords, np.maximum(n - 1.0, 0.0))
+    x = (codewords - 1) / codewords
+    delta = float(Fraction(codewords - 1, codewords) / Fraction(x) - 1) if x else 0.0
+    below = np.maximum(n - 1.0, 0.0)
+    return n * np.power(x, below) * (1.0 + below * delta)
 
 
 def expected_used_curve(n_values: Sequence[int], codewords: int) -> np.ndarray:
-    """Expected codewords chosen by at least one contender, ``A (1 - (1 - 1/A)**N)``.
+    """Expected codewords chosen by at least one contender, ``A (1 - (1 - 1/A)**N)``:
+    the closed form of one sub-frame of ``A`` preambles, terms ``{A+1: 1, A: -1}``."""
+    return _closed_form({codewords + 1: 1, codewords: -1}, codewords, _loads(n_values, codewords))
 
-    Evaluated as ``-A * expm1(N * log1p(-1/A))``, which keeps full relative
-    precision where ``(1 - 1/A)**N`` is close to 1.
-    """
-    n = _loads(n_values, codewords)
-    if codewords == 1:
-        return np.minimum(n, 1.0)
-    return -codewords * np.expm1(n * np.log1p(-1.0 / codewords))
+
+#: Loads whose float closed form may be off by more than this relative error
+#: are evaluated exactly.
+CLOSED_FORM_RTOL = 1e-12
+
+
+def _closed_form(terms: dict[int, int], size: int, loads: np.ndarray) -> np.ndarray:
+    """``sum c*P*((P-1)/A)**N - 1`` over terms ``{P: c}`` at every load, ``A = size``,
+    in the two forms `codexpand.markov` describes; exactly at ``N = 1`` and
+    wherever the rounding bound exceeds `CLOSED_FORM_RTOL` of the value."""
+    weights = {p: c * p for p, c in terms.items()}
+    lead = weights.pop(size + 1)
+    ones = weights.pop(1, 0)
+    # Python ints keep the constant exact where int64 sums could overflow
+    exact = np.array(list(weights.values()),
+                     dtype=np.int64 if sum(map(abs, weights.values())) < 2**63 else object)
+    w = exact.astype(np.float64)
+    y = loads[:, None] * np.log1p(np.array([(p - 1 - size) / size for p in weights]))
+    near = y > -1.0
+    e = np.expm1(y, out=y, where=near)
+    np.exp(y, out=e, where=~near)
+    constant = near @ exact + (lead - 1) + ones * (loads == 0)
+    values = e @ w + constant.astype(np.float64)
+    # Rounding ln r costs eps*|y|*e**y*|w|: at most eps*|w*expm1(y)| where
+    # y > -1, and at most eps*|w|/e beyond, where it decays as e**y while the
+    # value grows with N.  The other roundings scale with |e| @ |w| or the value.
+    bound = np.finfo(np.float64).eps * (len(terms) + 4) * (
+        np.abs(e, out=e) @ np.abs(w) + np.abs(values))
+    for i in np.flatnonzero((loads == 1) | (bound > CLOSED_FORM_RTOL * np.abs(values))):
+        values[i] = float(_closed_form_exact(terms, size, int(loads[i])))
+    return values
+
+
+def _closed_form_exact(terms: dict[int, int], size: int, n: int) -> Fraction:
+    """`_closed_form` at one load in rationals, ``sum c*P*(P-1)**N / A**N - 1``."""
+    return Fraction(sum(c * p * (p - 1) ** n for p, c in terms.items()), size**n) - 1
 
 
 def reference_efficiency_curve(n_values: Sequence[int], m: int, length: int) -> np.ndarray:
@@ -100,9 +139,7 @@ def reference_efficiency_curve(n_values: Sequence[int], m: int, length: int) -> 
     if (n < 1).any():
         raise DomainError("efficiency is undefined without contenders")
     a = m * length
-    efficiency = expected_singles_curve(n, a) / expected_used_curve(n, a)
-    efficiency[n == 1] = 1.0  # a lone contender is a single, exactly
-    return efficiency
+    return expected_singles_curve(n, a) / expected_used_curve(n, a)
 
 
 def expected_singles(point: LoadPoint) -> float:

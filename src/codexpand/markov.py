@@ -20,9 +20,15 @@ goes unobserved::
 where ``A`` is the codebook size: ``P_T`` words carry a preamble in every
 sub-frame of ``T``, and for each of them ``P_T - 1`` codewords avoid all
 those preambles.  Equal products merge, so uniform budgets leave ``L + 1``
-terms.  `perceived_curve` evaluates the sum in floats over a whole load grid
-and falls back to exact integer arithmetic wherever the terms cancel beyond
-float precision.
+terms.  A reference codebook of ``A`` codewords is observed like one
+sub-frame of ``A`` preambles, so it perceives exactly its used codewords.
+`perceived_curve` evaluates the sum in floats over a whole load grid: with
+``w = coef * P`` and ``y = N log1p((P - 1 - A) / A)``, a term is
+``w + w expm1(y)`` where ``y > -1``, its ``w`` summed exactly into an
+integer constant, and ``w exp(y)`` beyond.  With ``e`` the expm1 or exp
+evaluated, the rounding bound ``eps (terms + 4) (sum |w e| + |value|)`` has
+no term in ``N``; where it exceeds ``CLOSED_FORM_RTOL`` of the value, and at
+``N = 1``, the sum is evaluated exactly.
 
 The chain.  Contenders pick codewords independently and uniformly, so adding
 one more contender moves the configuration by keeping each ``C_j`` or raising
@@ -67,7 +73,7 @@ from typing import Sequence
 import numpy as np
 
 from .codebook import CodebookSpec, Mode, codebook_size, decode_codewords
-from .contention import _whole_loads, expected_singles_curve
+from .contention import _closed_form, _closed_form_exact, _whole_loads, expected_singles_curve
 from .errors import DomainError, StateSpaceTooLarge
 
 #: Per-sub-frame observed-preamble counts, idle included (each entry >= 1).
@@ -280,11 +286,6 @@ def build_transition_model(spec: CodebookSpec, cap: int = STATE_CAP) -> Transiti
     return TransitionModel(spec)
 
 
-#: Loads whose float closed form may be off by more than this relative error
-#: are evaluated exactly.
-CLOSED_FORM_RTOL = 1e-12
-
-
 def perceived_terms(budgets: Sequence[int]) -> dict[int, int]:
     """Inclusion-exclusion terms ``{P: coef}`` of the perceived-count sum.
 
@@ -303,46 +304,34 @@ def perceived_terms(budgets: Sequence[int]) -> dict[int, int]:
     return terms
 
 
+def _alphabet_terms(spec: CodebookSpec) -> dict[int, int]:
+    """`perceived_terms` of either alphabet; a reference one is a single sub-frame."""
+    return perceived_terms(spec.budgets if spec.mode is Mode.EXPANDED else (spec.size,))
+
+
 def perceived_count_rational(spec: CodebookSpec, n_users: int) -> Fraction:
     """Exact expected perceived count, ``sum coef*P*(P-1)^N / A^N - 1``."""
-    _check_expanded(spec)
     n = int(_whole_loads(n_users))
     if n < 0:
         raise DomainError("user count cannot be negative")
-    total = sum(c * p * (p - 1) ** n for p, c in perceived_terms(spec.budgets).items())
-    return Fraction(total, codebook_size(spec) ** n) - 1
+    return _closed_form_exact(_alphabet_terms(spec), codebook_size(spec), n)
 
 
 def perceived_curve(spec: CodebookSpec, n_values: Sequence[int]) -> np.ndarray:
     """Expected perceived codewords at every load of a grid (closed form).
 
-    Evaluated in floats for the whole grid at once.  A load where the float
-    rounding bound exceeds `CLOSED_FORM_RTOL` of the result -- few contenders
-    over many sub-frames, where large terms cancel -- is evaluated exactly.
+    Evaluated in floats for the whole grid at once, and exactly at one
+    contender and where large terms cancel beyond float precision.
     """
-    _check_expanded(spec)
     loads = _whole_loads(n_values)
     if (loads < 0).any():
         raise DomainError("user count cannot be negative")
-    size = codebook_size(spec)
-    terms = perceived_terms(spec.budgets)
-    products = np.array(list(terms), dtype=np.float64)
-    weights = np.array([c * p for p, c in terms.items()], dtype=np.float64)
-    ratios = (products - 1.0) / size
-    n = loads.astype(np.float64)[:, None]
-    parts = weights * np.power(ratios, n)
-    values = parts.sum(axis=1) - 1.0
-    # Each part carries a few roundings, plus about N from raising an inexact
-    # ratio to the N-th power; the ratio 1 of the leading term is exact.
-    roundings = np.where(ratios < 1.0, n, 0.0) + len(terms)
-    bound = np.finfo(np.float64).eps * (np.abs(parts) * roundings).sum(axis=1)
-    for i in np.flatnonzero(bound > CLOSED_FORM_RTOL * np.abs(values)):
-        values[i] = float(perceived_count_rational(spec, loads[i]))
-    return values
+    return _closed_form(_alphabet_terms(spec), codebook_size(spec), loads)
 
 
 def expanded_efficiency_curve(spec: CodebookSpec, n_values: Sequence[int]) -> np.ndarray:
-    """Expected singles over expected perceived codewords at every load."""
+    """Expected singles over expected perceived codewords at every load, for
+    either alphabet (a reference codebook perceives its used codewords)."""
     loads = _whole_loads(n_values)
     if (loads < 1).any():
         raise DomainError("efficiency is undefined without contenders")

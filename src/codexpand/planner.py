@@ -17,8 +17,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .codebook import CodebookSpec, Mode, _restrictions, codebook_size
-from .contention import _whole_loads, reference_efficiency_curve
+from .codebook import CodebookSpec, _restrictions, codebook_size
+from .contention import _whole_loads
 from .errors import DomainError
 from .markov import _checked_grid, expanded_efficiency_curve
 
@@ -125,21 +125,15 @@ def default_candidates(
 def efficiency_curve(
     spec: CodebookSpec, load_grid: Sequence[int]
 ) -> list[tuple[int, float]]:
-    """Contention efficiency at each grid load.
-
-    Both divide expected singles ``N (1 - 1/A)^(N-1)``: reference codebooks
-    by the expected used codewords ``A (1 - (1 - 1/A)^N)``, expanded ones by
-    the expected perceived count ``sum_T (-1)^|T| P_T ((P_T - 1)/A)^N - 1``
-    (see `codexpand.markov`), evaluated over the whole grid at once.
+    """Contention efficiency at each grid load: expected singles
+    ``N (1 - 1/A)^(N-1)`` over the expected perceived count
+    ``sum_T (-1)^|T| P_T ((P_T - 1)/A)^N - 1`` (see `codexpand.markov`),
+    evaluated over the whole grid at once.  A reference codebook is observed
+    like one sub-frame of ``A`` preambles, so it perceives exactly its used
+    codewords ``A (1 - (1 - 1/A)^N)``.
     """
     grid = _whole_loads(load_grid).tolist()
-    return list(zip(grid, _efficiency_values(spec, grid).tolist()))
-
-
-def _efficiency_values(spec: CodebookSpec, grid: Sequence[int]) -> np.ndarray:
-    if spec.mode is Mode.REFERENCE:
-        return reference_efficiency_curve(grid, spec.budgets[0], spec.length)
-    return expanded_efficiency_curve(spec, grid)
+    return list(zip(grid, expanded_efficiency_curve(spec, grid).tolist()))
 
 
 def crossover_point(
@@ -148,7 +142,9 @@ def crossover_point(
     """Smallest load of a strictly increasing grid where ``spec_b`` is
     strictly more efficient."""
     grid = _checked_grid(load_grid)
-    wins = np.flatnonzero(_efficiency_values(spec_b, grid) > _efficiency_values(spec_a, grid))
+    wins = np.flatnonzero(
+        expanded_efficiency_curve(spec_b, grid) > expanded_efficiency_curve(spec_a, grid)
+    )
     return grid[wins[0]] if wins.size else None
 
 
@@ -158,7 +154,7 @@ def supported_load(
     """Largest load of a strictly increasing grid at which efficiency still
     reaches ``floor``."""
     grid = _checked_grid(load_grid)
-    reached = np.flatnonzero(_efficiency_values(spec, grid) >= floor)
+    reached = np.flatnonzero(expanded_efficiency_curve(spec, grid) >= floor)
     return grid[reached[-1]] if reached.size else None
 
 
@@ -171,10 +167,10 @@ def threshold_schedule(candidates: CandidateSet) -> ThresholdSchedule:
     """
     grid = candidates.load_grid
     specs = sorted(candidates.candidates, key=codebook_size)  # stable: ties keep input order
-    best = _efficiency_values(specs[0], grid)
+    best = expanded_efficiency_curve(specs[0], grid)
     chosen = np.zeros(len(grid), dtype=np.intp)
     for index, spec in enumerate(specs[1:], start=1):
-        values = _efficiency_values(spec, grid)
+        values = expanded_efficiency_curve(spec, grid)
         better = values > best
         best[better] = values[better]
         chosen[better] = index

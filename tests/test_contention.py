@@ -12,6 +12,7 @@ from codexpand import (
     DomainError,
     LoadPoint,
     expected_singles,
+    expected_singles_curve,
     expected_used_curve,
     reference_efficiency,
     reference_efficiency_curve,
@@ -100,7 +101,7 @@ class TestMoments:
         assert 0.0 <= singles <= min(point.n_users, point.codewords)
 
     def test_log_space_path_agrees_with_direct_power(self):
-        # either side of the switchover to log-space exponentiation
+        # loads far past the codebook size, against the power taken in log space
         for n in (9_999, 10_000, 10_001, 50_000):
             direct = n * math.exp((n - 1) * math.log1p(-1 / 640.0))
             assert expected_singles(LoadPoint(n, 640)) == pytest.approx(direct, rel=1e-9)
@@ -123,7 +124,8 @@ class TestReferenceEfficiency:
 
 
 class TestReferenceEfficiencyCurve:
-    # Both branches of the survival power: direct below 10,000, log space above.
+    # The planner's L=4, M=4 grid, and loads far beyond it, where the used
+    # count's survival term has decayed from the expm1 form to the exp form.
     GRID = [*range(1, 6241), *range(10_001, 10_101), 50_000, 1_000_000]
 
     def _worst_relative_gap(self, m, length):
@@ -138,9 +140,7 @@ class TestReferenceEfficiencyCurve:
             assert self._worst_relative_gap(m, length) <= 1e-15
 
     def test_matches_scalar_on_large_codebook(self):
-        # numpy's vectorised pow may differ from the C library's by an ulp;
-        # at small loads the collision term cancels and magnifies that to a
-        # few ulps of the result
+        # the scalar is the curve at one load; the tolerance is a few ulps
         assert self._worst_relative_gap(32, 4) <= 1e-14
 
     def test_rejects_empty_load(self):
@@ -170,6 +170,15 @@ class TestReferencePrecision:
                 exact = singles / used
                 error = abs(Fraction(reference_efficiency(n, m, length)) - exact) / exact
                 assert error <= Fraction(1, 10**15), (m, length, n, float(error))
+
+    @pytest.mark.parametrize("codewords", [3, 15, 25, 49, 511, 624])
+    def test_singles_to_full_precision(self, codewords):
+        # the rounded base (A - 1)/A is corrected, so its rounding does not
+        # grow with the power
+        singles_curve = expected_singles_curve(self.LOADS, codewords)
+        for (n, singles, _), value in zip(exact_occupancy(codewords, self.LOADS), singles_curve):
+            error = abs(Fraction(float(value)) - singles) / singles
+            assert error <= Fraction(1, 10**15), (codewords, n, float(error))
 
     @pytest.mark.parametrize("codewords", [3, 4, 15, 16, 49, 128, 512])
     def test_used_codewords_to_full_precision(self, codewords):

@@ -17,6 +17,7 @@ from codexpand import (
     efficiency_curve,
     expanded_efficiency,
     expected_singles_curve,
+    expected_used_curve,
     perceived_count,
     perceived_count_rational,
     perceived_curve,
@@ -24,6 +25,7 @@ from codexpand import (
     reference_efficiency,
     reference_efficiency_curve,
 )
+from codexpand import contention
 from codexpand.markov import _step, transition_count
 
 L2M2 = CodebookSpec.expanded((2, 2))
@@ -245,16 +247,40 @@ class TestClosedForm:
         chain = build_transition_model(spec).perceived_count_exact(n)
         assert perceived_count_rational(spec, n) == chain
 
-    @pytest.mark.parametrize("budgets", [(4,) * 10, (1,) * 20, (12, 12, 12)])
-    def test_float_path_stays_near_exact(self, budgets):
+    @pytest.mark.parametrize("budgets,wide_loads", [
+        ((4,) * 10, ()),
+        ((1,) * 20, ()),
+        ((12, 12, 12), ()),
+        # loads from A/2 to 5A, where terms leave the expm1 form for exp
+        ((100, 100), (5_100, 10_200, 20_400, 51_000)),
+        ((5000,), (2_500, 5_000, 10_000, 25_000)),
+    ])
+    def test_float_path_stays_near_exact(self, budgets, wide_loads):
         # few contenders over many sub-frames cancel large terms; the
         # rounding guard must route those loads through the exact sum
         spec = CodebookSpec.expanded(budgets)
-        loads = list(range(1, 41))
+        loads = [*range(1, 41), *wide_loads]
         values = perceived_curve(spec, loads)
         for n, value in zip(loads, values):
             exact = perceived_count_rational(spec, n)
             assert abs(Fraction(float(value)) - exact) <= Fraction(1, 10**12) * exact
+
+    @pytest.mark.parametrize("m,top", [(5000, 3000), (20000, 4000)])
+    def test_wide_subframe_stays_on_the_float_path(self, monkeypatch, m, top):
+        # one wide sub-frame is the used-codeword count of m codewords; the
+        # float form suffices at every load but the exactly evaluated N = 1
+        exact_loads = []
+        exact = contention._closed_form_exact
+
+        def counted(terms, size, n):
+            exact_loads.append(n)
+            return exact(terms, size, n)
+
+        monkeypatch.setattr(contention, "_closed_form_exact", counted)
+        grid = range(1, top + 1)
+        values = perceived_curve(CodebookSpec.expanded((m,)), grid)
+        assert exact_loads == [1]
+        assert values.tolist() == expected_used_curve(grid, m).tolist()
 
     def test_matches_chain_sweep_on_a_long_grid(self):
         spec = CodebookSpec.expanded((1, 2, 3))
@@ -266,9 +292,14 @@ class TestClosedForm:
         with pytest.raises(DomainError):
             perceived_curve(L2M2, [-1])
 
-    def test_reference_mode_rejected(self):
-        with pytest.raises(DomainError):
-            perceived_count(CodebookSpec.reference(2, 2), 3)
+    @pytest.mark.parametrize("m,length", [(1, 1), (3, 1), (2, 2), (8, 4)])
+    def test_reference_perceived_is_used_codewords(self, m, length):
+        # a reference codebook is observed like one sub-frame of A preambles
+        spec, a = CodebookSpec.reference(m, length), m * length
+        for n in range(12):
+            assert perceived_count_rational(spec, n) == a * (1 - (1 - Fraction(1, a)) ** n)
+        grid = range(10 * a + 1)
+        assert perceived_curve(spec, grid).tolist() == expected_used_curve(grid, a).tolist()
 
 
 class TestEfficiency:
