@@ -124,8 +124,8 @@ class TestReferenceEfficiency:
 
 
 class TestReferenceEfficiencyCurve:
-    # The planner's L=4, M=4 grid, and loads far beyond it, where the used
-    # count's survival term has decayed from the expm1 form to the exp form.
+    # Loads on both sides of the used count's switch from its expm1 form to
+    # its exp form (near N = A), out to a million.
     GRID = [*range(1, 6241), *range(10_001, 10_101), 50_000, 1_000_000]
 
     def _worst_relative_gap(self, m, length):

@@ -247,19 +247,15 @@ class TestClosedForm:
         chain = build_transition_model(spec).perceived_count_exact(n)
         assert perceived_count_rational(spec, n) == chain
 
-    @pytest.mark.parametrize("budgets,wide_loads", [
-        ((4,) * 10, ()),
-        ((1,) * 20, ()),
-        ((12, 12, 12), ()),
-        # loads from A/2 to 5A, where terms leave the expm1 form for exp
-        ((100, 100), (5_100, 10_200, 20_400, 51_000)),
-        ((5000,), (2_500, 5_000, 10_000, 25_000)),
-    ])
-    def test_float_path_stays_near_exact(self, budgets, wide_loads):
+    @pytest.mark.parametrize("budgets", [(4,) * 10, (1,) * 20, (12, 12, 12), (100, 100), (5000,)])
+    def test_float_path_stays_near_exact(self, budgets):
         # few contenders over many sub-frames cancel large terms; the
-        # rounding guard must route those loads through the exact sum
+        # rounding guard must route those loads through the exact sum.  Wide
+        # sub-frames also run from A/2 to 5A, where terms leave expm1 for exp.
         spec = CodebookSpec.expanded(budgets)
-        loads = [*range(1, 41), *wide_loads]
+        loads = list(range(1, 41))
+        if max(budgets) >= 100:
+            loads += [spec.size // 2, spec.size, 2 * spec.size, 5 * spec.size]
         values = perceived_curve(spec, loads)
         for n, value in zip(loads, values):
             exact = perceived_count_rational(spec, n)
@@ -292,14 +288,14 @@ class TestClosedForm:
         with pytest.raises(DomainError):
             perceived_curve(L2M2, [-1])
 
-    @pytest.mark.parametrize("m,length", [(1, 1), (3, 1), (2, 2), (8, 4)])
-    def test_reference_perceived_is_used_codewords(self, m, length):
+    def test_reference_perceived_is_used_codewords(self):
         # a reference codebook is observed like one sub-frame of A preambles
-        spec, a = CodebookSpec.reference(m, length), m * length
-        for n in range(12):
-            assert perceived_count_rational(spec, n) == a * (1 - (1 - Fraction(1, a)) ** n)
-        grid = range(10 * a + 1)
-        assert perceived_curve(spec, grid).tolist() == expected_used_curve(grid, a).tolist()
+        for m, length in [(1, 1), (3, 1), (2, 2), (8, 4)]:
+            spec, a = CodebookSpec.reference(m, length), m * length
+            for n in range(12):
+                assert perceived_count_rational(spec, n) == a * (1 - (1 - Fraction(1, a)) ** n)
+            grid = range(10 * a + 1)
+            assert perceived_curve(spec, grid).tolist() == expected_used_curve(grid, a).tolist()
 
 
 class TestEfficiency:
