@@ -372,13 +372,13 @@ def cmd_thresholds(args: argparse.Namespace) -> int:
     candidates = default_candidates(
         args.length, args.preambles, grid, args.reference_preambles
     )
-    segments = threshold_schedule(candidates).segments
+    schedule = threshold_schedule(candidates)
     header = ["N_low", "N_high", "mode", "budgets", "cardinality",
               "efficiency_low", "efficiency_high"]
     rows = (
         (seg.n_low, seg.n_high, seg.spec.mode.value, "|".join(map(str, seg.spec.budgets)),
          codebook_size(seg.spec), seg.efficiency_low, seg.efficiency_high)
-        for seg in segments
+        for seg in schedule.segments
     )
     _write_outputs(
         Path(args.out), "thresholds",
@@ -390,6 +390,7 @@ def cmd_thresholds(args: argparse.Namespace) -> int:
         },
         None, started,
         {"thresholds.csv": lambda p: write_csv(p, header, "{},{},{},{},{},{:.6f},{:.6f}", rows)},
+        extra={"tail_start": schedule.tail_start},
     )
     return 0
 

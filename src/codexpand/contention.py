@@ -12,6 +12,7 @@ Used codewords are the one-sub-frame case of the perceived count's closed form
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
@@ -67,20 +68,22 @@ def _whole_loads(n_values) -> np.ndarray:
     return loads.astype(np.int64)
 
 
-def _loads(n_values: Sequence[int], codewords: int) -> np.ndarray:
+def _loads(n_values: Sequence[int], codewords: int) -> tuple[np.ndarray, int]:
+    """Loads as floats and the codeword count as a Python int, both checked."""
     n = _whole_loads(n_values).astype(np.float64)
+    codewords = whole_number(codewords, "codeword count")
     if (n < 0).any():
         raise DomainError("user count cannot be negative")
     if codewords < 1:
         raise DomainError("need at least one codeword")
-    return n
+    return n, codewords
 
 
 def expected_singles_curve(n_values: Sequence[int], codewords: int) -> np.ndarray:
     """Expected singles at every load of a grid, ``N * (1 - 1/A)**(N - 1)``,
     as ``N * x**(N - 1) * (1 + (N - 1) * delta)`` with ``x`` the rounded base
     and ``delta`` its relative rounding, 0 for power-of-two ``A``."""
-    n = _loads(n_values, codewords)
+    n, codewords = _loads(n_values, codewords)
     x = (codewords - 1) / codewords
     delta = float(Fraction(codewords - 1, codewords) / Fraction(x) - 1) if x else 0.0
     below = np.maximum(n - 1.0, 0.0)
@@ -90,7 +93,8 @@ def expected_singles_curve(n_values: Sequence[int], codewords: int) -> np.ndarra
 def expected_used_curve(n_values: Sequence[int], codewords: int) -> np.ndarray:
     """Expected codewords chosen by at least one contender, ``A (1 - (1 - 1/A)**N)``:
     the closed form of one sub-frame of ``A`` preambles, terms ``{A+1: 1, A: -1}``."""
-    return _closed_form({codewords + 1: 1, codewords: -1}, codewords, _loads(n_values, codewords))
+    n, codewords = _loads(n_values, codewords)
+    return _closed_form({codewords + 1: 1, codewords: -1}, codewords, n)
 
 
 #: Loads whose float closed form may be off by more than this relative error
@@ -130,9 +134,37 @@ def _closed_form_exact(terms: dict[int, int], size: int, n: int) -> Fraction:
     return Fraction(sum(c * p * (p - 1) ** n for p, c in terms.items()), size**n) - 1
 
 
+def _saturation_load(terms: dict[int, int], size: int) -> int:
+    """First load from which `_closed_form` returns exactly ``float(size)``.
+
+    There every term but the leading ``P = A+1`` and the ``P = 1`` ones takes
+    the ``exp`` form, so the constant is exactly ``A``; their sum, bounded by
+    ``sum |w| * r_max**N`` with ``r_max`` the largest ratio, stays under
+    ``eps/4 * A``, less than half an ulp of ``A`` on either side, and rounds
+    away.  The rounding bound is then about ``eps (terms + 4) A``, under
+    `CLOSED_FORM_RTOL` of the value for fewer than 4,000 terms, so no load
+    falls back to exact arithmetic.  Checked in the floats `_closed_form`
+    computes, with the dot product's rounding on top.
+    """
+    rest = {p: abs(c * p) for p, c in terms.items() if p not in (1, size + 1)}
+    if not rest:
+        return 1
+    weights = np.array(list(rest.values()), dtype=np.float64)
+    log_r = np.log1p(np.array([(p - 1 - size) / size for p in rest]))
+    eps = np.finfo(np.float64).eps
+    slope = float(log_r.max())
+    n = max(1, math.ceil(-1 / slope),
+            math.floor(math.log(eps / 4 * size / weights.sum()) / slope) + 1)
+    while (n * slope > -1.0
+           or np.exp(n * log_r) @ weights * (1 + (weights.size + 2) * eps) >= eps / 4 * size):
+        n += 1
+    return n
+
+
 def reference_efficiency_curve(n_values: Sequence[int], m: int, length: int) -> np.ndarray:
     """Singles over used codewords at every (positive) load of a grid, for the
     reference scheme with ``m`` preambles over ``length`` sub-frames."""
+    m, length = whole_number(m, "preamble count"), whole_number(length, "sub-frame count")
     if m < 1 or length < 1:
         raise DomainError("need at least one preamble and one sub-frame")
     n = _whole_loads(n_values)

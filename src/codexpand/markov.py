@@ -257,12 +257,12 @@ class TransitionModel:
 
 
 def _checked_grid(n_values: Sequence[int]) -> list[int]:
-    grid = _whole_loads(n_values).tolist()
-    if not grid or any(n < 1 for n in grid):
+    loads = _whole_loads(n_values)
+    if loads.ndim != 1 or not loads.size or (loads < 1).any():
         raise DomainError("grid must be non-empty with positive user counts")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
+    if (np.diff(loads) <= 0).any():
         raise DomainError("grid must be strictly increasing")
-    return grid
+    return loads.tolist()
 
 
 def build_transition_model(spec: CodebookSpec, cap: int = STATE_CAP) -> TransitionModel:

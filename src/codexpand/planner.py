@@ -6,21 +6,33 @@ system can realize, the planner builds one candidate codebook per cardinality
 worth using (those larger than the baseline), sweeps every candidate's
 efficiency over a user-load grid, and reads off the load thresholds at which
 the preferred codebook changes.
+
+The sweep has a dense head and a saturated tail.  At high load every preamble
+is seen in every sub-frame, so every codeword is perceived: from the load
+where every candidate's closed form rounds to exactly its size ``A``
+(`contention._saturation_load`), efficiency is ``N h(A)`` with
+``h(A) = (1 - 1/A)**(N-1) / A``.  That function of ``A`` peaks at ``A = N``,
+so each tail load compares only the few codebook sizes around ``N``
+(`TAIL_WINDOW`); below the tail every candidate is evaluated at every load.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .codebook import CodebookSpec, _restrictions, codebook_size
-from .contention import _whole_loads
+from .contention import _saturation_load, _whole_loads, expected_singles_curve
 from .errors import DomainError
-from .markov import _checked_grid, expanded_efficiency_curve
+from .markov import _alphabet_terms, _checked_grid, expanded_efficiency_curve
+
+#: Distinct codebook sizes compared at each load of the schedule's tail, the
+#: two that bracket the load and one more on either side (`threshold_schedule`).
+TAIL_WINDOW = 4
 
 
 @dataclass(frozen=True)
@@ -50,9 +62,14 @@ class ScheduleSegment:
 
 @dataclass(frozen=True)
 class ThresholdSchedule:
-    """Contiguous segments covering the load grid, best codebook per segment."""
+    """Contiguous segments covering the load grid, best codebook per segment.
+
+    ``tail_start`` is the first grid load evaluated in the saturated tail, or
+    ``None`` when the whole grid lies in the dense head.
+    """
 
     segments: tuple[ScheduleSegment, ...]
+    tail_start: int | None = None
 
     @property
     def thresholds(self) -> tuple[int, ...]:
@@ -158,22 +175,78 @@ def supported_load(
     return grid[reached[-1]] if reached.size else None
 
 
+def _dense_best(specs: Sequence[CodebookSpec], loads: Sequence[int]
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """Running best over every candidate's efficiency curve, in list order;
+    a later candidate takes a load only if strictly better."""
+    best = expanded_efficiency_curve(specs[0], loads)
+    chosen = np.zeros(len(loads), dtype=np.intp)
+    for index, spec in enumerate(specs[1:], start=1):
+        values = expanded_efficiency_curve(spec, loads)
+        better = values > best
+        best[better] = values[better]
+        chosen[better] = index
+    return best, chosen
+
+
+def _tail_best(specs: Sequence[CodebookSpec], loads: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """`_dense_best` over saturated loads, comparing only the `TAIL_WINDOW`
+    distinct sizes around each load; ``specs`` are sorted by size."""
+    sizes, first = np.unique([codebook_size(s) for s in specs], return_index=True)
+    # the window's first size never decreases with N, so the loads whose
+    # window holds size d form one range, found by bisection
+    start = np.clip(np.searchsorted(sizes, loads) - TAIL_WINDOW // 2,
+                    0, max(len(sizes) - TAIL_WINDOW, 0))
+    best = np.full(len(loads), -np.inf)
+    chosen = np.zeros(len(loads), dtype=np.intp)
+    for d, (size, index) in enumerate(zip(sizes.tolist(), first.tolist())):
+        lo = np.searchsorted(start, d - TAIL_WINDOW + 1)
+        hi = np.searchsorted(start, d, side="right")
+        # equal sizes share their tail values: the first in size order stands for all
+        values = expected_singles_curve(loads[lo:hi], size) / size
+        better = values > best[lo:hi]
+        best[lo:hi][better] = values[better]
+        chosen[lo:hi][better] = index
+    # where every efficiency has underflowed to 0.0, the tie goes to the
+    # smallest codebook, as in the dense loop
+    chosen[best == 0.0] = 0
+    return best, chosen
+
+
 def threshold_schedule(candidates: CandidateSet) -> ThresholdSchedule:
     """Pick the most efficient candidate at every grid load.
 
     Exact efficiency ties go to the smaller codebook, which keeps fewer
     simultaneous preambles on the air.  Contiguous choices merge into
     segments; segment boundaries are the adaptation thresholds.
+
+    Below the tail start, the largest `contention._saturation_load` over the
+    candidates, every candidate's efficiency curve is evaluated at every load
+    (the dense head).  From it on, every candidate perceives exactly its
+    ``A`` codewords in floats, so its efficiency is ``N h(A)`` with
+    ``h(A) = (1 - 1/A)**(N-1) / A``, the same float as the dense value; only
+    the `TAIL_WINDOW` sizes around ``N`` are compared there (the tail).
     """
     grid = candidates.load_grid
     specs = sorted(candidates.candidates, key=codebook_size)  # stable: ties keep input order
-    best = expanded_efficiency_curve(specs[0], grid)
-    chosen = np.zeros(len(grid), dtype=np.intp)
-    for index, spec in enumerate(specs[1:], start=1):
-        values = expanded_efficiency_curve(spec, grid)
-        better = values > best
-        best[better] = values[better]
-        chosen[better] = index
+    tail = bisect_left(grid, max(
+        _saturation_load(_alphabet_terms(spec), codebook_size(spec)) for spec in specs))
+    # Why the window suffices: d ln h / dA = (N - A) / (A (A - 1)), so h
+    # rises below A = N and falls above it, and the best size is one of the
+    # two that bracket N, the last below it and the first at or above it.
+    # Why 4 and not 2: two is exact in exact arithmetic, but the dense loop
+    # compares rounded values.  Near the peak ln h falls off only as
+    # (A - N)**2 / (2 N**2), so the bracket's outer neighbours trail it the
+    # least: by less than rounding where sizes lie one apart near N of about
+    # 10**7.  The window keeps them, so such a near tie is decided as the
+    # dense loop decides it.  On the default grids of l4m4, l6m5 and l8m4 the
+    # nearest outer size trails the bracket by at least 1.1e-5 relative and
+    # the next by 1.5e-4, far above the few ulps of rounding.
+    head_best, head_chosen = _dense_best(specs, grid[:tail])
+    tail_best, tail_chosen = _tail_best(specs, np.array(grid[tail:], dtype=np.int64))
+    best = np.concatenate([head_best, tail_best])
+    chosen = np.concatenate([head_chosen, tail_chosen])
 
     cuts = (np.flatnonzero(np.diff(chosen)) + 1).tolist()
     return ThresholdSchedule(tuple(
@@ -185,4 +258,4 @@ def threshold_schedule(candidates: CandidateSet) -> ThresholdSchedule:
             efficiency_high=float(best[stop - 1]),
         )
         for lo, stop in zip([0, *cuts], [*cuts, len(grid)])
-    ))
+    ), tail_start=grid[tail] if tail < len(grid) else None)

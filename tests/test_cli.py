@@ -341,6 +341,12 @@ class TestThresholds:
         assert rows[0][2] == "reference"
         assert all(r[2] == "expanded" for r in rows[1:])
 
+    @pytest.mark.parametrize("length, tail_start", [(2, None), (4, 580)])
+    def test_manifest_records_the_tail_start(self, tmp_path, length, tail_start):
+        assert run("thresholds", "--length", length, "--preambles", 4, "--out", tmp_path) == 0
+        manifest = json.loads((tmp_path / "thresholds_manifest.json").read_text())
+        assert manifest["tail_start"] == tail_start
+
     def test_requires_positive_geometry(self, tmp_path):
         assert run("thresholds", "--length", 0, "--preambles", 4,
                    "--out", tmp_path) == 2

@@ -17,7 +17,7 @@ from codexpand import (
     reference_efficiency,
     reference_efficiency_curve,
 )
-from codexpand.contention import _whole_loads, whole_number
+from codexpand.contention import _saturation_load, _whole_loads, whole_number
 
 loads = st.builds(
     LoadPoint,
@@ -74,6 +74,26 @@ class TestWholeNumber:
             LoadPoint(value, 8)
         with pytest.raises(DomainError, match="codeword count must be a whole number"):
             LoadPoint(2, value)
+
+
+    def test_curves_take_numpy_codeword_counts(self):
+        # an np.int64 count once overflowed inside the singles' rational
+        # correction of its rounded base
+        grid = [5000, 10**6]
+        for curve in (expected_singles_curve, expected_used_curve):
+            assert curve(grid, np.int64(390624)).tolist() == curve(grid, 390624).tolist()
+        assert (reference_efficiency_curve(grid, np.int64(4), np.int64(4)).tolist()
+                == reference_efficiency_curve(grid, 4, 4).tolist())
+
+    @pytest.mark.parametrize("call", [
+        lambda: expected_singles_curve([10], True),
+        lambda: expected_used_curve([10], True),
+        lambda: reference_efficiency_curve([10], True, 2),
+        lambda: reference_efficiency_curve([10], 2, True),
+    ])
+    def test_curves_refuse_bool_counts(self, call):
+        with pytest.raises(DomainError, match="must be a whole number"):
+            call()
 
 
 class TestMoments:
@@ -186,6 +206,17 @@ class TestReferencePrecision:
         for (n, _, used), value in zip(exact_occupancy(codewords, self.LOADS), used_curve):
             error = abs(Fraction(float(value)) - used) / used
             assert error <= Fraction(1, 10**15), (codewords, n, float(error))
+
+    @pytest.mark.parametrize("codewords", [16, 24, 128])
+    def test_used_codewords_saturate_from_the_saturation_load(self, codewords):
+        start = _saturation_load({codewords + 1: 1, codewords: -1}, codewords)
+        used = expected_used_curve(range(start, 10 * start), codewords)
+        assert (used == codewords).all()
+        if codewords == 16:
+            # the bound is tight where A is a power of two: one load earlier
+            # the remainder exceeds half an ulp below A
+            assert start == 580
+            assert expected_used_curve([start - 1], codewords)[0] < codewords
 
     def test_used_codewords_edge_cases(self):
         assert expected_used_curve([0, 1, 5], 1).tolist() == [0.0, 1.0, 1.0]

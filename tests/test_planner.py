@@ -18,12 +18,14 @@ from codexpand import (
     default_candidates,
     efficiency_curve,
     expanded_efficiency_curve,
+    perceived_curve,
     reference_efficiency,
     spec_for_cardinality,
     state_cardinality_values,
     supported_load,
     threshold_schedule,
 )
+from codexpand.planner import ScheduleSegment
 
 GRID_200 = list(range(1, 201))
 
@@ -144,7 +146,7 @@ class TestCurvesAndCrossover:
         with pytest.raises(DomainError):
             supported_load(CodebookSpec.reference(2, 2), grid, floor=0.5)
 
-    @pytest.mark.parametrize("grid", [[200, 7, 100], [7, 7], [], [-1, 7]])
+    @pytest.mark.parametrize("grid", [[200, 7, 100], [7, 7], [], [-1, 7], 7])
     def test_crossover_needs_an_increasing_grid(self, grid):
         # on [200, 7, 100] a silent answer would be 200, not the smallest win 7
         with pytest.raises(DomainError):
@@ -232,3 +234,78 @@ class TestSchedule:
         l2 = last_above_half(2, 4)
         assert (l4, l2) == (20, 10)
         assert l4 > l2
+
+
+def dense_schedule(candidates):
+    """Segments of the running best over every candidate at every load: the
+    schedule without its saturated tail."""
+    grid = candidates.load_grid
+    specs = sorted(candidates.candidates, key=codebook_size)
+    best = expanded_efficiency_curve(specs[0], grid)
+    chosen = np.zeros(len(grid), dtype=np.intp)
+    for index, spec in enumerate(specs[1:], start=1):
+        values = expanded_efficiency_curve(spec, grid)
+        better = values > best
+        best[better] = values[better]
+        chosen[better] = index
+    cuts = (np.flatnonzero(np.diff(chosen)) + 1).tolist()
+    return tuple(
+        ScheduleSegment(grid[lo], grid[stop - 1], specs[chosen[lo]],
+                        float(best[lo]), float(best[stop - 1]))
+        for lo, stop in zip([0, *cuts], [*cuts, len(grid)])
+    )
+
+
+class TestSaturatedTail:
+    # (length, preambles, reference preambles, last load or None for the
+    # default grid of ten times the full codebook) and the tail start
+    GRIDS = {
+        "l2m4": ((2, 4, None, None), None),
+        "l4m4": ((4, 4, None, None), 580),
+        "l4m3-ref32": ((4, 3, 32, None), None),
+        "l6m5": ((6, 5, None, 3000), 1105),
+        "l8m4": ((8, 4, None, 2000), 1179),  # a 1:20000 dense loop is too slow here
+    }
+
+    @staticmethod
+    def candidates(length, m, reference_preambles, last):
+        last = last or 10 * ((m + 1) ** length - 1)
+        return default_candidates(length, m, range(1, last + 1), reference_preambles)
+
+    @pytest.mark.parametrize("case", sorted(GRIDS))
+    def test_schedule_is_the_dense_running_best(self, case):
+        args, tail_start = self.GRIDS[case]
+        cands = self.candidates(*args)
+        schedule = threshold_schedule(cands)
+        assert schedule.tail_start == tail_start
+        assert schedule.segments == dense_schedule(cands)
+
+    @pytest.mark.parametrize("case", sorted(c for c, (_, start) in GRIDS.items() if start))
+    def test_every_candidate_perceives_its_size_in_the_tail(self, case):
+        args, tail_start = self.GRIDS[case]
+        cands = self.candidates(*args)
+        tail = [n for n in cands.load_grid if n >= tail_start]
+        for spec in cands.candidates:
+            assert (perceived_curve(spec, tail) == codebook_size(spec)).all(), spec
+
+    def test_equal_sizes_tie_to_the_first_in_size_order(self):
+        # six budget vectors of 23 codewords: they differ below the tail and
+        # tie exactly in it, more of them than the window holds
+        equal = [CodebookSpec.expanded(b) for b in
+                 [(0, 0, 23), (0, 1, 11), (0, 2, 7), (0, 3, 5), (1, 1, 5), (1, 2, 3)]]
+        grid = tuple(range(1, 2001))
+        for order in [equal, equal[::-1]]:
+            cands = CandidateSet((CodebookSpec.reference(2, 2), *order), grid)
+            schedule = threshold_schedule(cands)
+            assert schedule.tail_start is not None
+            assert schedule.segments == dense_schedule(cands)
+            assert schedule.spec_at(grid[-1]) == order[0]
+
+    def test_loads_past_underflow_tie_to_the_smallest_codebook(self):
+        # from about N = 17,500 every efficiency of L=2, M=4 underflows to 0.0
+        grid = (*range(1, 300), 10**3, 10**4, 10**5, 10**6)
+        cands = default_candidates(2, 4, grid)
+        schedule = threshold_schedule(cands)
+        assert schedule.segments == dense_schedule(cands)
+        assert schedule.spec_at(10**6) == cands.candidates[0]
+        assert schedule.segments[-1].efficiency_high == 0.0
