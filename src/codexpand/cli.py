@@ -46,7 +46,7 @@ from .errors import (
 from .markov import build_transition_model, perceived_curve
 from .planner import default_candidates, efficiency_curve, threshold_schedule
 from .reporting import chain_dump, svg_line_plot, write_csv, write_manifest
-from .simulate import AggregateStats, Estimate, ScenarioConfig, run_batch
+from .simulate import AggregateStats, Estimate, ScenarioConfig, block_count, run_batch
 
 #: Master seed used when a command that needs randomness is not given one.
 DEFAULT_SEED = 24601
@@ -254,6 +254,20 @@ def _max_abs_z(diagnostics: Sequence[Mapping]) -> dict | None:
     return {"abs_z": abs_z, "N": n, "field": field}
 
 
+def _simulate_sizes(spec: CodebookSpec, batches: Sequence[AggregateStats],
+                    seconds: float) -> dict:
+    """What drives a Monte Carlo run's cost, over all its loads, and the
+    trials it ran per second."""
+    trials = sum(b.trials for b in batches)
+    return {
+        "codebook_size": codebook_size(spec),
+        "loads": len(batches),
+        "trials": trials,
+        "blocks": sum(block_count(b.scenario) for b in batches),
+        "trials_per_second": round(trials / seconds, 1) if seconds > 0 else None,
+    }
+
+
 def _write_batches(path: Path, grid: Sequence[int], batches: Sequence[AggregateStats],
                    trials: int) -> None:
     """One row per load: mean singles, perceived and phantoms, and the
@@ -338,14 +352,16 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         spec = load_spec(args.spec)
         grid = parse_n_range(args.n_range) if args.n_range else _default_grid(codebook_size(spec))
         trials, seed = args.trials, args.seed
+    simulating = time.perf_counter()
     batches = _simulate(spec, grid, trials, seed, args.workers)
+    sizes = _simulate_sizes(spec, batches, time.perf_counter() - simulating)
     diagnostics = _diagnostics(spec, grid, batches)
     _write_outputs(
         Path(args.out), "simulate",
         {"spec": spec.describe(), "n_range": _grid_parameter(grid), "trials": trials},
         seed, started,
         {"simulate.csv": lambda p: _write_batches(p, grid, batches, trials)},
-        extra={"diagnostics": diagnostics, "max_abs_z": _max_abs_z(diagnostics)},
+        extra={"diagnostics": diagnostics, "max_abs_z": _max_abs_z(diagnostics), "sizes": sizes},
     )
     return 0
 

@@ -12,31 +12,37 @@ Reproducibility contract: a batch's trials fall into blocks of
 contender count ``N``.  Block ``b`` draws all its codeword ids at once from
 the counter-based Philox stream keyed by the master seed with ``b`` in the
 highest counter word, so streams never overlap and no block depends on how
-many others ran before it.  A batch is summarised by an exact integer
-histogram of per-trial (singles, distinct, perceived) counts, which merges by
-addition, so a batch result is byte-identical no matter how blocks are
-scheduled across workers.
+many others ran before it.  One generator serves all the blocks a call
+runs: `_seek` sets its counter to each block's start, the one definition of
+the stream that `block_rng` also goes through.  A batch is summarised by an
+exact integer histogram of per-trial (singles, distinct, perceived) counts,
+which merges by addition, so a batch result is byte-identical no matter how
+blocks are scheduled across workers.
 
 Kernel: `observe_codes` checks a block's ids against ``1..A``, casts them once
 to the narrowest unsigned type of at least 16 bits that holds ``A + 1`` (16
-bits for every codebook of the paper), and sorts them once for singles and
-distinct.  For expanded codebooks it takes each sub-frame's symbols from the
-ids' mixed-radix digits in that type; a sub-frame of ``m`` < 64 preambles ORs
-one bit per symbol into a word of the narrowest type that holds bit ``m`` and
-popcounts it, a wider one counts the runs of its sorted symbols.  Every count
-is at most ``A``, so the counts stay in the id type too.  Means and variances
-are exact rationals from integer power sums over the histogram; floats are
-taken only at the end.
+bits for every codebook of the paper), and sorts each row once.  Singles and
+distinct are counted on the raveled block and summed per row with
+``np.add.reduceat``, so short rows cost no per-row reduction.  For expanded
+codebooks, consecutive sub-frames of fewer than 64 preambles form digit
+groups of at most 2**16 values and 64 bits (`_digit_groups`, cached per
+budget tuple): each group's digit indexes a table of lit words, one bit per
+preamble its symbols light, which are ORed per row and popcounted per
+sub-frame field.  For (3, 3, 3, 3) the one group's digit is the id itself,
+so no division is done.  A sub-frame of 64 or more preambles counts the runs
+of its sorted symbols instead.  Every count is at most ``A``, so the counts
+stay in the id type too.  Means and variances are exact rationals from
+integer power sums over the histogram; floats are taken only at the end.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import math
 import operator
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import sqrt
@@ -128,11 +134,13 @@ def observe_codes(
     ``codes`` is a ``(B, N)`` integer array of ids in ``1..A`` (see
     `codebook.encode_codewords`), one row per contention round.  Each row is
     sorted once: runs of equal ids are the used codewords, and runs of length
-    one are the singles.  Reference observations are unambiguous, so there
-    perceived is distinct.  In an expanded row, sub-frame ``j`` lights the
-    ``lit_j`` distinct preambles of its ids' symbols (see `_perceived`), and
-    every codeword built from lit preambles or idle symbols is perceived:
-    ``perceived = prod_j (lit_j + 1) - 1``.
+    one are the singles.  Both are counted on the raveled block, where a run
+    also starts at each row start, and summed per row by one
+    ``np.add.reduceat`` at the row starts.  Reference observations are
+    unambiguous, so there perceived is distinct.  In an expanded row,
+    sub-frame ``j`` lights the ``lit_j`` distinct preambles of its ids'
+    symbols (see `_perceived`), and every codeword built from lit preambles
+    or idle symbols is perceived: ``perceived = prod_j (lit_j + 1) - 1``.
 
     The ids are checked, then cast once to the narrowest unsigned type of at
     least 16 bits that holds ``A + 1``; the sort, the neighbour compares and
@@ -153,52 +161,128 @@ def observe_codes(
     # the narrowest unsigned type that holds A + 1, the largest radix m_j + 1 of
     # the digit split; at least 16 bits, as numpy sorts 8-bit rows slower
     codes = codes.astype(np.promote_types(np.uint16, np.min_scalar_type(stop)))
+    if codes.size == 0:  # no rows, or rows of no contender
+        none = np.zeros(len(codes), dtype=codes.dtype)
+        return none, none, none
     codes.sort(axis=1)
-    # edges[:, i] marks a boundary before sorted position i (and after the last)
-    edges = np.ones((codes.shape[0], codes.shape[1] + 1), dtype=bool)
-    edges[:, 1:-1] = codes[:, 1:] != codes[:, :-1]
-    singles = np.sum(edges[:, :-1] & edges[:, 1:], axis=1, dtype=codes.dtype)
-    distinct = np.sum(edges[:, :-1], axis=1, dtype=codes.dtype)
+    starts = np.arange(0, codes.size, codes.shape[1])
+    edges = _run_edges(codes.ravel(), starts)
+    singles = np.add.reduceat(edges[:-1] & edges[1:], starts, dtype=codes.dtype)
+    distinct = np.add.reduceat(edges[:-1], starts, dtype=codes.dtype)
     if spec.mode is Mode.REFERENCE:
         return singles, distinct, distinct
-    return singles, distinct, _perceived(spec.budgets, codes)
+    del edges  # keeps a block's peak memory down while the lit words are looked up
+    return singles, distinct, _perceived(spec.budgets, codes, starts)
 
 
-def _perceived(budgets: tuple[int, ...], codes: np.ndarray) -> np.ndarray:
-    """``prod_j (lit_j + 1) - 1`` of each row of expanded codeword ids.
+def _run_edges(flat: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Where runs of equal values begin in raveled sorted rows that begin at
+    ``starts``: ``edges[i]`` marks a boundary before position ``i``, at a
+    change of value or a row start, and ``edges[-1]`` the end of the last."""
+    edges = np.empty(flat.size + 1, dtype=bool)
+    np.not_equal(flat[1:], flat[:-1], out=edges[1:-1])
+    edges[starts] = True
+    edges[-1] = True
+    return edges
+
+
+#: Largest product of radices ``m_j + 1`` read as one digit, i.e. entries of a
+#: lit-word table.
+LIT_TABLE_ENTRIES = 2**16
+
+#: Bits of a lit word: one per preamble of the sub-frames it covers.
+LIT_WORD_BITS = 64
+
+
+class _DigitGroup(NamedTuple):
+    """Consecutive sub-frames whose symbols are read together, as one digit
+    of the ids in radix ``radix``, the product of theirs.
+
+    For sub-frames of fewer than 64 preambles, ``table[d]`` is the lit word
+    of group digit ``d``: one bit per preamble that its symbols light, each
+    sub-frame in its own field of bits ``masks``.  A sub-frame of 64 or more
+    preambles stands alone, with no table.
+    """
+
+    radix: int
+    table: np.ndarray | None
+    masks: tuple[np.unsignedinteger, ...]
+
+
+@functools.lru_cache(maxsize=32)
+def _digit_groups(budgets: tuple[int, ...]) -> tuple[_DigitGroup, ...]:
+    """The digit groups of an expanded codebook, least significant first.
+
+    Consecutive sub-frames of fewer than 64 preambles share a group while
+    its table stays within `LIT_TABLE_ENTRIES` entries and its word within
+    `LIT_WORD_BITS` bits.  Sub-frames of no preamble have radix 1 and light
+    nothing, so they are left out.
+    """
+    groups: list[_DigitGroup] = []
+    narrow: list[int] = []  # the open group's budgets, least significant first
+    for m in reversed(budgets):
+        if narrow and (m >= LIT_WORD_BITS or sum(narrow) + m > LIT_WORD_BITS
+                       or math.prod(k + 1 for k in narrow) * (m + 1) > LIT_TABLE_ENTRIES):
+            groups.append(_lit_table(narrow))
+            narrow = []
+        if m >= LIT_WORD_BITS:
+            groups.append(_DigitGroup(m + 1, None, ()))
+        elif m:
+            narrow.append(m)
+    if narrow:
+        groups.append(_lit_table(narrow))
+    return tuple(groups)
+
+
+def _lit_table(budgets: list[int]) -> _DigitGroup:
+    """The group of sub-frames with ``budgets`` (least significant first,
+    each under 64 preambles) and the lit word of each of its digits, in the
+    narrowest unsigned type that holds their bits."""
+    radix = math.prod(m + 1 for m in budgets)
+    digits = np.arange(radix)
+    words = np.zeros(radix, dtype=np.uint64)
+    masks = []
+    offset = 0
+    for m in budgets:
+        digits, symbols = np.divmod(digits, m + 1)
+        # symbol s > 0 lights preamble s, bit offset + s - 1; the idle symbol 0 lights none
+        shifts = np.maximum(offset + symbols - 1, 0).astype(np.uint64)
+        words |= np.where(symbols > 0, np.uint64(1) << shifts, np.uint64(0))
+        masks.append(((1 << m) - 1) << offset)
+        offset += m
+    table = words.astype(np.min_scalar_type((1 << offset) - 1))
+    table.flags.writeable = False
+    return _DigitGroup(radix, table, tuple(table.dtype.type(mask) for mask in masks))
+
+
+def _perceived(budgets: tuple[int, ...], codes: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """``prod_j (lit_j + 1) - 1`` of each row of expanded codeword ids, in
+    their type, with the rows sorted and beginning at ``starts`` when raveled.
 
     Symbol ``s_j`` is digit ``j`` of an id in mixed radix ``m_j + 1``, as in
     `codebook.decode_codewords`; ``lit_j`` is the number of distinct non-idle
-    symbols in a row.
+    symbols in a row.  Each group of `_digit_groups` is one digit of the ids:
+    its lit words are looked up, ORed per row, and each sub-frame's field
+    popcounted; a sub-frame of 64 or more preambles counts the runs of its
+    sorted symbols instead.
     """
     # every partial product is at most prod_j (m_j + 1) = A + 1: it fits the ids' type
     perceived = np.ones(len(codes), dtype=codes.dtype)
-    for m in reversed(budgets):
-        quotient = codes // (m + 1)  # twice as fast as np.divmod here
-        perceived *= _lit(m, codes - quotient * (m + 1)) + 1
-        codes = quotient
+    groups = _digit_groups(budgets)
+    for i, group in enumerate(groups):
+        digits = codes
+        if i + 1 < len(groups):  # the most significant group's digit is what is left
+            codes = digits // group.radix  # twice as fast as np.divmod here
+            digits = digits - codes * group.radix
+        if group.table is None:
+            symbols = np.sort(digits, axis=1).ravel()
+            fresh = _run_edges(symbols, starts)[:-1] & (symbols != 0)
+            perceived *= np.add.reduceat(fresh, starts, dtype=perceived.dtype) + 1
+        else:
+            seen = np.bitwise_or.reduceat(np.take(group.table, digits).ravel(), starts)
+            for mask in group.masks:
+                perceived *= np.bitwise_count(seen & mask) + 1
     return perceived - 1
-
-
-def _lit(m: int, symbols: np.ndarray) -> np.ndarray:
-    """Distinct non-idle symbols in each row of one sub-frame's ``(B, N)``
-    symbols ``0..m``, given in an unsigned type that holds ``m``.
-
-    Below 64 preambles, each row's symbols are ORed into a word of the
-    narrowest unsigned type that holds bit ``m`` (8 bits up to ``m = 7``);
-    wider sub-frames count the runs of their sorted symbols, in the symbols'
-    type.
-    """
-    if m < 64:
-        # symbol s sets bit s of the row's word; bit 0, the idle symbol, is shifted out
-        word = np.min_scalar_type(1 << m)
-        seen = np.bitwise_or.reduce(np.left_shift(word.type(1), symbols, dtype=word), axis=1)
-        return np.bitwise_count(seen >> word.type(1))
-    # too wide for a word: count the runs of non-idle symbols in the sorted row
-    symbols = np.sort(symbols, axis=1)
-    fresh = symbols != 0
-    fresh[:, 1:] &= symbols[:, 1:] != symbols[:, :-1]
-    return np.sum(fresh, axis=1, dtype=symbols.dtype)
 
 
 def _outcome_fields(singles, distinct, perceived) -> tuple:
@@ -218,8 +302,27 @@ def block_rng(master_seed: int, block_index: int) -> np.random.Generator:
     The block index occupies the highest counter word, giving each block a
     disjoint 2**192-long stretch of the keyed Philox sequence.
     """
-    bits = np.random.Philox(key=master_seed, counter=[0, 0, 0, block_index])
-    return np.random.Generator(bits)
+    # the new Philox's own seed is overwritten at once
+    return _seek(np.random.Generator(np.random.Philox()), master_seed, block_index)
+
+
+def _seek(rng: np.random.Generator, master_seed: int, block_index: int) -> np.random.Generator:
+    """Set ``rng``'s Philox to the start of block ``block_index``'s stream:
+    the state of ``Philox(key=master_seed, counter=[0, 0, 0, block_index])``,
+    with nothing buffered, set without building a generator."""
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {
+            "counter": np.array([0, 0, 0, block_index], dtype=np.uint64),
+            # an integer key fills the two 64-bit key words low word first
+            "key": np.array([master_seed & (2**64 - 1), master_seed >> 64], dtype=np.uint64),
+        },
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return rng
 
 
 #: Histogram of per-trial ``(singles, distinct, perceived)`` counts.
@@ -230,14 +333,20 @@ def _block_rows(n_users: int) -> int:
     return max(1, BLOCK_CODEWORDS // n_users)
 
 
+def block_count(config: ScenarioConfig) -> int:
+    """Number of blocks the scenario's trials fall into."""
+    return -(-config.trials // _block_rows(config.n_users))
+
+
 def _histogram(config: ScenarioConfig, first: int, stop: int) -> Histogram:
     """Histogram of the trials in blocks ``first..stop-1``."""
     rows = _block_rows(config.n_users)
     id_stop = codeword_id_stop(config.spec)
+    rng = block_rng(config.master_seed, first)
     hist: Histogram = Counter()
     for b in range(first, stop):
         shape = (min(rows, config.trials - b * rows), config.n_users)
-        codes = block_rng(config.master_seed, b).integers(1, id_stop, size=shape)
+        codes = _seek(rng, config.master_seed, b).integers(1, id_stop, size=shape)
         hist.update(zip(*(x.tolist() for x in observe_codes(config.spec, codes))))
     return hist
 
@@ -285,10 +394,12 @@ def run_batch(config: ScenarioConfig, workers: int = 1) -> AggregateStats:
     if workers < 1:
         raise DomainError("need at least one worker")
     trials = config.trials
-    blocks = -(-trials // _block_rows(config.n_users))
+    blocks = block_count(config)
     if workers == 1 or blocks < 2 * workers:
         hist = _histogram(config, 0, blocks)
     else:
+        from concurrent.futures import ProcessPoolExecutor  # costs ~15 ms to import
+
         bounds = np.linspace(0, blocks, workers + 1, dtype=int).tolist()
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = pool.map(_histogram, itertools.repeat(config), bounds[:-1], bounds[1:])

@@ -219,6 +219,13 @@ class TestSimulate:
             top = manifest["max_abs_z"]
             assert (top["abs_z"], top["N"], top["field"]) in scores
             assert top["abs_z"] == max(s[0] for s in scores)
+            # three loads of 400 trials, each in one block of at most 2**14 ids
+            sizes = manifest["sizes"]
+            assert set(sizes) == {"codebook_size", "loads", "trials", "blocks",
+                                  "trials_per_second"}
+            assert (sizes["codebook_size"], sizes["loads"], sizes["trials"],
+                    sizes["blocks"]) == (8 if "expanded" in spec else 6, 3, 1_200, 3)
+            assert sizes["trials_per_second"] > 0
         # one contender on a reference codebook: every trial sees one single codeword
         out = tmp_path / "lone"
         assert run("simulate", "--spec", "L=2,m=3,mode=reference", "--n-range", "1",

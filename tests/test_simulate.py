@@ -197,10 +197,67 @@ def assert_matches_loop(spec, codes, counts):
         loop_observe(spec, w.tolist()) for w in decode_codewords(spec, np.asarray(codes))]
 
 
+#: Budgets at the edges of the lit-word tables: sub-frames of no preamble, of
+#: 63 preambles (the widest in a table), 64 and 65 (counted from sorted
+#: symbols), groups that reach or would cross 2**16 entries or 64 bits, and
+#: one sub-frame of 65,535 preambles.
+TABLE_EDGE_BUDGETS = [(0, 3), (3, 0, 0, 3), (0, 63, 0), (63,), (64,), (65,), (63, 64, 65),
+                      (64, 0, 2), (15,) * 4, (15,) * 5, (1,) * 16, (1,) * 17, (63, 63),
+                      (63, 1), (63, 2), (7,) * 10, (65535,)]
+
+
 class TestNarrowKernel:
     """Ids are sorted and split in the narrowest unsigned type, of at least 16
-    bits, that holds A + 1, and symbols are ORed into the narrowest word that
-    holds bit m."""
+    bits, that holds A + 1, and each digit group's lit words are looked up in
+    a table of the narrowest type that holds its bits."""
+
+    @pytest.mark.parametrize("budgets, radices", [
+        ((3, 3, 3, 3), [256]),
+        ((0, 3, 0), [4]),
+        ((15,) * 4, [2**16]),
+        ((15,) * 5, [2**16, 16]),  # least significant group first
+        ((1,) * 17, [2**16, 2]),
+        ((63, 63), [64, 64]),  # 126 bits
+        ((63, 1), [128]),  # 64 bits
+        ((63, 2), [3, 64]),  # 65 bits
+        ((7,) * 10, [2**15, 2**15]),  # 5 more sub-frames would make 2**30 entries
+        ((63, 64, 65), [66, 65, 64]),
+        ((65535,), [65536]),
+    ])
+    def test_digit_groups(self, budgets, radices):
+        groups = simulate._digit_groups(budgets)
+        assert [g.radix for g in groups] == radices
+        for g in groups:
+            if g.table is not None:
+                assert len(g.table) == g.radix <= simulate.LIT_TABLE_ENTRIES
+                assert not g.table.flags.writeable
+                # the fields are disjoint and fill the word's low bits
+                bits = sum(int(mask).bit_count() for mask in g.masks)
+                assert bits <= simulate.LIT_WORD_BITS
+                assert int(np.bitwise_or.reduce(g.table)) == (1 << bits) - 1
+                assert g.table.dtype == np.min_scalar_type((1 << bits) - 1)
+
+    @given(
+        budgets=st.sampled_from(TABLE_EDGE_BUDGETS),
+        n=st.sampled_from([0, 1, 2, 3, 40]),
+        rows=st.sampled_from([0, 1, 2, 9]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(budgets=(15,) * 5, n=2, rows=1, seed=1)
+    @example(budgets=(63, 63), n=40, rows=9, seed=2)
+    @example(budgets=(63, 2), n=40, rows=9, seed=7)
+    @example(budgets=(7,) * 10, n=40, rows=9, seed=3)
+    @example(budgets=(65535,), n=1, rows=1, seed=4)
+    @example(budgets=(0, 63, 0), n=0, rows=1, seed=5)
+    @example(budgets=(64, 0, 2), n=2, rows=0, seed=6)
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    def test_table_edges_match_the_loop_reference(self, budgets, n, rows, seed):
+        spec = CodebookSpec.expanded(budgets)
+        size = codebook_size(spec)
+        codes = np.random.default_rng(seed).integers(1, size + 1, size=(rows, n))
+        counts = observe_codes(spec, codes)
+        assert [x.shape for x in counts] == [(rows,)] * 3
+        assert_matches_loop(spec, codes, counts)
 
     @pytest.mark.parametrize("budgets, id_type", [
         ((65534,), np.uint16),  # A + 1 = 2**16 - 1
@@ -301,6 +358,33 @@ class TestDeterminism:
         b = block_rng(7, 3).integers(0, 2**63, size=4)
         assert (a == b).all()
 
+    @pytest.mark.parametrize("seed", [0, 42, 2**64 - 1])
+    def test_block_stream_is_the_keyed_philox_counter(self, seed):
+        for b in (0, 1, 9, 2**40):
+            want = np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, 0, b]))
+            assert (block_rng(seed, b).integers(0, 2**63, size=9)
+                    == want.integers(0, 2**63, size=9)).all()
+
+    def test_histogram_blocks_draw_their_own_streams(self):
+        # 3,000 trials of 50 contenders: nine blocks of 327 rows and a last one of 57
+        spec = CodebookSpec.expanded((3, 3, 3, 3))
+        config = ScenarioConfig(spec, n_users=50, trials=3_000, master_seed=42)
+        rows = simulate._block_rows(config.n_users)
+        blocks = simulate.block_count(config)
+        assert (blocks, config.trials - (blocks - 1) * rows) == (10, 57)
+
+        def block(b):
+            shape = (min(rows, config.trials - b * rows), config.n_users)
+            codes = block_rng(config.master_seed, b).integers(1, codebook_size(spec) + 1,
+                                                               size=shape)
+            return Counter(zip(*(x.tolist() for x in observe_codes(spec, codes))))
+
+        for b in (0, 1, 4, blocks - 1):
+            assert simulate._histogram(config, b, b + 1) == block(b)
+        # one generator moved from block to block draws what fresh ones do
+        assert simulate._histogram(config, 3, blocks) == sum(map(block, range(3, blocks)),
+                                                              Counter())
+
 
 class TestAggregation:
     def test_single_trial_has_no_standard_error(self):
@@ -399,7 +483,7 @@ class TestExactAggregation:
 
     def test_batch_estimates_equal_the_per_key_fractions(self):
         config = ScenarioConfig(CodebookSpec.expanded((3, 1, 2)), 12, 3_000, master_seed=6)
-        hist = simulate._histogram(config, 0, -(-3_000 // simulate._block_rows(12)))
+        hist = simulate._histogram(config, 0, simulate.block_count(config))
         stats = run_batch(config)
         assert [stats.singles, stats.collided_codewords, stats.distinct_used, stats.perceived,
                 stats.phantoms, stats.efficiency] == reference_summary(hist, 3_000)
