@@ -27,6 +27,7 @@ import argparse
 import json
 import sys
 import time
+from bisect import bisect_left
 from pathlib import Path
 from typing import Callable, Mapping, NamedTuple, Sequence
 
@@ -406,7 +407,13 @@ def cmd_thresholds(args: argparse.Namespace) -> int:
         },
         None, started,
         {"thresholds.csv": lambda p: write_csv(p, header, "{},{},{},{},{},{:.6f},{:.6f}", rows)},
-        extra={"tail_start": schedule.tail_start},
+        extra={"tail_start": schedule.tail_start, "sizes": {
+            "candidates": len(candidates.candidates),
+            "loads": len(grid),
+            "head_loads": len(grid) if schedule.tail_start is None
+            else bisect_left(grid, schedule.tail_start),
+            "closed_form_loads": schedule.closed_form_loads,
+        }},
     )
     return 0
 

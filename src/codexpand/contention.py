@@ -82,12 +82,23 @@ def _loads(n_values: Sequence[int], codewords: int) -> tuple[np.ndarray, int]:
 def expected_singles_curve(n_values: Sequence[int], codewords: int) -> np.ndarray:
     """Expected singles at every load of a grid, ``N * (1 - 1/A)**(N - 1)``,
     as ``N * x**(N - 1) * (1 + (N - 1) * delta)`` with ``x`` the rounded base
-    and ``delta`` its relative rounding, 0 for power-of-two ``A``."""
+    and ``delta`` its relative rounding (`_rounded_base`)."""
     n, codewords = _loads(n_values, codewords)
-    x = (codewords - 1) / codewords
-    delta = float(Fraction(codewords - 1, codewords) / Fraction(x) - 1) if x else 0.0
+    x, delta = _rounded_base(codewords)
     below = np.maximum(n - 1.0, 0.0)
     return n * np.power(x, below) * (1.0 + below * delta)
+
+
+def _rounded_base(codewords: int) -> tuple[float, float]:
+    """The float ``x`` nearest ``(A-1)/A`` and ``delta``, the float nearest
+    its relative rounding ``(A-1)/(A x) - 1``: with ``x = top/bottom``
+    exactly, one correctly rounded integer quotient
+    ``((A-1) bottom - A top) / (A top)``, 0 for power-of-two ``A`` and for
+    ``A = 1``."""
+    x = (codewords - 1) / codewords
+    top, bottom = x.as_integer_ratio()
+    delta = ((codewords - 1) * bottom - codewords * top) / (codewords * top) if top else 0.0
+    return x, delta
 
 
 def expected_used_curve(n_values: Sequence[int], codewords: int) -> np.ndarray:

@@ -8,12 +8,14 @@ efficiency over a user-load grid, and reads off the load thresholds at which
 the preferred codebook changes.
 
 The sweep has a dense head and a saturated tail.  At high load every preamble
-is seen in every sub-frame, so every codeword is perceived: from the load
-where every candidate's closed form rounds to exactly its size ``A``
-(`contention._saturation_load`), efficiency is ``N h(A)`` with
+is seen in every sub-frame, so every codeword is perceived: from its
+saturation load (`contention._saturation_load`) a candidate's closed form
+rounds to exactly its size ``A``, and its efficiency is ``N h(A)`` with
 ``h(A) = (1 - 1/A)**(N-1) / A``.  That function of ``A`` peaks at ``A = N``,
-so each tail load compares only the few codebook sizes around ``N``
-(`TAIL_WINDOW`); below the tail every candidate is evaluated at every load.
+so from the last candidate's saturation load on, each load compares only the
+few codebook sizes around ``N`` (`TAIL_WINDOW`).  Below it every candidate
+is compared at every load, but its closed form is evaluated only below its
+own saturation load; the perceived count is ``float(A)`` from there on.
 """
 
 from __future__ import annotations
@@ -26,7 +28,8 @@ from typing import Sequence
 import numpy as np
 
 from .codebook import CodebookSpec, _restrictions, codebook_size
-from .contention import _saturation_load, _whole_loads, expected_singles_curve
+from .contention import (
+    _closed_form, _saturation_load, _whole_loads, expected_singles_curve)
 from .errors import DomainError
 from .markov import _alphabet_terms, _checked_grid, expanded_efficiency_curve
 
@@ -65,11 +68,14 @@ class ThresholdSchedule:
     """Contiguous segments covering the load grid, best codebook per segment.
 
     ``tail_start`` is the first grid load evaluated in the saturated tail, or
-    ``None`` when the whole grid lies in the dense head.
+    ``None`` when the whole grid lies in the dense head.  ``closed_form_loads``
+    counts the head loads at which a candidate's closed form was evaluated,
+    summed over the candidates.
     """
 
     segments: tuple[ScheduleSegment, ...]
     tail_start: int | None = None
+    closed_form_loads: int = 0
 
     @property
     def thresholds(self) -> tuple[int, ...]:
@@ -175,18 +181,34 @@ def supported_load(
     return grid[reached[-1]] if reached.size else None
 
 
-def _dense_best(specs: Sequence[CodebookSpec], loads: Sequence[int]
-                ) -> tuple[np.ndarray, np.ndarray]:
+def _head_efficiency(loads: np.ndarray, spec: CodebookSpec, terms: dict[int, int],
+                     saturation: int) -> tuple[np.ndarray, int]:
+    """Efficiency at every load, with the closed form (``terms``) evaluated
+    only below the ``saturation`` load: from it on the perceived count is
+    ``float(A)``, the float `contention._closed_form` returns there.  Also
+    returns how many loads the closed form was evaluated at."""
+    size = codebook_size(spec)
+    below = int(np.searchsorted(loads, saturation))
+    perceived = np.full(len(loads), float(size))
+    perceived[:below] = _closed_form(terms, size, loads[:below])
+    return expected_singles_curve(loads, size) / perceived, below
+
+
+def _dense_best(specs: Sequence[CodebookSpec], terms: Sequence[dict[int, int]],
+                saturation: Sequence[int], loads: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray, int]:
     """Running best over every candidate's efficiency curve, in list order;
-    a later candidate takes a load only if strictly better."""
-    best = expanded_efficiency_curve(specs[0], loads)
+    a later candidate takes a load only if strictly better.  Also returns the
+    closed-form loads evaluated over all candidates (`_head_efficiency`)."""
+    curves = (_head_efficiency(loads, *c) for c in zip(specs, terms, saturation))
+    best, evaluated = next(curves)
     chosen = np.zeros(len(loads), dtype=np.intp)
-    for index, spec in enumerate(specs[1:], start=1):
-        values = expanded_efficiency_curve(spec, loads)
+    for index, (values, below) in enumerate(curves, start=1):
+        evaluated += below
         better = values > best
         best[better] = values[better]
         chosen[better] = index
-    return best, chosen
+    return best, chosen, evaluated
 
 
 def _tail_best(specs: Sequence[CodebookSpec], loads: np.ndarray
@@ -222,16 +244,21 @@ def threshold_schedule(candidates: CandidateSet) -> ThresholdSchedule:
     segments; segment boundaries are the adaptation thresholds.
 
     Below the tail start, the largest `contention._saturation_load` over the
-    candidates, every candidate's efficiency curve is evaluated at every load
-    (the dense head).  From it on, every candidate perceives exactly its
-    ``A`` codewords in floats, so its efficiency is ``N h(A)`` with
+    candidates, every candidate's efficiency is compared at every load (the
+    dense head), its closed form evaluated only below its own saturation
+    load and its perceived count ``float(A)`` from there on, the float the
+    closed form gives; each candidate's terms and saturation load are
+    computed once.  From the tail start on, every candidate perceives exactly
+    its ``A`` codewords in floats, so its efficiency is ``N h(A)`` with
     ``h(A) = (1 - 1/A)**(N-1) / A``, the same float as the dense value; only
     the `TAIL_WINDOW` sizes around ``N`` are compared there (the tail).
     """
     grid = candidates.load_grid
     specs = sorted(candidates.candidates, key=codebook_size)  # stable: ties keep input order
-    tail = bisect_left(grid, max(
-        _saturation_load(_alphabet_terms(spec), codebook_size(spec)) for spec in specs))
+    terms = [_alphabet_terms(spec) for spec in specs]
+    saturation = [_saturation_load(t, codebook_size(spec)) for t, spec in zip(terms, specs)]
+    tail = bisect_left(grid, max(saturation))
+    loads = np.array(grid, dtype=np.int64)
     # Why the window suffices: d ln h / dA = (N - A) / (A (A - 1)), so h
     # rises below A = N and falls above it, and the best size is one of the
     # two that bracket N, the last below it and the first at or above it.
@@ -243,8 +270,9 @@ def threshold_schedule(candidates: CandidateSet) -> ThresholdSchedule:
     # dense loop decides it.  On the default grids of l4m4, l6m5 and l8m4 the
     # nearest outer size trails the bracket by at least 1.1e-5 relative and
     # the next by 1.5e-4, far above the few ulps of rounding.
-    head_best, head_chosen = _dense_best(specs, grid[:tail])
-    tail_best, tail_chosen = _tail_best(specs, np.array(grid[tail:], dtype=np.int64))
+    head_best, head_chosen, closed_form_loads = _dense_best(
+        specs, terms, saturation, loads[:tail])
+    tail_best, tail_chosen = _tail_best(specs, loads[tail:])
     best = np.concatenate([head_best, tail_best])
     chosen = np.concatenate([head_chosen, tail_chosen])
 
@@ -258,4 +286,5 @@ def threshold_schedule(candidates: CandidateSet) -> ThresholdSchedule:
             efficiency_high=float(best[stop - 1]),
         )
         for lo, stop in zip([0, *cuts], [*cuts, len(grid)])
-    ), tail_start=grid[tail] if tail < len(grid) else None)
+    ), tail_start=grid[tail] if tail < len(grid) else None,
+        closed_form_loads=closed_form_loads)

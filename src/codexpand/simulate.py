@@ -339,16 +339,27 @@ def block_count(config: ScenarioConfig) -> int:
 
 
 def _histogram(config: ScenarioConfig, first: int, stop: int) -> Histogram:
-    """Histogram of the trials in blocks ``first..stop-1``."""
+    """Histogram of the trials in blocks ``first..stop-1``.
+
+    The blocks' counts are gathered into one array of three rows and a
+    column per trial, whose columns are sorted by one `np.lexsort`; each run
+    of equal columns is one histogram entry, counted from the run starts.
+    """
     rows = _block_rows(config.n_users)
     id_stop = codeword_id_stop(config.spec)
     rng = block_rng(config.master_seed, first)
-    hist: Histogram = Counter()
+    blocks = []
     for b in range(first, stop):
         shape = (min(rows, config.trials - b * rows), config.n_users)
         codes = _seek(rng, config.master_seed, b).integers(1, id_stop, size=shape)
-        hist.update(zip(*(x.tolist() for x in observe_codes(config.spec, codes))))
-    return hist
+        blocks.append(observe_codes(config.spec, codes))
+    keys = np.concatenate([np.stack(counts) for counts in blocks], axis=1)
+    keys = keys.take(np.lexsort(keys), axis=1)
+    first_of_run = np.ones(keys.shape[1], dtype=bool)
+    first_of_run[1:] = (keys[:, 1:] != keys[:, :-1]).any(axis=0)
+    starts = np.flatnonzero(first_of_run)
+    sizes = np.diff(starts, append=keys.shape[1])
+    return Counter(dict(zip(map(tuple, keys[:, starts].T.tolist()), sizes.tolist())))
 
 
 def _estimate(s1: int | Fraction, s2: int | Fraction, n: int) -> Estimate:

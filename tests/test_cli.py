@@ -354,6 +354,15 @@ class TestThresholds:
         manifest = json.loads((tmp_path / "thresholds_manifest.json").read_text())
         assert manifest["tail_start"] == tail_start
 
+    def test_manifest_records_the_schedule_sizes(self, tmp_path):
+        assert run("thresholds", "--length", 4, "--preambles", 4, "--out", tmp_path) == 0
+        manifest = json.loads((tmp_path / "thresholds_manifest.json").read_text())
+        # 44 candidates on 6,240 loads; of 44 x 579 head loads the closed forms
+        # are evaluated only below each candidate's own saturation load
+        assert manifest["sizes"] == {
+            "candidates": 44, "loads": 6240, "head_loads": 579, "closed_form_loads": 7204,
+        }
+
     def test_requires_positive_geometry(self, tmp_path):
         assert run("thresholds", "--length", 0, "--preambles", 4,
                    "--out", tmp_path) == 2

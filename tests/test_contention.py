@@ -17,7 +17,7 @@ from codexpand import (
     reference_efficiency,
     reference_efficiency_curve,
 )
-from codexpand.contention import _saturation_load, _whole_loads, whole_number
+from codexpand.contention import _rounded_base, _saturation_load, _whole_loads, whole_number
 
 loads = st.builds(
     LoadPoint,
@@ -199,6 +199,19 @@ class TestReferencePrecision:
         for (n, singles, _), value in zip(exact_occupancy(codewords, self.LOADS), singles_curve):
             error = abs(Fraction(float(value)) - singles) / singles
             assert error <= Fraction(1, 10**15), (codewords, n, float(error))
+
+    @given(st.one_of(
+        st.integers(min_value=1, max_value=4999),
+        st.integers(min_value=1, max_value=2**64),
+        st.builds(lambda k, d: 2**k + d, st.integers(min_value=1, max_value=64),
+                  st.sampled_from([-1, 0, 1])),
+    ))
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    def test_singles_correction_is_the_rational_one_bit_for_bit(self, codewords):
+        # the integer quotient rounds the same rational as the Fraction formula
+        x = (codewords - 1) / codewords
+        expected = float(Fraction(codewords - 1, codewords) / Fraction(x) - 1) if x else 0.0
+        assert [v.hex() for v in _rounded_base(codewords)] == [x.hex(), expected.hex()]
 
     @pytest.mark.parametrize("codewords", [3, 4, 15, 16, 49, 128, 512])
     def test_used_codewords_to_full_precision(self, codewords):

@@ -25,6 +25,8 @@ from codexpand import (
     supported_load,
     threshold_schedule,
 )
+from codexpand.contention import _saturation_load
+from codexpand.markov import _alphabet_terms
 from codexpand.planner import ScheduleSegment
 
 GRID_200 = list(range(1, 201))
@@ -266,6 +268,9 @@ class TestSaturatedTail:
         "l6m5": ((6, 5, None, 3000), 1105),
         "l8m4": ((8, 4, None, 2000), 1179),  # a 1:20000 dense loop is too slow here
     }
+    # six budget vectors of 23 codewords
+    EQUAL_23 = [CodebookSpec.expanded(b) for b in
+                [(0, 0, 23), (0, 1, 11), (0, 2, 7), (0, 3, 5), (1, 1, 5), (1, 2, 3)]]
 
     @staticmethod
     def candidates(length, m, reference_preambles, last):
@@ -288,11 +293,34 @@ class TestSaturatedTail:
         for spec in cands.candidates:
             assert (perceived_curve(spec, tail) == codebook_size(spec)).all(), spec
 
+    @pytest.mark.parametrize("case", [*sorted(GRIDS), "equal-23"])
+    def test_every_candidate_perceives_its_size_from_its_own_saturation(self, case):
+        if case == "equal-23":
+            # with a one-codeword reference, which saturates at the first load
+            # and so has no closed-form loads in the head
+            one = CodebookSpec.reference(1, 1)
+            assert _saturation_load(_alphabet_terms(one), 1) == 1
+            cands = CandidateSet((one, CodebookSpec.reference(2, 2), *self.EQUAL_23),
+                                 range(1, 2001))
+        else:
+            cands = self.candidates(*self.GRIDS[case][0])
+        schedule = threshold_schedule(cands)
+        grid = np.array(cands.load_grid)
+        head = grid[grid < (schedule.tail_start or np.inf)]
+        evaluated = 0
+        for spec in cands.candidates:
+            size = codebook_size(spec)
+            start = _saturation_load(_alphabet_terms(spec), size)
+            assert (perceived_curve(spec, grid[grid >= start]) == size).all(), spec
+            evaluated += np.count_nonzero(head < start)
+        assert schedule.closed_form_loads == evaluated
+        if case == "equal-23":  # the other cases are compared in the test above
+            assert schedule.segments == dense_schedule(cands)
+
     def test_equal_sizes_tie_to_the_first_in_size_order(self):
         # six budget vectors of 23 codewords: they differ below the tail and
         # tie exactly in it, more of them than the window holds
-        equal = [CodebookSpec.expanded(b) for b in
-                 [(0, 0, 23), (0, 1, 11), (0, 2, 7), (0, 3, 5), (1, 1, 5), (1, 2, 3)]]
+        equal = self.EQUAL_23
         grid = tuple(range(1, 2001))
         for order in [equal, equal[::-1]]:
             cands = CandidateSet((CodebookSpec.reference(2, 2), *order), grid)
