@@ -18,9 +18,6 @@ from .codebook import (
     encode_codewords,
     enumerate_codewords,
     min_expanded_preambles,
-    restrictions_for_cardinality,
-    sample_codewords,
-    strictly_outperforms_reference,
 )
 from .contention import (
     LoadPoint,
@@ -40,7 +37,6 @@ from .errors import (
 )
 from .markov import (
     STATE_CAP,
-    Configuration,
     TransitionModel,
     build_transition_model,
     expanded_efficiency,
@@ -49,7 +45,6 @@ from .markov import (
     perceived_count_rational,
     perceived_curve,
     perceived_terms,
-    transition_count,
 )
 from .planner import (
     CandidateSet,
@@ -87,7 +82,6 @@ __all__ = [
     "CodebookSpec",
     "Codeword",
     "CodexpandError",
-    "Configuration",
     "DomainError",
     "ENUMERATION_CAP",
     "EnumerationTooLarge",
@@ -129,13 +123,9 @@ __all__ = [
     "perceived_terms",
     "reference_efficiency",
     "reference_efficiency_curve",
-    "restrictions_for_cardinality",
     "run_batch",
-    "sample_codewords",
     "spec_for_cardinality",
     "state_cardinality_values",
-    "strictly_outperforms_reference",
     "supported_load",
     "threshold_schedule",
-    "transition_count",
 ]

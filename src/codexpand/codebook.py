@@ -95,11 +95,6 @@ class CodebookSpec:
         return len(self.budgets)
 
     @property
-    def uniform(self) -> bool:
-        """True when every sub-frame has the same budget."""
-        return len(set(self.budgets)) == 1
-
-    @property
     def size(self) -> int:
         return codebook_size(self)
 
@@ -128,8 +123,7 @@ def enumerate_codewords(spec: CodebookSpec, cap: int = ENUMERATION_CAP) -> list[
     Raises
     ------
     SizeExceedsCap
-        If the codebook holds more than ``cap`` codewords; callers should
-        fall back to `sample_codewords`.
+        If the codebook holds more than ``cap`` codewords.
     """
     size = codebook_size(spec)
     if size > cap:
@@ -221,23 +215,12 @@ def decode_codewords(spec: CodebookSpec, ids: np.ndarray) -> np.ndarray:
     return out
 
 
-def sample_codewords(spec: CodebookSpec, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw ``n`` codewords independently and uniformly, as an (n, L) array.
-
-    Draws ids uniformly from ``1..A`` and decodes them, so every codeword of
-    either alphabet is equally likely and the all-idle word never appears.
-    """
-    if n < 0:
-        raise DomainError("cannot draw a negative number of codewords")
-    return decode_codewords(spec, rng.integers(1, codeword_id_stop(spec), size=n))
-
-
 def min_expanded_preambles(m_reference: int, length: int) -> int:
     """Smallest per-sub-frame budget whose expanded codebook can match the
     reference one: ``ceil((m_reference * length + 1) ** (1 / length) - 1)``.
 
     At exact equality of codebook sizes the bound is attained but not
-    exceeded; see `strictly_outperforms_reference` for the strict check.
+    exceeded.
     """
     if m_reference < 1 or length < 1:
         raise DomainError("need at least one preamble and one sub-frame")
@@ -246,11 +229,6 @@ def min_expanded_preambles(m_reference: int, length: int) -> int:
     while (x + 1) ** length < target:
         x += 1
     return x
-
-
-def strictly_outperforms_reference(m_expanded: int, m_reference: int, length: int) -> bool:
-    """True when the expanded codebook is strictly larger than the reference one."""
-    return (m_expanded + 1) ** length - 1 > m_reference * length
 
 
 def _restrictions(length: int, m_global: int, remaining: int) -> Iterator[tuple[int, ...]]:
@@ -266,19 +244,3 @@ def _restrictions(length: int, m_global: int, remaining: int) -> Iterator[tuple[
         if remaining % factor == 0:
             for rest in _restrictions(length - 1, m_global, remaining // factor):
                 yield (factor - 1, *rest)
-
-
-def restrictions_for_cardinality(
-    length: int, m_global: int, target: int
-) -> list[tuple[int, ...]]:
-    """All per-sub-frame budget vectors whose expanded codebook has exactly
-    ``target`` codewords, in lexicographic order.
-
-    Factors ``target + 1`` into ``length`` ordered factors of at most
-    ``m_global + 1`` each; returns an empty list when no factorization exists.
-    """
-    if length < 1 or m_global < 1:
-        raise DomainError("need at least one sub-frame and one preamble")
-    if target < 1:
-        raise DomainError(f"cardinality target must be positive, got {target}")
-    return list(_restrictions(length, m_global, target + 1))

@@ -193,4 +193,4 @@ def expected_singles(point: LoadPoint) -> float:
 def reference_efficiency(n_users: int, m: int, length: int) -> float:
     """Fraction of used codewords that carry exactly one contender in the
     reference scheme: `reference_efficiency_curve` at one positive integer load."""
-    return float(reference_efficiency_curve([LoadPoint(n_users, 1).n_users], m, length)[0])
+    return float(reference_efficiency_curve([n_users], m, length)[0])

@@ -76,9 +76,6 @@ from .codebook import CodebookSpec, Mode, codebook_size, decode_codewords
 from .contention import _closed_form, _closed_form_exact, _whole_loads, expected_singles_curve
 from .errors import DomainError, StateSpaceTooLarge
 
-#: Per-sub-frame observed-preamble counts, idle included (each entry >= 1).
-Configuration = tuple[int, ...]
-
 #: Largest chain `build_transition_model` accepts, in states.
 STATE_CAP = 10**7
 
@@ -86,30 +83,6 @@ STATE_CAP = 10**7
 def _check_expanded(spec: CodebookSpec) -> None:
     if spec.mode is not Mode.EXPANDED:
         raise DomainError("observation chains are built for expanded codebooks")
-
-
-def _validate_configuration(config: Configuration, spec: CodebookSpec) -> None:
-    if len(config) != spec.length:
-        raise DomainError(f"configuration {config} has wrong length for {spec.describe()}")
-    for c, m in zip(config, spec.budgets):
-        if not 1 <= c <= m + 1:
-            raise DomainError(f"configuration {config} out of range for budgets {spec.budgets}")
-
-
-def transition_count(frm: Configuration, to: Configuration, spec: CodebookSpec) -> int:
-    """Number of codewords that move the observation from ``frm`` to ``to``.
-
-    Returns 0 for impossible moves.  Dividing by the codebook size gives the
-    transition probability.
-    """
-    _check_expanded(spec)
-    _validate_configuration(frm, spec)
-    _validate_configuration(to, spec)
-    # per sub-frame: one of the C observed symbols keeps the count C, one of
-    # the m + 1 - C unobserved preambles raises it by one
-    count = math.prod(c if t == c else m + 1 - c if t == c + 1 else 0
-                      for c, t, m in zip(frm, to, spec.budgets))
-    return count - (tuple(frm) == tuple(to))
 
 
 def _step(dist: np.ndarray, budgets: Sequence[int]) -> np.ndarray:
@@ -151,7 +124,7 @@ class TransitionModel:
         return codebook_size(self.spec)
 
     @cached_property
-    def states(self) -> tuple[Configuration, ...]:
+    def states(self) -> tuple[tuple[int, ...], ...]:
         """Configurations in lexicographic order: state ``i`` is codeword ``i + 1``
         plus one in every sub-frame.
 

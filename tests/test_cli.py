@@ -411,3 +411,10 @@ class TestImport:
         done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               env={**os.environ, "PYTHONPATH": str(src)}, check=True)
         assert done.stdout.strip() == "[]"
+
+    def test_exports_are_the_bound_public_names(self):
+        exports = codexpand.__all__
+        assert exports == sorted(set(exports))
+        bound = {name for name, value in vars(codexpand).items()
+                 if not name.startswith("_") and not isinstance(value, type(codexpand))}
+        assert set(exports) == bound

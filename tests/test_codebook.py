@@ -1,11 +1,10 @@
-"""Codebook construction, enumeration, sampling and sizing."""
+"""Codebook construction, enumeration, codeword ids, uniform draws and sizing."""
 
 import itertools
-import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from codexpand import (
@@ -14,11 +13,10 @@ from codexpand import (
     Mode,
     SizeExceedsCap,
     codebook_size,
+    decode_codewords,
+    encode_codewords,
     enumerate_codewords,
     min_expanded_preambles,
-    restrictions_for_cardinality,
-    sample_codewords,
-    strictly_outperforms_reference,
 )
 from codexpand.cli import parse_inline_spec
 
@@ -27,11 +25,16 @@ budget_vectors = st.lists(st.integers(min_value=0, max_value=4), min_size=1, max
 )
 
 
+def draw(spec, n, rng):
+    """``n`` codewords drawn independently and uniformly: uniform ids in
+    ``1..A``, decoded to an (n, L) array of symbols."""
+    return decode_codewords(spec, rng.integers(1, codebook_size(spec) + 1, size=n))
+
+
 class TestSpecValidation:
     def test_reference_is_uniform_by_construction(self):
         spec = CodebookSpec.reference(3, 4)
         assert spec.budgets == (3, 3, 3, 3)
-        assert spec.uniform
 
     def test_empty_frame_rejected(self):
         with pytest.raises(DomainError):
@@ -117,11 +120,23 @@ class TestEnumeration:
             enumerate_codewords(CodebookSpec.expanded((9,) * 7), cap=10**5)
 
 
+@pytest.mark.parametrize("spec", [CodebookSpec.expanded((2, 3)),
+                                  CodebookSpec.expanded((1, 0, 2)),
+                                  CodebookSpec.reference(4, 3)], ids=CodebookSpec.describe)
+def test_ids_number_the_codebook(spec):
+    ids = np.arange(1, codebook_size(spec) + 1)
+    words = list(map(tuple, decode_codewords(spec, ids).tolist()))
+    # mixed-radix ids count in enumeration order; reference ids run one
+    # sub-frame at a time, which is not lexicographic
+    assert (words if spec.mode is Mode.EXPANDED else sorted(words)) == enumerate_codewords(spec)
+    assert encode_codewords(spec, words).tolist() == ids.tolist()
+
+
 class TestSampling:
     def test_shape_and_symbol_ranges(self):
         spec = CodebookSpec.expanded((2, 3))
         rng = np.random.default_rng(7)
-        draws = sample_codewords(spec, 500, rng)
+        draws = draw(spec, 500, rng)
         assert draws.shape == (500, 2)
         assert draws[:, 0].max() <= 2 and draws[:, 1].max() <= 3
         assert draws.min() >= 0
@@ -130,7 +145,7 @@ class TestSampling:
     def test_reference_draws_are_valid_codewords(self):
         spec = CodebookSpec.reference(4, 3)
         rng = np.random.default_rng(11)
-        draws = sample_codewords(spec, 400, rng)
+        draws = draw(spec, 400, rng)
         assert ((draws > 0).sum(axis=1) == 1).all()
 
     def test_sampling_is_uniform_over_the_codebook(self):
@@ -140,7 +155,7 @@ class TestSampling:
         index = {w: i for i, w in enumerate(words)}
         rng = np.random.default_rng(1234)
         n = 80_000
-        draws = sample_codewords(spec, n, rng)
+        draws = draw(spec, n, rng)
         counts = np.zeros(len(words))
         for row in map(tuple, draws.tolist()):
             counts[index[row]] += 1
@@ -151,7 +166,7 @@ class TestSampling:
 
     def test_empty_draw(self):
         spec = CodebookSpec.expanded((2, 2))
-        assert sample_codewords(spec, 0, np.random.default_rng(0)).shape == (0, 2)
+        assert draw(spec, 0, np.random.default_rng(0)).shape == (0, 2)
 
 
 class TestPreambleBound:
@@ -167,41 +182,8 @@ class TestPreambleBound:
             if bound > 1:
                 assert bound**length - 1 < m_r * length
 
-    def test_strictness_predicate(self):
-        # at the bound the codebook may only tie; one more preamble always wins
-        assert not strictly_outperforms_reference(2, 4, 2)
-        assert strictly_outperforms_reference(3, 4, 2)
-
     def test_invalid_inputs(self):
         with pytest.raises(DomainError):
             min_expanded_preambles(0, 4)
         with pytest.raises(DomainError):
             min_expanded_preambles(4, 0)
-
-
-class TestRestrictions:
-    def test_target_nine(self):
-        assert restrictions_for_cardinality(2, 4, 9) == [(1, 4), (4, 1)]
-
-    def test_target_full_codebook(self):
-        assert restrictions_for_cardinality(2, 4, 24) == [(4, 4)]
-
-    def test_unreachable_target(self):
-        assert restrictions_for_cardinality(2, 4, 6) == []
-
-    def test_results_are_valid_and_sized(self):
-        for target in range(1, 25):
-            for budgets in restrictions_for_cardinality(2, 4, target):
-                spec = CodebookSpec.expanded(budgets, m_global=4)
-                assert codebook_size(spec) == target
-
-    @given(st.integers(min_value=1, max_value=3), st.integers(min_value=1, max_value=80))
-    @settings(max_examples=60)
-    def test_factorisation_is_exhaustive(self, length, target):
-        found = restrictions_for_cardinality(length, 4, target)
-        brute = [
-            b
-            for b in itertools.product(range(5), repeat=length)
-            if any(b) and math.prod(x + 1 for x in b) - 1 == target
-        ]
-        assert found == sorted(brute)

@@ -40,12 +40,17 @@ from codexpand import (
     perceived_count_rational,
     perceived_curve,
     run_batch,
-    sample_codewords,
 )
 from codexpand import simulate
 from codexpand.simulate import _summarise
 
 L2M2 = CodebookSpec.expanded((2, 2))
+
+
+def draw(spec, n, rng):
+    """``n`` codewords drawn independently and uniformly: uniform ids in
+    ``1..A``, decoded to an (n, L) array of symbols."""
+    return decode_codewords(spec, rng.integers(1, codebook_size(spec) + 1, size=n))
 
 
 def enumerable_specs(size_cap):
@@ -134,7 +139,7 @@ class TestObserve:
         rng = np.random.default_rng(21)
         for spec in [L2M2, CodebookSpec.expanded((1, 3, 0, 2)), CodebookSpec.reference(3, 2)]:
             for n in (1, 2, 6, 30):
-                rows = [sample_codewords(spec, n, rng) for _ in range(50)]
+                rows = [draw(spec, n, rng) for _ in range(50)]
                 codes = np.stack([encode_codewords(spec, r) for r in rows])
                 got = zip(*(x.tolist() for x in observe_codes(spec, codes)))
                 assert list(got) == [loop_observe(spec, r.tolist()) for r in rows]
@@ -151,7 +156,7 @@ class TestObserve:
     def test_outcome_identities_hold_on_random_draws(self):
         rng = np.random.default_rng(5)
         for _ in range(200):
-            out = observe(L2M2, sample_codewords(L2M2, int(rng.integers(1, 9)), rng))
+            out = observe(L2M2, draw(L2M2, int(rng.integers(1, 9)), rng))
             assert out.distinct_used == out.singles + out.collided_codewords
             assert out.phantoms == out.perceived - out.distinct_used
             assert out.phantoms >= 0
@@ -286,7 +291,7 @@ class TestNarrowKernel:
             [(s, 0 if s else 1) for s in range(m + 1)] + [(m, 1)],  # every symbol, top one twice
             [(m, 0)] * n,  # only the top bit
             [(m - i % 2, 1) for i in range(n)],  # the top two bits
-            sample_codewords(spec, n, np.random.default_rng(m)).tolist(),
+            draw(spec, n, np.random.default_rng(m)).tolist(),
         ]
         codes = np.stack([encode_codewords(spec, w) for w in words])
         assert_matches_loop(spec, codes, observe_codes(spec, codes))
