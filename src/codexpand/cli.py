@@ -219,7 +219,13 @@ def _default_grid(size: int) -> list[int]:
 
 def _simulate(spec: CodebookSpec, grid: Sequence[int], trials: int,
               seed: int, workers: int) -> list[AggregateStats]:
-    return [run_batch(ScenarioConfig(spec, n, trials, seed), workers=workers) for n in grid]
+    configs = [ScenarioConfig(spec, n, trials, seed) for n in grid]
+    if workers < 2:
+        return [run_batch(config, workers) for config in configs]
+    from concurrent.futures import ProcessPoolExecutor  # costs ~15 ms to import
+
+    with ProcessPoolExecutor(max_workers=workers) as pool:  # one pool for every load
+        return [run_batch(config, workers, pool) for config in configs]
 
 
 def _z_score(estimate: Estimate, analytic: float) -> float | None:

@@ -22,7 +22,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -231,16 +231,17 @@ def min_expanded_preambles(m_reference: int, length: int) -> int:
     return x
 
 
-def _restrictions(length: int, m_global: int, remaining: int) -> Iterator[tuple[int, ...]]:
-    """Budget vectors of ``length`` sub-frames, each at most ``m_global``, whose
-    factors ``b + 1`` multiply to ``remaining``, lazily in lexicographic order."""
-    if length == 0:
-        if remaining == 1:
-            yield ()
-        return
-    if remaining > (m_global + 1) ** length:
-        return
-    for factor in range(1, min(m_global + 1, remaining) + 1):
-        if remaining % factor == 0:
-            for rest in _restrictions(length - 1, m_global, remaining // factor):
-                yield (factor - 1, *rest)
+def _smallest_budgets(length: int, m_global: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every product ``prod(b_j + 1)`` of ``length`` budgets of at most
+    ``m_global``, ascending, with its lexicographically smallest budgets, in
+    one pass over the sub-frames from the last: the smallest vector has the
+    smallest first budget and, after it, the smallest suffix for the rest of
+    the product, so the first factor to make a product keeps its vector."""
+    products = np.ones(1, dtype=np.int64 if (m_global + 1) ** length < 2**63 else object)
+    budgets = np.zeros((1, 0), dtype=np.int64)
+    for _ in range(length):
+        grown = np.multiply.outer(np.arange(1, m_global + 2).astype(products.dtype), products)
+        products, first = np.unique(grown.ravel(), return_index=True)
+        factor, suffix = np.divmod(first, budgets.shape[0])
+        budgets = np.column_stack([factor, budgets[suffix]])
+    return products, budgets

@@ -7,13 +7,15 @@ on average, and codewords picked by any (used) ``A (1 - (1 - 1/A)^N)``.  The
 reference scheme's contention efficiency is singles over used codewords.  Each
 quantity is one numpy formula over a load grid; scalars evaluate it at one load.
 Used codewords are the one-sub-frame case of the perceived count's closed form
-(`codexpand.markov`), and `_closed_form` evaluates that form for both alphabets.
+(`codexpand.markov`).  `_closed_form` is its one evaluator, for both alphabets
+and a whole batch of codebooks at once (`_term_table`); it sums each value's
+terms one at a time in a fixed order, so a batch of one gives the same floats.
 """
 
 from __future__ import annotations
 
-import math
 import numbers
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -84,7 +86,13 @@ def expected_singles_curve(n_values: Sequence[int], codewords: int) -> np.ndarra
     as ``N * x**(N - 1) * (1 + (N - 1) * delta)`` with ``x`` the rounded base
     and ``delta`` its relative rounding (`_rounded_base`)."""
     n, codewords = _loads(n_values, codewords)
-    x, delta = _rounded_base(codewords)
+    return _singles(n, *_rounded_base(codewords))
+
+
+def _singles(n: np.ndarray, x, delta) -> np.ndarray:
+    """`expected_singles_curve` at float loads ``n`` from the rounded bases;
+    with columns of the bases of ``K`` codebooks, one row per codebook, each
+    its curve bit for bit."""
     below = np.maximum(n - 1.0, 0.0)
     return n * np.power(x, below) * (1.0 + below * delta)
 
@@ -105,39 +113,88 @@ def expected_used_curve(n_values: Sequence[int], codewords: int) -> np.ndarray:
     """Expected codewords chosen by at least one contender, ``A (1 - (1 - 1/A)**N)``:
     the closed form of one sub-frame of ``A`` preambles, terms ``{A+1: 1, A: -1}``."""
     n, codewords = _loads(n_values, codewords)
-    return _closed_form({codewords + 1: 1, codewords: -1}, codewords, n)
+    return _closed_form(_term_table([{codewords + 1: 1, codewords: -1}], [codewords]), n)[0]
 
 
 #: Loads whose float closed form may be off by more than this relative error
 #: are evaluated exactly.
 CLOSED_FORM_RTOL = 1e-12
 
+#: Term values `_closed_form` evaluates in one array pass, at least one term
+#: of every value: enough to amortise numpy's per-call cost on short grids.
+CLOSED_FORM_CHUNK = 2**13
 
-def _closed_form(terms: dict[int, int], size: int, loads: np.ndarray) -> np.ndarray:
-    """``sum c*P*((P-1)/A)**N - 1`` over terms ``{P: c}`` at every load, ``A = size``,
-    in the two forms `codexpand.markov` describes; exactly at ``N = 1`` and
-    wherever the rounding bound exceeds `CLOSED_FORM_RTOL` of the value."""
-    weights = {p: c * p for p, c in terms.items()}
-    lead = weights.pop(size + 1)
-    ones = weights.pop(1, 0)
-    # Python ints keep the constant exact where int64 sums could overflow
-    exact = np.array(list(weights.values()),
-                     dtype=np.int64 if sum(map(abs, weights.values())) < 2**63 else object)
-    w = exact.astype(np.float64)
-    y = loads[:, None] * np.log1p(np.array([(p - 1 - size) / size for p in weights]))
-    near = y > -1.0
-    e = np.expm1(y, out=y, where=near)
-    np.exp(y, out=e, where=~near)
-    constant = near @ exact + (lead - 1) + ones * (loads == 0)
-    values = e @ w + constant.astype(np.float64)
+
+#: The closed-form terms of a batch of codebooks, built by `_term_table`.
+_TermTable = namedtuple("_TermTable", "terms fill widths log_r exact rounding")
+
+
+def _term_table(terms: Sequence[dict[int, int]], sizes: Sequence[int]) -> _TermTable:
+    """The terms ``{P: c}`` of codebooks of the given sizes ``A``, one column
+    each: those other than the leading ``P = A+1`` and ``P = 1``, in
+    `markov.perceived_terms` order and zero-padded to ``widths`` terms, as
+    ``log_r = log1p((P - 1 - A) / A)`` and the weights ``c*P`` in ``exact``,
+    integers (Python ints where int64 sums could overflow) with ``A`` in its
+    last row; ``fill`` is ``float(A)`` and ``rounding`` is
+    ``eps (terms + 4)``, the rounding bound's factor."""
+    widths = np.array([len(t) - 1 - (1 in t) for t in terms], dtype=np.intp)
+    held = (np.arange(widths.max(initial=0))[:, None] < widths).T
+    fits = max(sum(abs(c * p) for p, c in t.items()) for t in terms) + max(sizes) < 2**63
+    exact = np.zeros((held.shape[1] + 1, len(sizes)), dtype=np.int64 if fits else object)
+    exact[:-1].T[held] = np.fromiter((c * p for t, a in zip(terms, sizes) for p, c in t.items()
+                                      if p not in (1, a + 1)), exact.dtype, held.sum())
+    exact[-1] = sizes
+    log_r = np.zeros(exact[:-1].shape)
+    log_r.T[held] = np.log1p(np.fromiter(((p - 1 - a) / a for t, a in zip(terms, sizes) for p in t
+                                          if p not in (1, a + 1)), np.float64, held.sum()))
+    return _TermTable(list(terms), np.array(sizes, dtype=np.float64), widths, log_r, exact,
+                      np.finfo(np.float64).eps * (np.array(list(map(len, terms))) + 4))
+
+
+def _closed_form(table: _TermTable, loads: np.ndarray, counts: np.ndarray | None = None
+                 ) -> np.ndarray:
+    """``sum c*P*((P-1)/A)**N - 1`` at every load, one row per codebook of
+    the `_term_table`, in the two forms `codexpand.markov` describes; exactly
+    at ``N = 1`` and wherever the rounding bound exceeds `CLOSED_FORM_RTOL`
+    of the value.  Codebook ``k`` is evaluated at its first ``counts[k]``
+    loads (all by default) and is ``float(A)`` from there on, its value from
+    its saturation load on.  Terms are summed one at a time in table order,
+    never by a dot product, so a codebook's floats do not depend on its
+    batch, on `CLOSED_FORM_CHUNK` or on the BLAS build."""
+    n = np.asarray(loads, dtype=np.float64)
+    counts = np.full(len(table.fill), n.size) if counts is None else counts
+    # the values evaluated, codebook k at load at, codebook by codebook
+    k = np.repeat(np.arange(counts.size), counts)
+    at = np.arange(k.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    x = n[at]
+    total, magnitude = np.zeros(x.size), np.zeros(x.size)
+    constant = np.repeat(table.exact[-1], counts)
+    width = table.widths.max(initial=0)  # the terms beyond a codebook's own add 0
+    step = max(1, CLOSED_FORM_CHUNK // max(x.size, 1))  # terms at a time
+    for terms in (slice(j, min(j + step, width)) for j in range(0, width, step)):
+        y = np.repeat(table.log_r[terms], counts, axis=1) * x
+        w = np.repeat(table.exact[terms], counts, axis=1)
+        near = y > -1.0
+        constant += np.where(near, w, 0).sum(axis=0)
+        e = np.exp(y)
+        np.expm1(y, out=e, where=near)
+        e *= w.astype(np.float64)
+        for term in e:
+            total += term
+        for term in np.abs(e, out=e):
+            magnitude += term
+    values = total + constant.astype(np.float64)
+    values[x == 0] = 0.0  # where the P = 1 terms count, and every term cancels
     # Rounding ln r costs eps*|y|*e**y*|w|: at most eps*|w*expm1(y)| where
     # y > -1, and at most eps*|w|/e beyond, where it decays as e**y while the
-    # value grows with N.  The other roundings scale with |e| @ |w| or the value.
-    bound = np.finfo(np.float64).eps * (len(terms) + 4) * (
-        np.abs(e, out=e) @ np.abs(w) + np.abs(values))
-    for i in np.flatnonzero((loads == 1) | (bound > CLOSED_FORM_RTOL * np.abs(values))):
-        values[i] = float(_closed_form_exact(terms, size, int(loads[i])))
-    return values
+    # value grows with N.  The other roundings scale with |e| |w| or the value.
+    bound = np.repeat(table.rounding, counts) * (magnitude + np.abs(values))
+    fallback = np.flatnonzero((x == 1) | (bound > CLOSED_FORM_RTOL * np.abs(values)))
+    for i, c in zip(fallback.tolist(), k[fallback].tolist()):
+        values[i] = float(_closed_form_exact(table.terms[c], int(table.exact[-1, c]), int(x[i])))
+    out = np.repeat(table.fill[:, None], n.size, axis=1)
+    out[k, at] = values
+    return out
 
 
 def _closed_form_exact(terms: dict[int, int], size: int, n: int) -> Fraction:
@@ -145,8 +202,9 @@ def _closed_form_exact(terms: dict[int, int], size: int, n: int) -> Fraction:
     return Fraction(sum(c * p * (p - 1) ** n for p, c in terms.items()), size**n) - 1
 
 
-def _saturation_load(terms: dict[int, int], size: int) -> int:
-    """First load from which `_closed_form` returns exactly ``float(size)``.
+def _saturation_loads(table: _TermTable) -> np.ndarray:
+    """First load from which `_closed_form` returns exactly ``float(A)``, for
+    every codebook of the `_term_table`.
 
     There every term but the leading ``P = A+1`` and the ``P = 1`` ones takes
     the ``exp`` form, so the constant is exactly ``A``; their sum, bounded by
@@ -155,21 +213,30 @@ def _saturation_load(terms: dict[int, int], size: int) -> int:
     away.  The rounding bound is then about ``eps (terms + 4) A``, under
     `CLOSED_FORM_RTOL` of the value for fewer than 4,000 terms, so no load
     falls back to exact arithmetic.  Checked in the floats `_closed_form`
-    computes, with the dot product's rounding on top.
+    computes, summed term by term, with the sum's rounding on top.
     """
-    rest = {p: abs(c * p) for p, c in terms.items() if p not in (1, size + 1)}
-    if not rest:
-        return 1
-    weights = np.array(list(rest.values()), dtype=np.float64)
-    log_r = np.log1p(np.array([(p - 1 - size) / size for p in rest]))
     eps = np.finfo(np.float64).eps
-    slope = float(log_r.max())
-    n = max(1, math.ceil(-1 / slope),
-            math.floor(math.log(eps / 4 * size / weights.sum()) / slope) + 1)
-    while (n * slope > -1.0
-           or np.exp(n * log_r) @ weights * (1 + (weights.size + 2) * eps) >= eps / 4 * size):
-        n += 1
+    weights = np.abs(table.exact[:-1]).astype(np.float64)
+    slope = np.max(table.log_r, axis=0, initial=-np.inf,
+                   where=np.arange(len(table.log_r))[:, None] < table.widths)
+    target = eps / 4 * table.fill
+    with np.errstate(divide="ignore", invalid="ignore"):  # codebooks without such terms
+        start = np.maximum(np.ceil(-1 / slope),
+                           np.floor(np.log(target / sum(weights)) / slope) + 1)
+    n = np.where(table.widths > 0, np.maximum(start, 1), 1).astype(np.int64)
+    late = np.flatnonzero(table.widths)
+    while late.size:  # every codebook still failing the check steps on
+        terms = table.log_r[:, late] * n[late]
+        terms = np.exp(terms, out=terms) * weights[:, late]
+        late = late[(n[late] * slope[late] > -1.0) | (
+            sum(terms) * (1 + (table.widths[late] + 2) * eps) >= target[late])]
+        n[late] += 1
     return n
+
+
+def _saturation_load(terms: dict[int, int], size: int) -> int:
+    """`_saturation_loads` of one codebook."""
+    return int(_saturation_loads(_term_table([terms], [size]))[0])
 
 
 def reference_efficiency_curve(n_values: Sequence[int], m: int, length: int) -> np.ndarray:

@@ -22,10 +22,12 @@ sub-frame of ``T``, and for each of them ``P_T - 1`` codewords avoid all
 those preambles.  Equal products merge, so uniform budgets leave ``L + 1``
 terms.  A reference codebook of ``A`` codewords is observed like one
 sub-frame of ``A`` preambles, so it perceives exactly its used codewords.
-`perceived_curve` evaluates the sum in floats over a whole load grid: with
-``w = coef * P`` and ``y = N log1p((P - 1 - A) / A)``, a term is
-``w + w expm1(y)`` where ``y > -1``, its ``w`` summed exactly into an
-integer constant, and ``w exp(y)`` beyond.  With ``e`` the expm1 or exp
+`perceived_curve` evaluates the sum in floats over a whole load grid, as a
+batch of one of `contention._closed_form`, which the planner runs on all its
+candidates at once: with ``w = coef * P`` and ``y = N log1p((P - 1 - A) / A)``,
+a term is ``w + w expm1(y)`` where ``y > -1``, its ``w`` summed exactly into
+an integer constant, and ``w exp(y)`` beyond, added one term at a time in
+`perceived_terms` order, never by a dot product.  With ``e`` the expm1 or exp
 evaluated, the rounding bound ``eps (terms + 4) (sum |w e| + |value|)`` has
 no term in ``N``; where it exceeds ``CLOSED_FORM_RTOL`` of the value, and at
 ``N = 1``, the sum is evaluated exactly.
@@ -73,7 +75,8 @@ from typing import Sequence
 import numpy as np
 
 from .codebook import CodebookSpec, Mode, codebook_size, decode_codewords
-from .contention import _closed_form, _closed_form_exact, _whole_loads, expected_singles_curve
+from .contention import (
+    _closed_form, _closed_form_exact, _term_table, _whole_loads, expected_singles_curve)
 from .errors import DomainError, StateSpaceTooLarge
 
 #: Largest chain `build_transition_model` accepts, in states.
@@ -299,7 +302,7 @@ def perceived_curve(spec: CodebookSpec, n_values: Sequence[int]) -> np.ndarray:
     loads = _whole_loads(n_values)
     if (loads < 0).any():
         raise DomainError("user count cannot be negative")
-    return _closed_form(_alphabet_terms(spec), codebook_size(spec), loads)
+    return _closed_form(_term_table([_alphabet_terms(spec)], [codebook_size(spec)]), loads)[0]
 
 
 def expanded_efficiency_curve(spec: CodebookSpec, n_values: Sequence[int]) -> np.ndarray:

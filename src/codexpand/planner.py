@@ -9,13 +9,15 @@ the preferred codebook changes.
 
 The sweep has a dense head and a saturated tail.  At high load every preamble
 is seen in every sub-frame, so every codeword is perceived: from its
-saturation load (`contention._saturation_load`) a candidate's closed form
+saturation load (`contention._saturation_loads`) a candidate's closed form
 rounds to exactly its size ``A``, and its efficiency is ``N h(A)`` with
 ``h(A) = (1 - 1/A)**(N-1) / A``.  That function of ``A`` peaks at ``A = N``,
 so from the last candidate's saturation load on, each load compares only the
 few codebook sizes around ``N`` (`TAIL_WINDOW`).  Below it every candidate
-is compared at every load, but its closed form is evaluated only below its
-own saturation load; the perceived count is ``float(A)`` from there on.
+is compared at every load, in array passes over blocks of candidates x
+loads, each closed form evaluated only below its own saturation load by the
+one batched evaluator, `contention._closed_form`; the perceived count is
+``float(A)`` from there on.
 """
 
 from __future__ import annotations
@@ -27,15 +29,20 @@ from typing import Sequence
 
 import numpy as np
 
-from .codebook import CodebookSpec, _restrictions, codebook_size
+from .codebook import CodebookSpec, _smallest_budgets, codebook_size
 from .contention import (
-    _closed_form, _saturation_load, _whole_loads, expected_singles_curve)
+    _closed_form, _rounded_base, _saturation_loads, _singles, _term_table, _TermTable,
+    _whole_loads, expected_singles_curve)
 from .errors import DomainError
 from .markov import _alphabet_terms, _checked_grid, expanded_efficiency_curve
 
 #: Distinct codebook sizes compared at each load of the schedule's tail, the
 #: two that bracket the load and one more on either side (`threshold_schedule`).
 TAIL_WINDOW = 4
+
+#: Candidate-loads evaluated together in the schedule's dense head: enough to
+#: amortise numpy's per-call cost, few enough to stay in cache.
+HEAD_CHUNK = 2**15
 
 
 @dataclass(frozen=True)
@@ -95,13 +102,10 @@ def state_cardinality_values(length: int, m: int) -> list[int]:
     """Distinct observation cardinalities of the full codebook's chain.
 
     These are the values ``prod(C_j) - 1`` over configurations with
-    ``1 <= C_j <= m + 1``, the all-idle one (cardinality 0) excluded; the set
-    of products is grown one sub-frame at a time, with no state space built.
+    ``1 <= C_j <= m + 1``, the all-idle one (cardinality 0) excluded: the
+    products of `codebook._smallest_budgets`, with no state space built.
     """
-    products = {1}
-    for _ in range(length):
-        products = {p * c for p in products for c in range(1, m + 2)}
-    return sorted(p - 1 for p in products if p > 1)
+    return (_smallest_budgets(length, m)[0][1:] - 1).tolist()
 
 
 def cardinalities_of_interest(
@@ -120,14 +124,15 @@ def spec_for_cardinality(length: int, m: int, target: int) -> CodebookSpec:
     """Expanded codebook of exactly ``target`` codewords.
 
     Budget vectors realizing the same size can differ in efficiency, so the
-    realization matters.  The lexicographically smallest one is used, the first
-    the factorization search yields: its budgets are non-decreasing, and its
+    realization matters.  The lexicographically smallest one is used
+    (`codebook._smallest_budgets`): its budgets are non-decreasing, and its
     leading sub-frames stay idle (budget 0) wherever the size allows.
     """
-    budgets = next(_restrictions(length, m, target + 1), None)
-    if budgets is None:
+    products, budgets = _smallest_budgets(length, m)
+    index = np.searchsorted(products, target + 1)
+    if index == products.size or products[index] != target + 1:
         raise DomainError(f"no codebook of size {target} with L={length}, M={m}")
-    return CodebookSpec.expanded(budgets, m_global=m)
+    return CodebookSpec.expanded(budgets[index].tolist(), m_global=m)
 
 
 def default_candidates(
@@ -136,12 +141,14 @@ def default_candidates(
     load_grid: Sequence[int],
     reference_preambles: int | None = None,
 ) -> CandidateSet:
-    """Reference codebook plus one expanded codebook per interest cardinality."""
+    """Reference codebook plus one expanded codebook per interest cardinality,
+    each realized as in `spec_for_cardinality`."""
     reference = CodebookSpec.reference(
         reference_preambles if reference_preambles is not None else m, length
     )
-    interest = cardinalities_of_interest(length, m, reference_preambles)
-    expanded = tuple(spec_for_cardinality(length, m, a) for a in interest)
+    products, budgets = _smallest_budgets(length, m)
+    expanded = tuple(CodebookSpec.expanded(b, m_global=m)
+                     for b in budgets[products - 1 > codebook_size(reference)].tolist())
     return CandidateSet((reference,) + expanded, tuple(load_grid))
 
 
@@ -181,34 +188,30 @@ def supported_load(
     return grid[reached[-1]] if reached.size else None
 
 
-def _head_efficiency(loads: np.ndarray, spec: CodebookSpec, terms: dict[int, int],
-                     saturation: int) -> tuple[np.ndarray, int]:
-    """Efficiency at every load, with the closed form (``terms``) evaluated
-    only below the ``saturation`` load: from it on the perceived count is
-    ``float(A)``, the float `contention._closed_form` returns there.  Also
-    returns how many loads the closed form was evaluated at."""
-    size = codebook_size(spec)
-    below = int(np.searchsorted(loads, saturation))
-    perceived = np.full(len(loads), float(size))
-    perceived[:below] = _closed_form(terms, size, loads[:below])
-    return expected_singles_curve(loads, size) / perceived, below
-
-
-def _dense_best(specs: Sequence[CodebookSpec], terms: Sequence[dict[int, int]],
-                saturation: Sequence[int], loads: np.ndarray
+def _dense_best(table: _TermTable, saturation: np.ndarray, loads: np.ndarray
                 ) -> tuple[np.ndarray, np.ndarray, int]:
-    """Running best over every candidate's efficiency curve, in list order;
-    a later candidate takes a load only if strictly better.  Also returns the
-    closed-form loads evaluated over all candidates (`_head_efficiency`)."""
-    curves = (_head_efficiency(loads, *c) for c in zip(specs, terms, saturation))
-    best, evaluated = next(curves)
-    chosen = np.zeros(len(loads), dtype=np.intp)
-    for index, (values, below) in enumerate(curves, start=1):
-        evaluated += below
+    """Running best over every candidate at every load, in table order: a
+    later candidate takes a load only if strictly better.  Candidates are
+    compared in blocks of about `HEAD_CHUNK` candidate-loads, the first of a
+    block's most efficient (``argmax``) against the earlier blocks' best;
+    each closed form is evaluated only below its ``saturation`` load.  Also
+    returns how many closed-form loads that is, summed over the candidates."""
+    counts = np.searchsorted(loads, saturation)
+    x, delta = (np.array(b)[:, None] for b in zip(*map(_rounded_base, table.exact[-1].tolist())))
+    n = loads.astype(np.float64)
+    best = np.full(n.size, -np.inf)
+    chosen = np.zeros(n.size, dtype=np.intp)
+    step = max(1, HEAD_CHUNK // max(n.size, 1))
+    for lo in range(0, len(counts), step):
+        block = slice(lo, lo + step)  # of candidates, the table's last axis
+        efficiency = _singles(n, x[block], delta[block]) / _closed_form(
+            _TermTable(table.terms[block], *(f[..., block] for f in table[1:])), n, counts[block])
+        index = efficiency.argmax(axis=0)
+        values = efficiency[index, np.arange(n.size)]
         better = values > best
         best[better] = values[better]
-        chosen[better] = index
-    return best, chosen, evaluated
+        chosen[better] = index[better] + lo
+    return best, chosen, int(counts.sum())
 
 
 def _tail_best(specs: Sequence[CodebookSpec], loads: np.ndarray
@@ -243,21 +246,22 @@ def threshold_schedule(candidates: CandidateSet) -> ThresholdSchedule:
     simultaneous preambles on the air.  Contiguous choices merge into
     segments; segment boundaries are the adaptation thresholds.
 
-    Below the tail start, the largest `contention._saturation_load` over the
-    candidates, every candidate's efficiency is compared at every load (the
-    dense head), its closed form evaluated only below its own saturation
-    load and its perceived count ``float(A)`` from there on, the float the
-    closed form gives; each candidate's terms and saturation load are
-    computed once.  From the tail start on, every candidate perceives exactly
-    its ``A`` codewords in floats, so its efficiency is ``N h(A)`` with
-    ``h(A) = (1 - 1/A)**(N-1) / A``, the same float as the dense value; only
-    the `TAIL_WINDOW` sizes around ``N`` are compared there (the tail).
+    Below the tail start, the largest `contention._saturation_loads` over
+    the candidates, every candidate's efficiency is compared at every load
+    (the dense head, `_dense_best`), its closed form evaluated only below its
+    own saturation load and its perceived count ``float(A)`` from there on,
+    the float the closed form gives; the terms and saturation loads of all
+    candidates are computed once, in one table.  From the tail start on,
+    every candidate perceives exactly its ``A`` codewords in floats, so its
+    efficiency is ``N h(A)`` with ``h(A) = (1 - 1/A)**(N-1) / A``, the same
+    float as the dense value; only the `TAIL_WINDOW` sizes around ``N`` are
+    compared there (the tail).
     """
     grid = candidates.load_grid
     specs = sorted(candidates.candidates, key=codebook_size)  # stable: ties keep input order
-    terms = [_alphabet_terms(spec) for spec in specs]
-    saturation = [_saturation_load(t, codebook_size(spec)) for t, spec in zip(terms, specs)]
-    tail = bisect_left(grid, max(saturation))
+    table = _term_table([_alphabet_terms(spec) for spec in specs], list(map(codebook_size, specs)))
+    saturation = _saturation_loads(table)
+    tail = bisect_left(grid, int(saturation.max()))
     loads = np.array(grid, dtype=np.int64)
     # Why the window suffices: d ln h / dA = (N - A) / (A (A - 1)), so h
     # rises below A = N and falls above it, and the best size is one of the
@@ -270,8 +274,7 @@ def threshold_schedule(candidates: CandidateSet) -> ThresholdSchedule:
     # dense loop decides it.  On the default grids of l4m4, l6m5 and l8m4 the
     # nearest outer size trails the bracket by at least 1.1e-5 relative and
     # the next by 1.5e-4, far above the few ulps of rounding.
-    head_best, head_chosen, closed_form_loads = _dense_best(
-        specs, terms, saturation, loads[:tail])
+    head_best, head_chosen, closed_form_loads = _dense_best(table, saturation, loads[:tail])
     tail_best, tail_chosen = _tail_best(specs, loads[tail:])
     best = np.concatenate([head_best, tail_best])
     chosen = np.concatenate([head_chosen, tail_chosen])

@@ -395,12 +395,13 @@ def _summarise(hist: Histogram, n: int) -> list[Estimate]:
     return [*(_estimate(s1, s2, n) for s1, s2 in sums), ratio]
 
 
-def run_batch(config: ScenarioConfig, workers: int = 1) -> AggregateStats:
+def run_batch(config: ScenarioConfig, workers: int = 1, pool=None) -> AggregateStats:
     """Run the scenario's trials and aggregate them exactly.
 
     ``workers`` > 1 spreads whole blocks over processes when there are at
-    least two blocks per worker; results are byte-identical for any worker
-    count because the histogram is an exact sum.
+    least two blocks per worker: over ``pool``, an executor of ``workers``
+    processes, or else over a pool opened for this batch.  Results are
+    byte-identical for any worker count because the histogram is an exact sum.
     """
     if workers < 1:
         raise DomainError("need at least one worker")
@@ -408,13 +409,15 @@ def run_batch(config: ScenarioConfig, workers: int = 1) -> AggregateStats:
     blocks = block_count(config)
     if workers == 1 or blocks < 2 * workers:
         hist = _histogram(config, 0, blocks)
-    else:
+    elif pool is None:
         from concurrent.futures import ProcessPoolExecutor  # costs ~15 ms to import
 
-        bounds = np.linspace(0, blocks, workers + 1, dtype=int).tolist()
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = pool.map(_histogram, itertools.repeat(config), bounds[:-1], bounds[1:])
-            hist = sum(parts, Counter())
+            return run_batch(config, workers, pool)
+    else:
+        bounds = np.linspace(0, blocks, workers + 1, dtype=int).tolist()
+        parts = pool.map(_histogram, itertools.repeat(config), bounds[:-1], bounds[1:])
+        hist = sum(parts, Counter())
     return AggregateStats(config, trials, *_summarise(hist, trials))
 
 

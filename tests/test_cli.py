@@ -252,6 +252,32 @@ class TestSimulate:
                        "--out", out) == 0
         assert (a / "simulate.csv").read_bytes() == (b / "simulate.csv").read_bytes()
 
+    def test_two_workers_share_one_pool(self, tmp_path, monkeypatch):
+        # every load spreads its blocks over the command's one pool, and the
+        # bytes are the one-worker run's
+        import concurrent.futures
+
+        opened, batches = [], []
+
+        class Counted(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                opened.append(kwargs)
+                super().__init__(*args, **kwargs)
+
+            def map(self, *args, **kwargs):
+                batches.append(args[1:])
+                return super().map(*args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counted)
+        for workers in (1, 2):
+            assert run("simulate", "--spec", "L=2,m=2,2,mode=expanded", "--n-range", "100:300:100",
+                       "--trials", 2000, "--seed", 3, "--workers", workers,
+                       "--out", tmp_path / str(workers)) == 0
+        assert opened == [{"max_workers": 2}]
+        assert len(batches) == 3
+        assert ((tmp_path / "1" / "simulate.csv").read_bytes()
+                == (tmp_path / "2" / "simulate.csv").read_bytes())
+
     def test_zero_trials_exit_code(self, tmp_path):
         assert run("simulate", "--spec", "L=2,m=2,2,mode=expanded",
                    "--n-range", "1", "--trials", 0, "--out", tmp_path) == 2

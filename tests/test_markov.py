@@ -3,6 +3,7 @@
 import itertools
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from codexpand import (
     reference_efficiency_curve,
 )
 from codexpand import contention
-from codexpand.markov import _step
+from codexpand.markov import _alphabet_terms, _step
 
 L2M2 = CodebookSpec.expanded((2, 2))
 
@@ -276,6 +277,85 @@ class TestClosedForm:
                 assert perceived_count_rational(spec, n) == a * (1 - (1 - Fraction(1, a)) ** n)
             grid = range(10 * a + 1)
             assert perceived_curve(spec, grid).tolist() == expected_used_curve(grid, a).tolist()
+
+
+# codebooks of both alphabets, and one whose few-contender loads cancel
+# beyond float precision, so that they fall back to exact arithmetic
+CODEBOOKS = st.one_of(
+    st.lists(st.integers(min_value=0, max_value=6), min_size=1, max_size=5).filter(any).map(
+        CodebookSpec.expanded),
+    st.builds(CodebookSpec.reference, st.integers(min_value=1, max_value=60),
+              st.integers(min_value=1, max_value=4)),
+)
+CANCELLING = CodebookSpec.expanded((4,) * 10)  # exact at N = 1..4
+
+
+def batch_table(specs):
+    return contention._term_table([_alphabet_terms(s) for s in specs], [s.size for s in specs])
+
+
+class TestBatchedClosedForm:
+    @given(st.lists(CODEBOOKS, min_size=1, max_size=8),
+           st.lists(st.integers(min_value=0, max_value=3000), max_size=20),
+           st.lists(st.integers(min_value=0, max_value=40), min_size=9, max_size=9))
+    @settings(max_examples=60, deadline=None)
+    def test_batch_is_each_codebook_alone(self, specs, extra, counts):
+        # each codebook's own leading loads, bit for bit as a batch of one, and
+        # float(A) from there on; the loads include 0, 1 and an exact fallback
+        specs = [CANCELLING, *specs]
+        loads = np.array(sorted({0, 1, 3, *extra}))
+        counts = np.minimum([loads.size, *counts[:len(specs) - 1]], loads.size)
+        with mock.patch.object(contention, "_closed_form_exact",
+                               wraps=contention._closed_form_exact) as exact:
+            batch = contention._closed_form(batch_table(specs), loads, counts)
+        assert (_alphabet_terms(CANCELLING), CANCELLING.size, 3) in [
+            c.args for c in exact.call_args_list]
+        for spec, count, values in zip(specs, counts, batch):
+            assert values[:count].tobytes() == perceived_curve(spec, loads[:count]).tobytes()
+            assert (values[count:] == spec.size).all()
+
+    @pytest.mark.parametrize("budgets, dtype, top", [((2**21,) * 3, object, 1000),
+                                                     ((20000,), np.int64, 40000)])
+    def test_large_codebooks_keep_their_floats_in_any_batch(self, budgets, dtype, top):
+        # (2**21,)*3 sums its constant in Python ints, and so makes the whole
+        # batch do; one wide sub-frame has A = 20,000 (`analyze --spec
+        # L=1,m=20000`); every codebook keeps its batch-of-one floats
+        large = CodebookSpec.expanded(budgets)
+        specs = [CodebookSpec.reference(4, 4), large, CodebookSpec.expanded((3, 3))]
+        table = batch_table(specs)
+        assert table.exact.dtype == dtype
+        loads = np.array([0, 1, 2, 3, 10, top])
+        batch = contention._closed_form(table, loads)
+        for spec, values in zip(specs, batch):
+            assert values.tobytes() == perceived_curve(spec, loads).tobytes()
+        exact = [float(perceived_count_rational(large, n)) for n in loads]
+        assert np.allclose(batch[1], exact, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("terms", [1, 7, 2**40])
+    def test_floats_do_not_depend_on_the_terms_per_pass(self, monkeypatch, terms):
+        # 11 terms: one per pass, seven, and all of them at once
+        spec = CodebookSpec.expanded((1, 2, 3, 4))
+        loads = np.arange(50)
+        expected = perceived_curve(spec, loads)
+        monkeypatch.setattr(contention, "CLOSED_FORM_CHUNK", terms * loads.size)
+        assert perceived_curve(spec, loads).tobytes() == expected.tobytes()
+
+    @given(st.lists(st.one_of(st.integers(min_value=1, max_value=5000),
+                              st.integers(min_value=1, max_value=2**64)), min_size=1, max_size=8),
+           st.lists(st.integers(min_value=0, max_value=10**6), min_size=1, max_size=20))
+    @settings(max_examples=60, deadline=None)
+    def test_batched_singles_are_each_curve(self, sizes, loads):
+        x, delta = (np.array(b)[:, None] for b in zip(*map(contention._rounded_base, sizes)))
+        batch = contention._singles(np.array(loads, dtype=np.float64), x, delta)
+        for size, values in zip(sizes, batch):
+            assert values.tobytes() == expected_singles_curve(loads, size).tobytes()
+
+    @given(st.lists(CODEBOOKS, min_size=1, max_size=8))
+    @settings(max_examples=60, deadline=None)
+    def test_batched_saturation_loads_are_each_codebooks(self, specs):
+        specs = [CANCELLING, CodebookSpec.reference(1, 1), *specs]
+        expected = [contention._saturation_load(_alphabet_terms(s), s.size) for s in specs]
+        assert contention._saturation_loads(batch_table(specs)).tolist() == expected
 
 
 class TestEfficiency:

@@ -27,6 +27,7 @@ from codexpand import (
 )
 from codexpand.contention import _saturation_load
 from codexpand.markov import _alphabet_terms
+from codexpand import planner
 from codexpand.planner import ScheduleSegment
 
 GRID_200 = list(range(1, 201))
@@ -58,7 +59,8 @@ class TestCardinalities:
         assert spec_for_cardinality(2, 4, 9).budgets == (1, 4)
         assert spec_for_cardinality(2, 4, 24).budgets == (4, 4)
 
-    @pytest.mark.parametrize("length, m", itertools.product(range(1, 5), repeat=2))
+    @pytest.mark.parametrize("length, m", [*itertools.product(range(1, 5), repeat=2),
+                                           (2, 54), (3, 12), (8, 2)])
     def test_spec_for_cardinality_is_the_smallest_realization(self, length, m):
         realizations = {}
         for budgets in itertools.product(range(m + 1), repeat=length):
@@ -267,6 +269,7 @@ class TestSaturatedTail:
         "l4m3-ref32": ((4, 3, 32, None), None),
         "l6m5": ((6, 5, None, 3000), 1105),
         "l8m4": ((8, 4, None, 2000), 1179),  # a 1:20000 dense loop is too slow here
+        "l2m54": ((2, 54, None, 2000), None),  # 861 candidates, all in the dense head
     }
     # six budget vectors of 23 codewords
     EQUAL_23 = [CodebookSpec.expanded(b) for b in
@@ -316,6 +319,14 @@ class TestSaturatedTail:
         assert schedule.closed_form_loads == evaluated
         if case == "equal-23":  # the other cases are compared in the test above
             assert schedule.segments == dense_schedule(cands)
+
+    @pytest.mark.parametrize("chunk", [1, 7 * 579, 2**40])
+    def test_head_blocks_leave_the_schedule_unchanged(self, monkeypatch, chunk):
+        # blocks of one candidate, of seven over l4m4's 579 head loads, and of all
+        cands = self.candidates(*self.GRIDS["l4m4"][0])
+        expected = threshold_schedule(cands)
+        monkeypatch.setattr(planner, "HEAD_CHUNK", chunk)
+        assert threshold_schedule(cands) == expected
 
     def test_equal_sizes_tie_to_the_first_in_size_order(self):
         # six budget vectors of 23 codewords: they differ below the tail and
