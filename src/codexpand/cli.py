@@ -27,7 +27,6 @@ import argparse
 import json
 import sys
 import time
-from bisect import bisect_left
 from pathlib import Path
 from typing import Callable, Mapping, NamedTuple, Sequence
 
@@ -35,7 +34,7 @@ import numpy as np
 
 from . import __version__
 from .codebook import CodebookSpec, codebook_size
-from .contention import expected_singles_curve, whole_number
+from .contention import _whole_loads, expected_singles_curve, whole_number
 from .errors import (
     CodexpandError,
     DomainError,
@@ -71,17 +70,17 @@ class Figure(NamedTuple):
     spec)``; ``montecarlo`` is the codebook simulated beside them, if any."""
 
     size: int
-    curves: Callable[[Sequence[int]], list[tuple[str, str, CodebookSpec]]]
+    curves: Callable[[np.ndarray], list[tuple[str, str, CodebookSpec]]]
     montecarlo: CodebookSpec | None = None
 
 
-def _adaptive(length: int) -> Callable[[Sequence[int]], list]:
+def _adaptive(length: int) -> Callable[[np.ndarray], list]:
     """The reference scheme and every candidate codebook of the adaptive
     schedule over 4 preambles per sub-frame, searched only when the figure is
     drawn."""
     m = 4
 
-    def curves(grid: Sequence[int]) -> list[tuple[str, str, CodebookSpec]]:
+    def curves(grid: np.ndarray) -> list[tuple[str, str, CodebookSpec]]:
         expanded = default_candidates(length, m, grid).candidates[1:]
         sizes = map(codebook_size, expanded)
         return [("reference", f"reference, M={m}", CodebookSpec.reference(m, length)),
@@ -196,8 +195,9 @@ def _load_json(path: Path):
         raise InputParseError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def parse_n_range(text: str) -> list[int]:
-    """Parse ``A``, ``A:B``, or ``A:B:STEP`` into an inclusive load grid."""
+def parse_n_range(text: str) -> np.ndarray:
+    """Parse ``A``, ``A:B``, or ``A:B:STEP`` into an inclusive load grid, a
+    read-only int64 array (`contention._whole_loads`)."""
     fields = text.split(":")
     if len(fields) > 3:
         raise DomainError(f"load range {text!r} is not A, A:B, or A:B:STEP")
@@ -210,14 +210,14 @@ def parse_n_range(text: str) -> list[int]:
     step = numbers[2] if len(numbers) > 2 else 1
     if start < 1 or stop < start or step < 1:
         raise DomainError(f"load range {text!r} must satisfy 1 <= A <= B, STEP >= 1")
-    return list(range(start, stop + 1, step))
+    return _whole_loads(np.arange(start, stop + 1, step))
 
 
-def _default_grid(size: int) -> list[int]:
-    return list(range(1, LOAD_SPAN_FACTOR * size + 1))
+def _default_grid(size: int) -> np.ndarray:
+    return _whole_loads(np.arange(1, LOAD_SPAN_FACTOR * size + 1))
 
 
-def _simulate(spec: CodebookSpec, grid: Sequence[int], trials: int,
+def _simulate(spec: CodebookSpec, grid: np.ndarray, trials: int,
               seed: int, workers: int) -> list[AggregateStats]:
     configs = [ScenarioConfig(spec, n, trials, seed) for n in grid]
     if workers < 2:
@@ -232,7 +232,7 @@ def _z_score(estimate: Estimate, analytic: float) -> float | None:
     return (estimate.mean - analytic) / estimate.se if estimate.se else None
 
 
-def _diagnostics(spec: CodebookSpec, grid: Sequence[int],
+def _diagnostics(spec: CodebookSpec, grid: np.ndarray,
                  batches: Sequence[AggregateStats]) -> list[dict]:
     """Analytic singles and perceived means per load, with each sample mean's
     z-score; a reference codebook perceives exactly its used codewords."""
@@ -246,7 +246,7 @@ def _diagnostics(spec: CodebookSpec, grid: Sequence[int],
             "analytic_perceived": p,
             "z_perceived": _z_score(stats.perceived, p),
         }
-        for n, stats, s, p in zip(grid, batches, singles, perceived)
+        for n, stats, s, p in zip(grid.tolist(), batches, singles, perceived)
     ]
 
 
@@ -275,7 +275,7 @@ def _simulate_sizes(spec: CodebookSpec, batches: Sequence[AggregateStats],
     }
 
 
-def _write_batches(path: Path, grid: Sequence[int], batches: Sequence[AggregateStats],
+def _write_batches(path: Path, grid: np.ndarray, batches: Sequence[AggregateStats],
                    trials: int) -> None:
     """One row per load: mean singles, perceived and phantoms, and the
     efficiency with its standard error, an empty cell below two trials (where
@@ -283,11 +283,11 @@ def _write_batches(path: Path, grid: Sequence[int], batches: Sequence[AggregateS
     row = "{},{:.6f},{:.6f},{:.6f},{:.6f}," + ("{:.6f}" if trials > 1 else "")
     write_csv(path, _BATCH_HEADER, row, (
         (n, b.singles.mean, b.perceived.mean, b.phantoms.mean, *b.efficiency)
-        for n, b in zip(grid, batches)
+        for n, b in zip(grid.tolist(), batches)
     ))
 
 
-def _grid_parameter(grid: Sequence[int]) -> str | list[int]:
+def _grid_parameter(grid: np.ndarray) -> str | list[int]:
     """Compact ``A:B:STEP`` form when the grid rises by one positive step, else
     the list; either form re-runs the same grid."""
     if len(grid) == 1:
@@ -295,7 +295,7 @@ def _grid_parameter(grid: Sequence[int]) -> str | list[int]:
     steps = np.diff(grid)
     if steps[0] > 0 and (steps == steps[0]).all():
         return f"{grid[0]}:{grid[-1]}:{steps[0]}"
-    return list(grid)
+    return grid.tolist()
 
 
 def _write_outputs(out_dir: Path, command: str, parameters: dict,
@@ -348,9 +348,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         if loads is None:
             raise DomainError(f"scenario {args.scenario} is missing 'N'")
         loads = loads if isinstance(loads, list) else [loads]
-        grid = [whole_number(n, f"N in {args.scenario}") for n in loads]
-        if not grid:
+        if not loads:
             raise DomainError(f"scenario {args.scenario} has an empty 'N' list")
+        grid = _whole_loads([whole_number(n, f"N in {args.scenario}") for n in loads])
         trials = whole_number(doc.get("trials", args.trials), f"trials in {args.scenario}")
         seed = whole_number(doc.get("master_seed", args.seed), f"master_seed in {args.scenario}")
     else:
@@ -416,8 +416,7 @@ def cmd_thresholds(args: argparse.Namespace) -> int:
         extra={"tail_start": schedule.tail_start, "sizes": {
             "candidates": len(candidates.candidates),
             "loads": len(grid),
-            "head_loads": len(grid) if schedule.tail_start is None
-            else bisect_left(grid, schedule.tail_start),
+            "head_loads": int(np.searchsorted(grid, schedule.tail_start or np.inf)),
             "closed_form_loads": schedule.closed_form_loads,
         }},
     )
@@ -446,7 +445,7 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
             lambda p: _write_batches(p, grid, batches, args.trials)
         )
         # the plot shows the printed, six-decimal means
-        plot_curves.append(("code-expanded, Monte Carlo", grid,
+        plot_curves.append(("code-expanded, Monte Carlo", grid.tolist(),
                             [round(b.efficiency.mean, 6) for b in batches]))
     outputs[f"{figure}.svg"] = lambda p: svg_line_plot(
         p, plot_curves, figure, "contending users N", "efficiency"

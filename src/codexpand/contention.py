@@ -56,10 +56,11 @@ def whole_number(value, name: str) -> int:
     return int(value)
 
 
-def _whole_loads(n_values) -> np.ndarray:
-    """User counts, a scalar or a grid, as int64, by `whole_number`'s rule
-    applied to the array's type: integer arrays, and float arrays of whole
-    values inside the int64 range; bool and other arrays raise."""
+def _whole_loads(n_values, least: int = 0) -> np.ndarray:
+    """User counts, a scalar or a grid, as a read-only int64 copy, by
+    `whole_number`'s rule applied to the array's type: integer arrays, and
+    float arrays of whole values inside the int64 range; bool and other
+    arrays raise, and so do loads below ``least`` (1 where efficiency is taken)."""
     loads = np.asarray(n_values)
     if loads.dtype.kind == "f" and (np.abs(loads) < 2.0**63).all():
         fractional = loads[loads != np.trunc(loads)]
@@ -67,15 +68,18 @@ def _whole_loads(n_values) -> np.ndarray:
             raise DomainError(f"user counts must be whole numbers, got {fractional[0]:g}")
     elif loads.dtype.kind not in "iu":
         raise DomainError(f"user counts must be whole numbers, got {n_values!r}")
-    return loads.astype(np.int64)
+    loads = loads.astype(np.int64)
+    if (loads < least).any():
+        raise DomainError("efficiency is undefined without contenders" if least
+                          else "user count cannot be negative")
+    loads.flags.writeable = False
+    return loads
 
 
 def _loads(n_values: Sequence[int], codewords: int) -> tuple[np.ndarray, int]:
     """Loads as floats and the codeword count as a Python int, both checked."""
     n = _whole_loads(n_values).astype(np.float64)
     codewords = whole_number(codewords, "codeword count")
-    if (n < 0).any():
-        raise DomainError("user count cannot be negative")
     if codewords < 1:
         raise DomainError("need at least one codeword")
     return n, codewords
@@ -245,9 +249,7 @@ def reference_efficiency_curve(n_values: Sequence[int], m: int, length: int) -> 
     m, length = whole_number(m, "preamble count"), whole_number(length, "sub-frame count")
     if m < 1 or length < 1:
         raise DomainError("need at least one preamble and one sub-frame")
-    n = _whole_loads(n_values)
-    if (n < 1).any():
-        raise DomainError("efficiency is undefined without contenders")
+    n = _whole_loads(n_values, least=1)
     a = m * length
     return expected_singles_curve(n, a) / expected_used_curve(n, a)
 

@@ -196,11 +196,8 @@ class TransitionModel:
         averaged over the state distribution after ``n_users`` contenders,
         computed as a one-load `perceived_sweep`.
         """
-        if n_users < 0:
-            raise DomainError("user count cannot be negative")
-        if n_users == 0:
-            return 0.0
-        return float(self.perceived_sweep([n_users])[0])
+        n = int(_whole_loads(n_users))
+        return float(self.perceived_sweep([n])[0]) if n else 0.0
 
     def perceived_sweep(self, n_values: Sequence[int]) -> np.ndarray:
         """Perceived counts over an increasing grid of user counts.
@@ -224,21 +221,21 @@ class TransitionModel:
         after ``k`` contenders is carried as Python-int numerators over ``A**k``.
         """
         n = int(_whole_loads(n_users))
-        if n < 0:
-            raise DomainError("user count cannot be negative")
         dist = self._origin(object)
         for _ in range(n):
             dist = _step(dist, self.spec.budgets)
         return Fraction(int(dist.ravel()[1:] @ self.cardinalities), self.denominator**n)
 
 
-def _checked_grid(n_values: Sequence[int]) -> list[int]:
+def _checked_grid(n_values: Sequence[int]) -> np.ndarray:
+    """The one grid format, checked once: `_whole_loads`' read-only int64 copy,
+    one-dimensional, non-empty, positive and strictly increasing."""
     loads = _whole_loads(n_values)
     if loads.ndim != 1 or not loads.size or (loads < 1).any():
         raise DomainError("grid must be non-empty with positive user counts")
     if (np.diff(loads) <= 0).any():
         raise DomainError("grid must be strictly increasing")
-    return loads.tolist()
+    return loads
 
 
 def build_transition_model(spec: CodebookSpec, cap: int = STATE_CAP) -> TransitionModel:
@@ -288,8 +285,6 @@ def _alphabet_terms(spec: CodebookSpec) -> dict[int, int]:
 def perceived_count_rational(spec: CodebookSpec, n_users: int) -> Fraction:
     """Exact expected perceived count, ``sum coef*P*(P-1)^N / A^N - 1``."""
     n = int(_whole_loads(n_users))
-    if n < 0:
-        raise DomainError("user count cannot be negative")
     return _closed_form_exact(_alphabet_terms(spec), codebook_size(spec), n)
 
 
@@ -300,17 +295,13 @@ def perceived_curve(spec: CodebookSpec, n_values: Sequence[int]) -> np.ndarray:
     contender and where large terms cancel beyond float precision.
     """
     loads = _whole_loads(n_values)
-    if (loads < 0).any():
-        raise DomainError("user count cannot be negative")
     return _closed_form(_term_table([_alphabet_terms(spec)], [codebook_size(spec)]), loads)[0]
 
 
 def expanded_efficiency_curve(spec: CodebookSpec, n_values: Sequence[int]) -> np.ndarray:
     """Expected singles over expected perceived codewords at every load, for
     either alphabet (a reference codebook perceives its used codewords)."""
-    loads = _whole_loads(n_values)
-    if (loads < 1).any():
-        raise DomainError("efficiency is undefined without contenders")
+    loads = _whole_loads(n_values, least=1)
     return expected_singles_curve(loads, codebook_size(spec)) / perceived_curve(spec, loads)
 
 

@@ -23,7 +23,7 @@ one batched evaluator, `contention._closed_form`; the perceived count is
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -32,7 +32,7 @@ import numpy as np
 from .codebook import CodebookSpec, _smallest_budgets, codebook_size
 from .contention import (
     _closed_form, _rounded_base, _saturation_loads, _singles, _term_table, _TermTable,
-    _whole_loads, expected_singles_curve)
+    _whole_loads)
 from .errors import DomainError
 from .markov import _alphabet_terms, _checked_grid, expanded_efficiency_curve
 
@@ -47,16 +47,18 @@ HEAD_CHUNK = 2**15
 
 @dataclass(frozen=True)
 class CandidateSet:
-    """Codebooks competing over a strictly increasing user-load grid."""
+    """Codebooks competing over a strictly increasing user-load grid, held as
+    `markov._checked_grid`'s read-only int64 copy.  The array makes the
+    generated ``==`` raise; nothing compares candidate sets."""
 
     candidates: tuple[CodebookSpec, ...]
-    load_grid: tuple[int, ...]
+    load_grid: np.ndarray
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "candidates", tuple(self.candidates))
         if not self.candidates:
             raise DomainError("need at least one candidate codebook")
-        object.__setattr__(self, "load_grid", tuple(_checked_grid(self.load_grid)))
+        object.__setattr__(self, "load_grid", _checked_grid(self.load_grid))
 
 
 @dataclass(frozen=True)
@@ -149,7 +151,7 @@ def default_candidates(
     products, budgets = _smallest_budgets(length, m)
     expanded = tuple(CodebookSpec.expanded(b, m_global=m)
                      for b in budgets[products - 1 > codebook_size(reference)].tolist())
-    return CandidateSet((reference,) + expanded, tuple(load_grid))
+    return CandidateSet((reference,) + expanded, load_grid)
 
 
 def efficiency_curve(
@@ -162,8 +164,8 @@ def efficiency_curve(
     like one sub-frame of ``A`` preambles, so it perceives exactly its used
     codewords ``A (1 - (1 - 1/A)^N)``.
     """
-    grid = _whole_loads(load_grid).tolist()
-    return list(zip(grid, expanded_efficiency_curve(spec, grid).tolist()))
+    grid = _whole_loads(load_grid)
+    return list(zip(grid.tolist(), expanded_efficiency_curve(spec, grid).tolist()))
 
 
 def crossover_point(
@@ -175,7 +177,7 @@ def crossover_point(
     wins = np.flatnonzero(
         expanded_efficiency_curve(spec_b, grid) > expanded_efficiency_curve(spec_a, grid)
     )
-    return grid[wins[0]] if wins.size else None
+    return int(grid[wins[0]]) if wins.size else None
 
 
 def supported_load(
@@ -185,7 +187,7 @@ def supported_load(
     reaches ``floor``."""
     grid = _checked_grid(load_grid)
     reached = np.flatnonzero(expanded_efficiency_curve(spec, grid) >= floor)
-    return grid[reached[-1]] if reached.size else None
+    return int(grid[reached[-1]]) if reached.size else None
 
 
 def _dense_best(table: _TermTable, saturation: np.ndarray, loads: np.ndarray
@@ -219,6 +221,7 @@ def _tail_best(specs: Sequence[CodebookSpec], loads: np.ndarray
     """`_dense_best` over saturated loads, comparing only the `TAIL_WINDOW`
     distinct sizes around each load; ``specs`` are sorted by size."""
     sizes, first = np.unique([codebook_size(s) for s in specs], return_index=True)
+    n = loads.astype(np.float64)
     # the window's first size never decreases with N, so the loads whose
     # window holds size d form one range, found by bisection
     start = np.clip(np.searchsorted(sizes, loads) - TAIL_WINDOW // 2,
@@ -229,7 +232,7 @@ def _tail_best(specs: Sequence[CodebookSpec], loads: np.ndarray
         lo = np.searchsorted(start, d - TAIL_WINDOW + 1)
         hi = np.searchsorted(start, d, side="right")
         # equal sizes share their tail values: the first in size order stands for all
-        values = expected_singles_curve(loads[lo:hi], size) / size
+        values = _singles(n[lo:hi], *_rounded_base(size)) / size
         better = values > best[lo:hi]
         best[lo:hi][better] = values[better]
         chosen[lo:hi][better] = index
@@ -261,8 +264,7 @@ def threshold_schedule(candidates: CandidateSet) -> ThresholdSchedule:
     specs = sorted(candidates.candidates, key=codebook_size)  # stable: ties keep input order
     table = _term_table([_alphabet_terms(spec) for spec in specs], list(map(codebook_size, specs)))
     saturation = _saturation_loads(table)
-    tail = bisect_left(grid, int(saturation.max()))
-    loads = np.array(grid, dtype=np.int64)
+    tail = int(np.searchsorted(grid, saturation.max()))
     # Why the window suffices: d ln h / dA = (N - A) / (A (A - 1)), so h
     # rises below A = N and falls above it, and the best size is one of the
     # two that bracket N, the last below it and the first at or above it.
@@ -274,20 +276,20 @@ def threshold_schedule(candidates: CandidateSet) -> ThresholdSchedule:
     # dense loop decides it.  On the default grids of l4m4, l6m5 and l8m4 the
     # nearest outer size trails the bracket by at least 1.1e-5 relative and
     # the next by 1.5e-4, far above the few ulps of rounding.
-    head_best, head_chosen, closed_form_loads = _dense_best(table, saturation, loads[:tail])
-    tail_best, tail_chosen = _tail_best(specs, loads[tail:])
+    head_best, head_chosen, closed_form_loads = _dense_best(table, saturation, grid[:tail])
+    tail_best, tail_chosen = _tail_best(specs, grid[tail:])
     best = np.concatenate([head_best, tail_best])
     chosen = np.concatenate([head_chosen, tail_chosen])
 
     cuts = (np.flatnonzero(np.diff(chosen)) + 1).tolist()
     return ThresholdSchedule(tuple(
         ScheduleSegment(
-            n_low=grid[lo],
-            n_high=grid[stop - 1],
+            n_low=int(grid[lo]),
+            n_high=int(grid[stop - 1]),
             spec=specs[chosen[lo]],
             efficiency_low=float(best[lo]),
             efficiency_high=float(best[stop - 1]),
         )
-        for lo, stop in zip([0, *cuts], [*cuts, len(grid)])
-    ), tail_start=grid[tail] if tail < len(grid) else None,
+        for lo, stop in zip([0, *cuts], [*cuts, grid.size])
+    ), tail_start=int(grid[tail]) if tail < grid.size else None,
         closed_form_loads=closed_form_loads)

@@ -54,12 +54,18 @@ class TestInlineGrammar:
 
 class TestNRange:
     def test_forms(self):
-        assert parse_n_range("5") == [5]
-        assert parse_n_range("1:4") == [1, 2, 3, 4]
-        assert parse_n_range("2:10:3") == [2, 5, 8]
+        assert parse_n_range("5").tolist() == [5]
+        assert parse_n_range("1:4").tolist() == [1, 2, 3, 4]
+        assert parse_n_range("2:10:3").tolist() == [2, 5, 8]
 
     def test_range_is_inclusive(self):
-        assert parse_n_range("3:9:3") == [3, 6, 9]
+        assert parse_n_range("3:9:3").tolist() == [3, 6, 9]
+
+    def test_grid_is_a_read_only_int64_array(self):
+        grid = parse_n_range("2:10:3")
+        assert grid.dtype == np.int64 and not grid.flags.writeable
+        with pytest.raises(ValueError):
+            grid[0] = 1
 
     @pytest.mark.parametrize("text", ["0", "5:2", "1:5:0", "a:b", "1:2:3:4"])
     def test_invalid_ranges(self, text):
@@ -329,7 +335,7 @@ class TestSimulate:
         recorded = json.loads((tmp_path / "first" / "simulate_manifest.json").read_text())
         n_range = recorded["parameters"]["n_range"]
         if isinstance(n_range, str):
-            assert parse_n_range(n_range) == loads
+            assert parse_n_range(n_range).tolist() == loads
             assert run("simulate", "--spec", recorded["parameters"]["spec"],
                        "--n-range", n_range, "--trials", 50, "--seed", 3,
                        "--out", tmp_path / "again") == 0
@@ -340,6 +346,22 @@ class TestSimulate:
             assert run("simulate", "--scenario", doc, "--out", tmp_path / "again") == 0
         assert ((tmp_path / "again" / "simulate.csv").read_bytes()
                 == (tmp_path / "first" / "simulate.csv").read_bytes())
+
+    def test_manifest_loads_are_json_ints(self, tmp_path):
+        # the grid is an int64 array inside; every load a manifest records is an int
+        assert run("thresholds", "--length", 4, "--preambles", 4, "--n-range", "1:700",
+                   "--out", tmp_path / "plan") == 0
+        plan = json.loads((tmp_path / "plan" / "thresholds_manifest.json").read_text())
+        doc = tmp_path / "scenario.json"
+        doc.write_text(json.dumps({"spec": "L=2,m=2,2,mode=expanded", "N": [7, 2, 5, 5],
+                                   "trials": 50, "master_seed": 3}))
+        assert run("simulate", "--scenario", doc, "--out", tmp_path / "mc") == 0
+        mc = json.loads((tmp_path / "mc" / "simulate_manifest.json").read_text())
+        assert (plan["tail_start"], plan["sizes"]["head_loads"]) == (580, 579)
+        assert mc["parameters"]["n_range"] == [7, 2, 5, 5]
+        loads = [plan["tail_start"], plan["sizes"]["head_loads"], *mc["parameters"]["n_range"],
+                 *(d["N"] for d in mc["diagnostics"]), mc["max_abs_z"]["N"]]
+        assert all(type(n) is int for n in loads), loads
 
     def test_empty_scenario_load_list_exit_code(self, tmp_path):
         doc = tmp_path / "scenario.json"

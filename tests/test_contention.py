@@ -62,6 +62,17 @@ class TestWholeNumber:
     def test_integers_of_any_size_taken(self):
         assert whole_number(2**70, "seed") == 2**70
 
+    def test_loads_are_a_read_only_copy_checked_against_the_least(self):
+        given = np.array([0, 2])
+        loads = _whole_loads(given)
+        assert loads.dtype == np.int64 and not loads.flags.writeable
+        given[1] = 5
+        assert loads.tolist() == [0, 2]
+        with pytest.raises(DomainError, match="user count cannot be negative"):
+            _whole_loads([2, -1])
+        with pytest.raises(DomainError, match="efficiency is undefined without contenders"):
+            _whole_loads(given, least=1)
+
     @pytest.mark.parametrize("value", [2.0, np.int64(2), np.float64(2.0)])
     def test_load_point_takes_whole_numbers(self, value):
         point = LoadPoint(value, 4 * value)

@@ -240,6 +240,32 @@ class TestSchedule:
         assert l4 > l2
 
 
+class TestLoadGridFormat:
+    """A grid is one read-only int64 array; loads leave the planner as Python ints."""
+
+    @pytest.mark.parametrize("grid", [list(range(1, 701)), range(1, 701), np.arange(1, 701)],
+                             ids=["list", "range", "int64"])
+    def test_loads_come_out_as_python_ints(self, grid):
+        schedule = threshold_schedule(default_candidates(4, 4, grid))
+        ref, exp = CodebookSpec.reference(2, 2), CodebookSpec.expanded((2, 2))
+        loads = [schedule.tail_start, crossover_point(ref, exp, grid),
+                 supported_load(ref, grid, floor=0.5),
+                 *(n for seg in schedule.segments for n in (seg.n_low, seg.n_high))]
+        assert loads[:3] == [580, 7, 5]
+        assert all(type(n) is int for n in loads), loads
+
+    def test_candidate_grid_does_not_alias_the_callers_array(self):
+        grid = np.arange(1, 301)
+        cands = default_candidates(2, 4, grid)
+        expected = threshold_schedule(cands)
+        assert cands.load_grid.dtype == np.int64
+        with pytest.raises(ValueError):
+            cands.load_grid[0] = 2
+        grid *= 2
+        assert cands.load_grid.tolist() == list(range(1, 301))
+        assert threshold_schedule(cands) == expected
+
+
 def dense_schedule(candidates):
     """Segments of the running best over every candidate at every load: the
     schedule without its saturated tail."""
