@@ -418,6 +418,7 @@ def cmd_thresholds(args: argparse.Namespace) -> int:
             "loads": len(grid),
             "head_loads": int(np.searchsorted(grid, schedule.tail_start or np.inf)),
             "closed_form_loads": schedule.closed_form_loads,
+            "tail_checks": schedule.tail_checks,
         }},
     )
     return 0

@@ -159,12 +159,13 @@ def _closed_form(table: _TermTable, loads: np.ndarray, counts: np.ndarray | None
                  ) -> np.ndarray:
     """``sum c*P*((P-1)/A)**N - 1`` at every load, one row per codebook of
     the `_term_table`, in the two forms `codexpand.markov` describes; exactly
-    at ``N = 1`` and wherever the rounding bound exceeds `CLOSED_FORM_RTOL`
-    of the value.  Codebook ``k`` is evaluated at its first ``counts[k]``
-    loads (all by default) and is ``float(A)`` from there on, its value from
-    its saturation load on.  Terms are summed one at a time in table order,
-    never by a dot product, so a codebook's floats do not depend on its
-    batch, on `CLOSED_FORM_CHUNK` or on the BLAS build."""
+    at ``N = 1``, as one integer quotient, and, in rationals, wherever the
+    rounding bound exceeds `CLOSED_FORM_RTOL` of the value.  Codebook ``k``
+    is evaluated at its first ``counts[k]`` loads (all by default) and is
+    ``float(A)`` from there on, its value from its saturation load on.
+    Terms are summed one at a time in table order, never by a dot product,
+    so a codebook's floats do not depend on its batch, on
+    `CLOSED_FORM_CHUNK` or on the BLAS build."""
     n = np.asarray(loads, dtype=np.float64)
     counts = np.full(len(table.fill), n.size) if counts is None else counts
     # the values evaluated, codebook k at load at, codebook by codebook
@@ -193,7 +194,12 @@ def _closed_form(table: _TermTable, loads: np.ndarray, counts: np.ndarray | None
     # y > -1, and at most eps*|w|/e beyond, where it decays as e**y while the
     # value grows with N.  The other roundings scale with |e| |w| or the value.
     bound = np.repeat(table.rounding, counts) * (magnitude + np.abs(values))
-    fallback = np.flatnonzero((x == 1) | (bound > CLOSED_FORM_RTOL * np.abs(values)))
+    single = x == 1
+    for i, c in zip(np.flatnonzero(single).tolist(), k[single].tolist()):
+        # at N = 1, (sum c*P*(P-1) - A) / A: one correctly rounded integer quotient
+        size = int(table.exact[-1, c])
+        values[i] = (sum(w * p * (p - 1) for p, w in table.terms[c].items()) - size) / size
+    fallback = np.flatnonzero(~single & (bound > CLOSED_FORM_RTOL * np.abs(values)))
     for i, c in zip(fallback.tolist(), k[fallback].tolist()):
         values[i] = float(_closed_form_exact(table.terms[c], int(table.exact[-1, c]), int(x[i])))
     out = np.repeat(table.fill[:, None], n.size, axis=1)

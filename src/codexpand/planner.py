@@ -12,8 +12,11 @@ is seen in every sub-frame, so every codeword is perceived: from its
 saturation load (`contention._saturation_loads`) a candidate's closed form
 rounds to exactly its size ``A``, and its efficiency is ``N h(A)`` with
 ``h(A) = (1 - 1/A)**(N-1) / A``.  That function of ``A`` peaks at ``A = N``,
-so from the last candidate's saturation load on, each load compares only the
-few codebook sizes around ``N`` (`TAIL_WINDOW`).  Below it every candidate
+so from the last candidate's saturation load on, a load compares only the
+few codebook sizes around ``N`` (`TAIL_WINDOW`), and only the loads near
+where two sizes' curves cross in closed form, or where the values underflow,
+are compared at all (`_tail_checks`); each choice holds up to the next such
+load, so the tail costs a few loads per size.  Below it every candidate
 is compared at every load, in array passes over blocks of candidates x
 loads, each closed form evaluated only below its own saturation load by the
 one batched evaluator, `contention._closed_form`; the perceived count is
@@ -22,9 +25,9 @@ one batched evaluator, `contention._closed_form`; the perceived count is
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Sequence
 
 import numpy as np
@@ -79,12 +82,14 @@ class ThresholdSchedule:
     ``tail_start`` is the first grid load evaluated in the saturated tail, or
     ``None`` when the whole grid lies in the dense head.  ``closed_form_loads``
     counts the head loads at which a candidate's closed form was evaluated,
-    summed over the candidates.
+    summed over the candidates, and ``tail_checks`` the tail loads at which
+    the window rule ran.
     """
 
     segments: tuple[ScheduleSegment, ...]
     tail_start: int | None = None
     closed_form_loads: int = 0
+    tail_checks: int = 0
 
     @property
     def thresholds(self) -> tuple[int, ...]:
@@ -190,16 +195,17 @@ def supported_load(
     return int(grid[reached[-1]]) if reached.size else None
 
 
-def _dense_best(table: _TermTable, saturation: np.ndarray, loads: np.ndarray
-                ) -> tuple[np.ndarray, np.ndarray, int]:
+def _dense_best(table: _TermTable, saturation: np.ndarray, x: np.ndarray, delta: np.ndarray,
+                loads: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     """Running best over every candidate at every load, in table order: a
     later candidate takes a load only if strictly better.  Candidates are
     compared in blocks of about `HEAD_CHUNK` candidate-loads, the first of a
     block's most efficient (``argmax``) against the earlier blocks' best;
-    each closed form is evaluated only below its ``saturation`` load.  Also
-    returns how many closed-form loads that is, summed over the candidates."""
+    each closed form is evaluated only below its ``saturation`` load; ``x``
+    and ``delta`` are the candidates' rounded bases.  Also returns how many
+    closed-form loads that is, summed over the candidates."""
     counts = np.searchsorted(loads, saturation)
-    x, delta = (np.array(b)[:, None] for b in zip(*map(_rounded_base, table.exact[-1].tolist())))
+    x, delta = x[:, None], delta[:, None]
     n = loads.astype(np.float64)
     best = np.full(n.size, -np.inf)
     chosen = np.zeros(n.size, dtype=np.intp)
@@ -216,30 +222,114 @@ def _dense_best(table: _TermTable, saturation: np.ndarray, loads: np.ndarray
     return best, chosen, int(counts.sum())
 
 
-def _tail_best(specs: Sequence[CodebookSpec], loads: np.ndarray
-               ) -> tuple[np.ndarray, np.ndarray]:
-    """`_dense_best` over saturated loads, comparing only the `TAIL_WINDOW`
-    distinct sizes around each load; ``specs`` are sorted by size."""
-    sizes, first = np.unique([codebook_size(s) for s in specs], return_index=True)
-    n = loads.astype(np.float64)
-    # the window's first size never decreases with N, so the loads whose
-    # window holds size d form one range, found by bisection
-    start = np.clip(np.searchsorted(sizes, loads) - TAIL_WINDOW // 2,
-                    0, max(len(sizes) - TAIL_WINDOW, 0))
-    best = np.full(len(loads), -np.inf)
-    chosen = np.zeros(len(loads), dtype=np.intp)
-    for d, (size, index) in enumerate(zip(sizes.tolist(), first.tolist())):
-        lo = np.searchsorted(start, d - TAIL_WINDOW + 1)
-        hi = np.searchsorted(start, d, side="right")
-        # equal sizes share their tail values: the first in size order stands for all
-        values = _singles(n[lo:hi], *_rounded_base(size)) / size
-        better = values > best[lo:hi]
-        best[lo:hi][better] = values[better]
-        chosen[lo:hi][better] = index
+def _run_starts(values: np.ndarray) -> np.ndarray:
+    """Indices at which ``values`` differs from the entry before, the first
+    included: where each run of equal values starts."""
+    changed = np.empty(len(values), dtype=bool)
+    changed[:1] = True
+    np.not_equal(values[1:], values[:-1], out=changed[1:])
+    return np.flatnonzero(changed)
+
+
+def _window(index: np.ndarray, count: int) -> np.ndarray:
+    """The `TAIL_WINDOW` distinct sizes, of ``count``, compared at a load with
+    ``index`` sizes below it: the two that bracket the load and one more on
+    either side, the window shifted inside the sizes; with fewer sizes than
+    the window, the last repeats, which never changes a first maximum."""
+    start = np.clip(index - TAIL_WINDOW // 2, 0, max(count - TAIL_WINDOW, 0))
+    return np.minimum(start[..., None] + np.arange(TAIL_WINDOW), count - 1)
+
+
+def _tail_checks(sizes: np.ndarray, loads: np.ndarray) -> np.ndarray:
+    """Indices of the tail ``loads`` at which the window rule runs, sorted;
+    ``sizes`` are distinct and sorted.
+
+    Away from these loads every window value is a normal float within
+    rounding of ``N h(A)``, or surely 0.0, and no two compare unlike
+    ``N h(A)``.  The rule then picks the best size of all, which changes only
+    where consecutive sizes cross, or index 0 where all are 0.0.  So a
+    check's choice holds up to the next check.  Checked are the first load,
+    the first beyond each size (where the window shifts), and the loads in a
+    rounding band around each crossover or where a window value may be
+    subnormal, each band with one more load on either side."""
+    eps = np.finfo(np.float64).eps
+    f = sizes.astype(np.float64)
+    count = len(f)
+    # Crossovers of sizes a < b at most TAIL_WINDOW - 1 apart in size order
+    # (repeated pairs at the end are harmless).  ln h(a) - ln h(b) is
+    # slope (c - N) exactly, both factors formed from exact integer
+    # differences, so c is good to 10 eps relative:
+    #   slope = ln(1 - 1/b) - ln(1 - 1/a) = log1p((b - a) / (b (a - 1))),
+    #   c = 1 + log1p((b - a) / a) / slope, inside (a, b).
+    # Each float efficiency is within r(N) = 6 eps + ((N - 1) eps)**2 of
+    # N h(A), relative: the power within 4 ulps, three products, and the
+    # correction (1 + (N-1) delta) with its rounding and its dropped
+    # second-order term ((N - 1) delta)**2 / 2, |delta| <= eps/2.  So two of
+    # them can compare unlike N h(A) only where slope |N - c| <= 3 r(N):
+    # within 3 r(b) / slope, about 3 r a**2 / (b - a) loads, of c.  That is
+    # under half a load for a <= 10**7.
+    a = f[:-1, None]
+    b = f[np.minimum(np.arange(1, count)[:, None] + np.arange(TAIL_WINDOW - 1), count - 1)]
+    with np.errstate(divide="ignore"):  # a = 1: h(1) is 0.0 from N = 2 on, c = 1
+        slope = np.log1p((b - a) / (b * (a - 1)))
+        crossing = 1 + np.log1p((b - a) / a) / slope
+        log_x = np.log1p(-1 / f)
+    band = 3 * (6 * eps + ((b - 1) * eps) ** 2) / slope + 10 * eps * crossing
+    # Underflow.  r(N) holds while the power x**(N-1) is a normal float; the
+    # efficiency is about that power or more where N >= A, and above
+    # N / (e A) elsewhere.
+    # From where the power may fall below e tiny to where it is below
+    # 2**-1075 / e, which rounds to 0.0, every load with the size in its
+    # window is checked; past them all, every window value is 0.0.
+    # the window is fixed for the loads in (bounds[j], bounds[j + 1]]
+    window = _window(np.arange(count + 1), count)
+    bounds = np.concatenate([[0.0], f, [np.inf]])
+    subnormal = np.maximum(1 + (np.log(np.finfo(np.float64).tiny) + 1) / log_x[window],
+                           bounds[:-1, None] + 1)
+    zero = np.minimum(1 + (-1075 * np.log(2) - 1) / log_x[window], bounds[1:, None])
+    some = subnormal <= zero
+    low = np.concatenate([(crossing - band).ravel(), subnormal[some]])
+    high = np.concatenate([(crossing + band).ravel(), zero[some]])
+    bound = float(2**62)
+    below = np.searchsorted(loads, np.clip(np.ceil(low), 0, bound).astype(np.int64)) - 1
+    above = np.searchsorted(loads, np.clip(np.floor(high), 0, bound).astype(np.int64), "right")
+    shifts = np.searchsorted(loads, sizes, "right")
+    below = np.clip(np.concatenate([[0], shifts, below]), 0, len(loads) - 1)
+    above = np.clip(np.concatenate([[0], shifts, above]), 0, len(loads) - 1)
+    counts = above - below + 1
+    checks = np.sort(np.repeat(below - np.cumsum(counts) + counts, counts)
+                     + np.arange(counts.sum()))
+    return checks[_run_starts(checks)]
+
+
+def _tail_runs(sizes: Sequence[int], x: np.ndarray, delta: np.ndarray, loads: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
+    """`_dense_best` over saturated loads as runs of one choice, comparing only
+    the `TAIL_WINDOW` distinct sizes around each load, and only at the
+    `_tail_checks`; ``sizes`` are the candidates' sizes, sorted, and ``x``
+    and ``delta`` their rounded bases.  Returns the runs' first indices into
+    ``loads``, the candidates chosen, their efficiencies at each run's first
+    and last load, and how many loads were checked."""
+    sizes, first = np.unique(sizes, return_index=True)
+    x, delta = x[first], delta[first]
+    checks = _tail_checks(sizes, loads)
+    n = loads[checks]
+    window = _window(np.searchsorted(sizes, n), len(sizes))
+    # equal sizes share their tail values: the first in size order stands for all
+    values = _singles(n.astype(np.float64)[:, None], x[window], delta[window])
+    values /= sizes[window]
+    pick = np.arange(len(checks)), values.argmax(axis=1)  # the first of the most efficient
+    member = window[pick]
     # where every efficiency has underflowed to 0.0, the tie goes to the
     # smallest codebook, as in the dense loop
-    chosen[best == 0.0] = 0
-    return best, chosen
+    chosen = np.where(values[pick] == 0.0, 0, first[member])
+    runs = _run_starts(chosen)
+    starts = checks[runs]
+    # at every load of a run its first size is the best, or 0.0 like every size
+    edges = loads[np.array([starts, np.append(starts[1:], len(loads)) - 1])]
+    member = member[runs]
+    low, high = _singles(edges.astype(np.float64), x[member], delta[member]) / sizes[member]
+    return starts, chosen[runs], low, high, len(checks)
 
 
 def threshold_schedule(candidates: CandidateSet) -> ThresholdSchedule:
@@ -258,11 +348,17 @@ def threshold_schedule(candidates: CandidateSet) -> ThresholdSchedule:
     every candidate perceives exactly its ``A`` codewords in floats, so its
     efficiency is ``N h(A)`` with ``h(A) = (1 - 1/A)**(N-1) / A``, the same
     float as the dense value; only the `TAIL_WINDOW` sizes around ``N`` are
-    compared there (the tail).
+    compared there (the tail), and only at the `_tail_checks`, a few loads
+    per size around where two sizes cross, the window shifts or the values
+    underflow.  Each choice holds up to the next check, and the tail's
+    efficiencies are evaluated at its segment edges only.
     """
     grid = candidates.load_grid
-    specs = sorted(candidates.candidates, key=codebook_size)  # stable: ties keep input order
-    table = _term_table([_alphabet_terms(spec) for spec in specs], list(map(codebook_size, specs)))
+    # stable: ties keep input order
+    sizes, specs = zip(*sorted(zip(map(codebook_size, candidates.candidates),
+                                   candidates.candidates), key=itemgetter(0)))
+    table = _term_table([_alphabet_terms(spec) for spec in specs], sizes)
+    x, delta = map(np.array, zip(*map(_rounded_base, sizes)))
     saturation = _saturation_loads(table)
     tail = int(np.searchsorted(grid, saturation.max()))
     # Why the window suffices: d ln h / dA = (N - A) / (A (A - 1)), so h
@@ -275,21 +371,27 @@ def threshold_schedule(candidates: CandidateSet) -> ThresholdSchedule:
     # 10**7.  The window keeps them, so such a near tie is decided as the
     # dense loop decides it.  On the default grids of l4m4, l6m5 and l8m4 the
     # nearest outer size trails the bracket by at least 1.1e-5 relative and
-    # the next by 1.5e-4, far above the few ulps of rounding.
-    head_best, head_chosen, closed_form_loads = _dense_best(table, saturation, grid[:tail])
-    tail_best, tail_chosen = _tail_best(specs, grid[tail:])
-    best = np.concatenate([head_best, tail_best])
-    chosen = np.concatenate([head_chosen, tail_chosen])
-
-    cuts = (np.flatnonzero(np.diff(chosen)) + 1).tolist()
+    # the next by 1.5e-4, far above the few ulps of rounding.  The tail's cost
+    # grows with the number of sizes, not of loads.
+    head_best, head_chosen, closed_form_loads = _dense_best(
+        table, saturation, x, delta, grid[:tail])
+    del table  # one dict of terms per candidate: freed before the tail's arrays
+    head = _run_starts(head_chosen)
+    runs = [(head, head_chosen[head], head_best[head], head_best[np.append(head, tail)[1:] - 1])]
+    checks = 0
+    if tail < grid.size:
+        starts, *rest, checks = _tail_runs(sizes, x, delta, grid[tail:])
+        runs.append((starts + tail, *rest))
+    starts, chosen, low, high = map(np.concatenate, zip(*runs))
+    # the head's last run and the tail's first are one segment if they agree
+    first = _run_starts(chosen)
+    last = np.append(first[1:], len(chosen)) - 1
+    ends = np.append(starts[first[1:]], grid.size) - 1
     return ThresholdSchedule(tuple(
-        ScheduleSegment(
-            n_low=int(grid[lo]),
-            n_high=int(grid[stop - 1]),
-            spec=specs[chosen[lo]],
-            efficiency_low=float(best[lo]),
-            efficiency_high=float(best[stop - 1]),
-        )
-        for lo, stop in zip([0, *cuts], [*cuts, grid.size])
+        ScheduleSegment(n_low=n_low, n_high=n_high, spec=specs[index],
+                        efficiency_low=e_low, efficiency_high=e_high)
+        for n_low, n_high, index, e_low, e_high in zip(
+            grid[starts[first]].tolist(), grid[ends].tolist(), chosen[first].tolist(),
+            low[first].tolist(), high[last].tolist())
     ), tail_start=int(grid[tail]) if tail < grid.size else None,
-        closed_form_loads=closed_form_loads)
+        closed_form_loads=closed_form_loads, tail_checks=checks)

@@ -15,6 +15,7 @@ from codexpand import (
     DomainError,
     StateSpaceTooLarge,
     build_transition_model,
+    default_candidates,
     efficiency_curve,
     expanded_efficiency,
     expected_singles_curve,
@@ -245,7 +246,7 @@ class TestClosedForm:
     @pytest.mark.parametrize("m,top", [(5000, 3000), (20000, 4000)])
     def test_wide_subframe_stays_on_the_float_path(self, monkeypatch, m, top):
         # one wide sub-frame is the used-codeword count of m codewords; the
-        # float form suffices at every load but the exactly evaluated N = 1
+        # float form suffices at every load but N = 1, one integer quotient
         exact_loads = []
         exact = contention._closed_form_exact
 
@@ -256,8 +257,22 @@ class TestClosedForm:
         monkeypatch.setattr(contention, "_closed_form_exact", counted)
         grid = range(1, top + 1)
         values = perceived_curve(CodebookSpec.expanded((m,)), grid)
-        assert exact_loads == [1]
+        assert exact_loads == []
         assert values.tolist() == expected_used_curve(grid, m).tolist()
+
+    @pytest.mark.parametrize("length, m", [(4, 4), (6, 5)])
+    def test_one_contender_is_the_exact_value_rounded(self, length, m):
+        # N = 1 is one integer quotient, for each candidate alone and in one batch
+        specs = default_candidates(length, m, [1]).candidates
+        exact = [float(perceived_count_rational(spec, 1)) for spec in specs]
+        assert [perceived_curve(spec, [1])[0] for spec in specs] == exact
+        assert contention._closed_form(batch_table(specs), np.array([1]))[:, 0].tolist() == exact
+
+    @given(st.lists(st.integers(min_value=0, max_value=40), min_size=1, max_size=8).filter(any))
+    @settings(max_examples=60, deadline=None)
+    def test_one_contender_is_the_exact_value_rounded_for_any_budgets(self, budgets):
+        spec = CodebookSpec.expanded(budgets)
+        assert perceived_curve(spec, [1, 2])[0] == float(perceived_count_rational(spec, 1))
 
     def test_matches_chain_sweep_on_a_long_grid(self):
         spec = CodebookSpec.expanded((1, 2, 3))

@@ -2,9 +2,12 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from codexpand import (
     CandidateSet,
@@ -25,7 +28,7 @@ from codexpand import (
     supported_load,
     threshold_schedule,
 )
-from codexpand.contention import _saturation_load
+from codexpand.contention import _rounded_base, _saturation_load, _singles
 from codexpand.markov import _alphabet_terms
 from codexpand import planner
 from codexpand.planner import ScheduleSegment
@@ -266,24 +269,77 @@ class TestLoadGridFormat:
         assert threshold_schedule(cands) == expected
 
 
-def dense_schedule(candidates):
-    """Segments of the running best over every candidate at every load: the
-    schedule without its saturated tail."""
-    grid = candidates.load_grid
-    specs = sorted(candidates.candidates, key=codebook_size)
-    best = expanded_efficiency_curve(specs[0], grid)
-    chosen = np.zeros(len(grid), dtype=np.intp)
-    for index, spec in enumerate(specs[1:], start=1):
-        values = expanded_efficiency_curve(spec, grid)
-        better = values > best
-        best[better] = values[better]
-        chosen[better] = index
+def segments_of(grid, specs, best, chosen):
+    """Segments of per-load choices and efficiencies, as `threshold_schedule`
+    builds them."""
     cuts = (np.flatnonzero(np.diff(chosen)) + 1).tolist()
     return tuple(
-        ScheduleSegment(grid[lo], grid[stop - 1], specs[chosen[lo]],
+        ScheduleSegment(int(grid[lo]), int(grid[stop - 1]), specs[chosen[lo]],
                         float(best[lo]), float(best[stop - 1]))
         for lo, stop in zip([0, *cuts], [*cuts, len(grid)])
     )
+
+
+def running_best(specs, loads):
+    """The running best over every candidate at every load, in size order."""
+    best = np.full(len(loads), -np.inf)
+    chosen = np.zeros(len(loads), dtype=np.intp)
+    for index, spec in enumerate(specs):
+        values = expanded_efficiency_curve(spec, loads)
+        better = values > best
+        best[better] = values[better]
+        chosen[better] = index
+    return best, chosen
+
+
+def dense_schedule(candidates):
+    """Segments of the running best over every candidate at every load: the
+    schedule without its saturated tail."""
+    specs = sorted(candidates.candidates, key=codebook_size)
+    return segments_of(candidates.load_grid, specs,
+                       *running_best(specs, candidates.load_grid))
+
+
+def per_load_tail(specs, loads):
+    """The tail rule at every load: the running best over the `TAIL_WINDOW`
+    distinct sizes around each load, ``N h(A)`` in `_singles`' floats, and the
+    smallest codebook where every one has underflowed to 0.0; ``specs`` are
+    sorted by size."""
+    window = planner.TAIL_WINDOW
+    sizes, first = np.unique([codebook_size(s) for s in specs], return_index=True)
+    n = loads.astype(np.float64)
+    start = np.clip(np.searchsorted(sizes, loads) - window // 2, 0, max(len(sizes) - window, 0))
+    best = np.full(len(loads), -np.inf)
+    chosen = np.zeros(len(loads), dtype=np.intp)
+    for d, (size, index) in enumerate(zip(sizes.tolist(), first.tolist())):
+        lo = np.searchsorted(start, d - window + 1)
+        hi = np.searchsorted(start, d, side="right")
+        values = _singles(n[lo:hi], *_rounded_base(size)) / size
+        better = values > best[lo:hi]
+        best[lo:hi][better] = values[better]
+        chosen[lo:hi][better] = index
+    chosen[best == 0.0] = 0
+    return best, chosen
+
+
+def per_load_schedule(candidates):
+    """The schedule with its tail rule run at every tail load, from the last
+    candidate's saturation load on."""
+    grid = candidates.load_grid
+    specs = sorted(candidates.candidates, key=codebook_size)
+    tail = np.searchsorted(grid, max(_saturation_load(_alphabet_terms(s), codebook_size(s))
+                                     for s in specs))
+    best, chosen = (np.concatenate(parts) for parts in zip(
+        running_best(specs, grid[:tail]), per_load_tail(specs, grid[tail:])))
+    return segments_of(grid, specs, best, chosen)
+
+
+def crossings(sizes):
+    """Loads where ``N h(a)`` and ``N h(b)`` cross, for sizes that can share
+    a window; with a = 1, at N = 1."""
+    sizes = sorted(set(sizes))
+    return [1.0 if a == 1 else 1 + math.log(b / a) / (math.log1p(-1 / b) - math.log1p(-1 / a))
+            for i, a in enumerate(sizes) for b in sizes[i + 1:i + planner.TAIL_WINDOW]]
 
 
 class TestSaturatedTail:
@@ -374,3 +430,66 @@ class TestSaturatedTail:
         assert schedule.segments == dense_schedule(cands)
         assert schedule.spec_at(10**6) == cands.candidates[0]
         assert schedule.segments[-1].efficiency_high == 0.0
+
+    @pytest.mark.parametrize("length, m", [(10, 4), (16, 2)])
+    def test_tail_is_the_per_load_rule_on_long_grids(self, length, m):
+        # out to 2e7 (l10m4: 486 sizes up to 9,765,624; l16m2: 141 up to
+        # 43,046,720) in prime steps, dense around every size and crossover
+        sizes = [m * length, *cardinalities_of_interest(length, m)]
+        dense = [round(c) + k for c in [*sizes, *crossings(sizes)] for k in range(-4, 5)]
+        grid = np.union1d(np.arange(1, 2 * 10**7, 997), dense)
+        cands = default_candidates(length, m, grid[(grid >= 1) & (grid <= 2 * 10**7)])
+        schedule = threshold_schedule(cands)
+        assert schedule.segments == per_load_schedule(cands)
+        assert schedule.tail_checks < 4000
+
+    @pytest.mark.parametrize("grid", [range(1, 10**6 + 1),
+                                      (*range(1, 300), *range(10**3, 10**6, 7919))],
+                             ids=["dense", "prime-stepped"])
+    def test_tail_is_the_per_load_rule_through_underflow(self, grid):
+        # L=2, M=4 efficiencies turn subnormal near N = 10**4 and are 0.0
+        # from about 17,900 on, where the smallest codebook takes every load
+        cands = default_candidates(2, 4, grid)
+        schedule = threshold_schedule(cands)
+        assert schedule.segments == per_load_schedule(cands)
+        assert schedule.spec_at(grid[-1]) == cands.candidates[0]
+        assert schedule.tail_checks < 5000
+
+    @given(st.sets(st.one_of(st.integers(1, 300), st.integers(10**7 - 12, 10**7 + 12),
+                             st.integers(1, 4 * 10**7)), min_size=1, max_size=12),
+           st.lists(st.integers(1, 4 * 10**7), max_size=50))
+    @settings(max_examples=80, deadline=None)
+    def test_tail_runs_are_the_per_load_rule(self, sizes, extra):
+        # random size sets, with sizes one apart near 10**7; loads around every
+        # size, crossover and underflow of a size, and anywhere
+        specs = [CodebookSpec.reference(a, 1) for a in sorted(sizes)]
+        marks = [*sizes, *crossings(sizes), *extra]
+        for a in sizes:  # where x**(N-1) turns subnormal, and where it is 0.0
+            marks += [] if a == 1 else [1 - t / math.log1p(-1 / a) for t in (708.4, 745.1)]
+        loads = np.unique([round(c) + k for c in marks for k in range(-40, 41)])
+        loads = loads[(loads >= 1) & (loads < 2**53)]
+        sizes = sorted(sizes)
+        bases = map(np.array, zip(*map(_rounded_base, sizes)))
+        starts, chosen, low, high, checks = planner._tail_runs(sizes, *bases, loads)
+        best, expected = per_load_tail(specs, loads)
+        stops = np.append(starts[1:], len(loads))
+        assert np.repeat(chosen, stops - starts).tolist() == expected.tolist()
+        assert low.tolist() == best[starts].tolist()
+        assert high.tolist() == best[stops - 1].tolist()
+        assert checks <= len(loads)
+
+    def test_tail_allocates_nothing_of_its_length(self):
+        # the tail of l2m4 on 1:1e6 starts at 281; no temporary of its
+        # length (8 MB a float array) is made, so the peak does not grow with it
+        threshold_schedule(default_candidates(2, 4, range(1, 1001)))  # warm caches
+        peaks = []
+        for last in (10**5, 10**6):
+            cands = default_candidates(2, 4, range(1, last + 1))
+            tracemalloc.start()
+            try:
+                threshold_schedule(cands)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < cands.load_grid.nbytes / 8
+        assert peaks[1] <= peaks[0] + 2**14
