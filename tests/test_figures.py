@@ -84,6 +84,12 @@ BYTE_PINS = {
     "analyze-l6": (["analyze", "--spec", "L=6,m=5,5,5,5,5,4,mode=expanded",
                     "--n-range", "1:5000"],
                    1, "17c4b187268fb4239fcbcaf3217929c9487e6bf8415f6673492f9011ac419461"),
+    # the thinnest best-vs-second efficiency gaps of any grid: m = 54
+    "thresholds-l2m54": (["thresholds", "--length", "2", "--preambles", "54"],
+                         1, "b5b2dc42dc690c00fedf8f8b20a023094cc27e59cafc444904ff7a68eab3f93a"),
+    "thresholds-l3m54": (["thresholds", "--length", "3", "--preambles", "54",
+                          "--n-range", "1:20000"],
+                         1, "8105b4ea95b6915a5bef3a52664577182734408d152f1a5d096816c445847132"),
 }
 
 
