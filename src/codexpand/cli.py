@@ -210,11 +210,13 @@ def parse_n_range(text: str) -> np.ndarray:
     step = numbers[2] if len(numbers) > 2 else 1
     if start < 1 or stop < start or step < 1:
         raise DomainError(f"load range {text!r} must satisfy 1 <= A <= B, STEP >= 1")
-    return _whole_loads(np.arange(start, stop + 1, step))
+    grid = np.arange(start, stop + 1, step)
+    grid.flags.writeable = False  # so that no layer copies it
+    return _whole_loads(grid)
 
 
 def _default_grid(size: int) -> np.ndarray:
-    return _whole_loads(np.arange(1, LOAD_SPAN_FACTOR * size + 1))
+    return parse_n_range(f"1:{LOAD_SPAN_FACTOR * size}")
 
 
 def _simulate(spec: CodebookSpec, grid: np.ndarray, trials: int,

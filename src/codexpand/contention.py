@@ -60,7 +60,8 @@ def _whole_loads(n_values, least: int = 0) -> np.ndarray:
     """User counts, a scalar or a grid, as a read-only int64 copy, by
     `whole_number`'s rule applied to the array's type: integer arrays, and
     float arrays of whole values inside the int64 range; bool and other
-    arrays raise, and so do loads below ``least`` (1 where efficiency is taken)."""
+    arrays raise, and so do loads below ``least`` (1 where efficiency is taken).
+    A read-only int64 array that owns its data is checked and returned as is."""
     loads = np.asarray(n_values)
     if loads.dtype.kind == "f" and (np.abs(loads) < 2.0**63).all():
         fractional = loads[loads != np.trunc(loads)]
@@ -68,7 +69,8 @@ def _whole_loads(n_values, least: int = 0) -> np.ndarray:
             raise DomainError(f"user counts must be whole numbers, got {fractional[0]:g}")
     elif loads.dtype.kind not in "iu":
         raise DomainError(f"user counts must be whole numbers, got {n_values!r}")
-    loads = loads.astype(np.int64)
+    if not (loads.dtype == np.int64 and loads.flags.owndata and not loads.flags.writeable):
+        loads = loads.astype(np.int64)
     if (loads < least).any():
         raise DomainError("efficiency is undefined without contenders" if least
                           else "user count cannot be negative")

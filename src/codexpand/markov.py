@@ -228,12 +228,12 @@ class TransitionModel:
 
 
 def _checked_grid(n_values: Sequence[int]) -> np.ndarray:
-    """The one grid format, checked once: `_whole_loads`' read-only int64 copy,
-    one-dimensional, non-empty, positive and strictly increasing."""
+    """The one grid format, checked once: `_whole_loads`' read-only int64
+    array, one-dimensional, non-empty, positive and strictly increasing."""
     loads = _whole_loads(n_values)
     if loads.ndim != 1 or not loads.size or (loads < 1).any():
         raise DomainError("grid must be non-empty with positive user counts")
-    if (np.diff(loads) <= 0).any():
+    if (loads[1:] <= loads[:-1]).any():
         raise DomainError("grid must be strictly increasing")
     return loads
 

@@ -12,11 +12,10 @@ is seen in every sub-frame, so every codeword is perceived: from its
 saturation load (`contention._saturation_loads`) a candidate's closed form
 rounds to exactly its size ``A``, and its efficiency is ``N h(A)`` with
 ``h(A) = (1 - 1/A)**(N-1) / A``.  That function of ``A`` peaks at ``A = N``,
-so from the last candidate's saturation load on, a load compares only the
-few codebook sizes around ``N`` (`TAIL_WINDOW`), and only the loads near
-where two sizes' curves cross in closed form, or where the values underflow,
-are compared at all (`_tail_checks`); each choice holds up to the next such
-load, so the tail costs a few loads per size.  Below it every candidate
+so from the last candidate's saturation load on, each size takes the loads
+between its crossovers with the next smaller and larger size, found in
+closed form and decided exactly (`_tail_runs`), until every efficiency
+underflows; the tail costs a few operations per size.  Below it every candidate
 is compared at every load, in array passes over blocks of candidates x
 loads, each closed form evaluated only below its own saturation load by the
 one batched evaluator, `contention._closed_form`; the perceived count is
@@ -27,6 +26,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 from operator import itemgetter
 from typing import Sequence
 
@@ -39,10 +39,6 @@ from .contention import (
 from .errors import DomainError
 from .markov import _alphabet_terms, _checked_grid, expanded_efficiency_curve
 
-#: Distinct codebook sizes compared at each load of the schedule's tail, the
-#: two that bracket the load and one more on either side (`threshold_schedule`).
-TAIL_WINDOW = 4
-
 #: Candidate-loads evaluated together in the schedule's dense head: enough to
 #: amortise numpy's per-call cost, few enough to stay in cache.
 HEAD_CHUNK = 2**15
@@ -51,7 +47,7 @@ HEAD_CHUNK = 2**15
 @dataclass(frozen=True)
 class CandidateSet:
     """Codebooks competing over a strictly increasing user-load grid, held as
-    `markov._checked_grid`'s read-only int64 copy.  The array makes the
+    `markov._checked_grid`'s read-only int64 array.  The array makes the
     generated ``==`` raise; nothing compares candidate sets."""
 
     candidates: tuple[CodebookSpec, ...]
@@ -83,7 +79,8 @@ class ThresholdSchedule:
     ``None`` when the whole grid lies in the dense head.  ``closed_form_loads``
     counts the head loads at which a candidate's closed form was evaluated,
     summed over the candidates, and ``tail_checks`` the tail loads at which
-    the window rule ran.
+    an efficiency was compared: those near a crossover, decided exactly, and
+    those checked for underflow.
     """
 
     segments: tuple[ScheduleSegment, ...]
@@ -222,114 +219,68 @@ def _dense_best(table: _TermTable, saturation: np.ndarray, x: np.ndarray, delta:
     return best, chosen, int(counts.sum())
 
 
-def _run_starts(values: np.ndarray) -> np.ndarray:
-    """Indices at which ``values`` differs from the entry before, the first
-    included: where each run of equal values starts."""
-    changed = np.empty(len(values), dtype=bool)
-    changed[:1] = True
-    np.not_equal(values[1:], values[:-1], out=changed[1:])
-    return np.flatnonzero(changed)
-
-
-def _window(index: np.ndarray, count: int) -> np.ndarray:
-    """The `TAIL_WINDOW` distinct sizes, of ``count``, compared at a load with
-    ``index`` sizes below it: the two that bracket the load and one more on
-    either side, the window shifted inside the sizes; with fewer sizes than
-    the window, the last repeats, which never changes a first maximum."""
-    start = np.clip(index - TAIL_WINDOW // 2, 0, max(count - TAIL_WINDOW, 0))
-    return np.minimum(start[..., None] + np.arange(TAIL_WINDOW), count - 1)
-
-
-def _tail_checks(sizes: np.ndarray, loads: np.ndarray) -> np.ndarray:
-    """Indices of the tail ``loads`` at which the window rule runs, sorted;
-    ``sizes`` are distinct and sorted.
-
-    Away from these loads every window value is a normal float within
-    rounding of ``N h(A)``, or surely 0.0, and no two compare unlike
-    ``N h(A)``.  The rule then picks the best size of all, which changes only
-    where consecutive sizes cross, or index 0 where all are 0.0.  So a
-    check's choice holds up to the next check.  Checked are the first load,
-    the first beyond each size (where the window shifts), and the loads in a
-    rounding band around each crossover or where a window value may be
-    subnormal, each band with one more load on either side."""
-    eps = np.finfo(np.float64).eps
-    f = sizes.astype(np.float64)
-    count = len(f)
-    # Crossovers of sizes a < b at most TAIL_WINDOW - 1 apart in size order
-    # (repeated pairs at the end are harmless).  ln h(a) - ln h(b) is
-    # slope (c - N) exactly, both factors formed from exact integer
-    # differences, so c is good to 10 eps relative:
-    #   slope = ln(1 - 1/b) - ln(1 - 1/a) = log1p((b - a) / (b (a - 1))),
-    #   c = 1 + log1p((b - a) / a) / slope, inside (a, b).
-    # Each float efficiency is within r(N) = 6 eps + ((N - 1) eps)**2 of
-    # N h(A), relative: the power within 4 ulps, three products, and the
-    # correction (1 + (N-1) delta) with its rounding and its dropped
-    # second-order term ((N - 1) delta)**2 / 2, |delta| <= eps/2.  So two of
-    # them can compare unlike N h(A) only where slope |N - c| <= 3 r(N):
-    # within 3 r(b) / slope, about 3 r a**2 / (b - a) loads, of c.  That is
-    # under half a load for a <= 10**7.
-    a = f[:-1, None]
-    b = f[np.minimum(np.arange(1, count)[:, None] + np.arange(TAIL_WINDOW - 1), count - 1)]
-    with np.errstate(divide="ignore"):  # a = 1: h(1) is 0.0 from N = 2 on, c = 1
-        slope = np.log1p((b - a) / (b * (a - 1)))
-        crossing = 1 + np.log1p((b - a) / a) / slope
-        log_x = np.log1p(-1 / f)
-    band = 3 * (6 * eps + ((b - 1) * eps) ** 2) / slope + 10 * eps * crossing
-    # Underflow.  r(N) holds while the power x**(N-1) is a normal float; the
-    # efficiency is about that power or more where N >= A, and above
-    # N / (e A) elsewhere.
-    # From where the power may fall below e tiny to where it is below
-    # 2**-1075 / e, which rounds to 0.0, every load with the size in its
-    # window is checked; past them all, every window value is 0.0.
-    # the window is fixed for the loads in (bounds[j], bounds[j + 1]]
-    window = _window(np.arange(count + 1), count)
-    bounds = np.concatenate([[0.0], f, [np.inf]])
-    subnormal = np.maximum(1 + (np.log(np.finfo(np.float64).tiny) + 1) / log_x[window],
-                           bounds[:-1, None] + 1)
-    zero = np.minimum(1 + (-1075 * np.log(2) - 1) / log_x[window], bounds[1:, None])
-    some = subnormal <= zero
-    low = np.concatenate([(crossing - band).ravel(), subnormal[some]])
-    high = np.concatenate([(crossing + band).ravel(), zero[some]])
-    bound = float(2**62)
-    below = np.searchsorted(loads, np.clip(np.ceil(low), 0, bound).astype(np.int64)) - 1
-    above = np.searchsorted(loads, np.clip(np.floor(high), 0, bound).astype(np.int64), "right")
-    shifts = np.searchsorted(loads, sizes, "right")
-    below = np.clip(np.concatenate([[0], shifts, below]), 0, len(loads) - 1)
-    above = np.clip(np.concatenate([[0], shifts, above]), 0, len(loads) - 1)
-    counts = above - below + 1
-    checks = np.sort(np.repeat(below - np.cumsum(counts) + counts, counts)
-                     + np.arange(counts.sum()))
-    return checks[_run_starts(checks)]
+def _beats(a: int, b: int, n: int) -> bool:
+    """Whether size ``b`` is strictly more efficient than a smaller size ``a``
+    at a saturated load ``n``, exactly: ``h(b) > h(a)`` where
+    ``(n - 1) ln(a (b - 1) / ((a - 1) b)) > ln(b / a)``, taken in `decimal`
+    at 40 digits; ``h(1)`` is 0 from ``n = 2`` on.  The sides never tie: that
+    would need both ``a | b`` and ``(b - 1) | (a - 1)``."""
+    if a == 1:
+        return n > 1
+    with localcontext() as context:
+        context.prec = 40
+        ln = [Decimal(v).ln() for v in (a * (b - 1), (a - 1) * b, b, a)]
+        return (n - 1) * (ln[0] - ln[1]) > ln[2] - ln[3]
 
 
 def _tail_runs(sizes: Sequence[int], x: np.ndarray, delta: np.ndarray, loads: np.ndarray
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
-    """`_dense_best` over saturated loads as runs of one choice, comparing only
-    the `TAIL_WINDOW` distinct sizes around each load, and only at the
-    `_tail_checks`; ``sizes`` are the candidates' sizes, sorted, and ``x``
+    """`_dense_best` over saturated loads as runs of one choice, decided from
+    the sizes alone; ``sizes`` are the candidates' sizes, sorted, and ``x``
     and ``delta`` their rounded bases.  Returns the runs' first indices into
     ``loads``, the candidates chosen, their efficiencies at each run's first
-    and last load, and how many loads were checked."""
+    and last load, and at how many loads an efficiency was compared."""
+    # equal sizes share their tail values: the first in size order stands for all
     sizes, first = np.unique(sizes, return_index=True)
     x, delta = x[first], delta[first]
-    checks = _tail_checks(sizes, loads)
-    n = loads[checks]
-    window = _window(np.searchsorted(sizes, n), len(sizes))
-    # equal sizes share their tail values: the first in size order stands for all
-    values = _singles(n.astype(np.float64)[:, None], x[window], delta[window])
-    values /= sizes[window]
-    pick = np.arange(len(checks)), values.argmax(axis=1)  # the first of the most efficient
-    member = window[pick]
-    # where every efficiency has underflowed to 0.0, the tie goes to the
-    # smallest codebook, as in the dense loop
-    chosen = np.where(values[pick] == 0.0, 0, first[member])
-    runs = _run_starts(chosen)
-    starts = checks[runs]
-    # at every load of a run its first size is the best, or 0.0 like every size
-    edges = loads[np.array([starts, np.append(starts[1:], len(loads)) - 1])]
-    member = member[runs]
-    low, high = _singles(edges.astype(np.float64), x[member], delta[member]) / sizes[member]
-    return starts, chosen[runs], low, high, len(checks)
+    # d ln h / dA = (N - A) / (A (A - 1)): h rises below A = N and falls
+    # above it.  So size a yields to the next size b at the first load above
+    # their crossover c, where (N - 1) slope = ln(b / a), and each size takes
+    # the loads between its two crossovers.  Both factors are formed from
+    # exact integer differences, so c is good to 10 eps relative:
+    #   slope = ln(1 - 1/b) - ln(1 - 1/a) = log1p((b - a) / (b (a - 1))),
+    #   c = 1 + log1p((b - a) / a) / slope, inside (a, b); with a = 1, c = 1.
+    # Size a leads up to load `last`; a grid load within that error of c
+    # (`near`) is decided exactly (`_beats`).
+    a, b = sizes[:-1].astype(np.float64), sizes[1:].astype(np.float64)
+    with np.errstate(divide="ignore"):
+        crossing = 1 + np.log1p((b - a) / a) / np.log1p((b - a) / (b * (a - 1)))
+    error = 10 * np.finfo(np.float64).eps * crossing
+    last, near = (np.floor(crossing + e).astype(np.int64) for e in (-error, error))
+    found = loads[np.minimum(np.searchsorted(loads, near), len(loads) - 1)] == near
+    unsure = np.flatnonzero((last < near) & found)
+    for i in unsure.tolist():
+        last[i] = near[i] - _beats(int(sizes[i]), int(sizes[i + 1]), int(near[i]))
+    # Underflow: the largest size's efficiency rounds to 0.0 once x**(N-1)
+    # falls below 2**-1075, near N = 1 + 1075 ln 2 / -ln x (of the rounded
+    # base itself, so good to a small fraction of a load), and every smaller
+    # size's is 0.0 by then; from there the tie goes to the smallest
+    # codebook, as in the dense loop.  The first such grid load is found in
+    # floats among those within about two loads of that bound and the next.
+    with np.errstate(divide="ignore"):  # a largest size of 1: x = 0
+        bound = 1 - 1075 * np.log(2) / np.log(x[-1])
+    lo, hi = np.searchsorted(loads, np.clip([bound - 2, bound + 2], 0, 2.0**62).astype(np.int64))
+    checked = loads[lo:hi + 1].astype(np.float64)
+    zero = np.flatnonzero(_singles(checked, x[-1], delta[-1]) == 0.0)
+    cut = lo + int(zero[0]) if zero.size else len(loads)
+    # each size's run, then index 0's from the cut, the empty ones dropped
+    bounds = np.minimum(np.concatenate([[0], np.searchsorted(loads, last, "right"), [cut]]), cut)
+    stops = np.append(bounds[1:], len(loads))
+    keep = np.flatnonzero(bounds < stops)
+    starts, stops, member = bounds[keep], stops[keep], np.where(keep < len(sizes), keep, 0)
+    low, high = _singles(loads[[starts, stops - 1]].astype(np.float64), x[member],
+                         delta[member]) / sizes[member]
+    return starts, first[member], low, high, len(unsure) + len(checked)
 
 
 def threshold_schedule(candidates: CandidateSet) -> ThresholdSchedule:
@@ -347,11 +298,11 @@ def threshold_schedule(candidates: CandidateSet) -> ThresholdSchedule:
     candidates are computed once, in one table.  From the tail start on,
     every candidate perceives exactly its ``A`` codewords in floats, so its
     efficiency is ``N h(A)`` with ``h(A) = (1 - 1/A)**(N-1) / A``, the same
-    float as the dense value; only the `TAIL_WINDOW` sizes around ``N`` are
-    compared there (the tail), and only at the `_tail_checks`, a few loads
-    per size around where two sizes cross, the window shifts or the values
-    underflow.  Each choice holds up to the next check, and the tail's
-    efficiencies are evaluated at its segment edges only.
+    float as the dense value.  There (the tail) each size takes the loads
+    between its crossovers with its neighbours in size, compared exactly,
+    and the smallest codebook every load where all efficiencies are 0.0
+    (`_tail_runs`); the tail's efficiencies are evaluated at its segment
+    edges only.
     """
     grid = candidates.load_grid
     # stable: ties keep input order
@@ -361,22 +312,9 @@ def threshold_schedule(candidates: CandidateSet) -> ThresholdSchedule:
     x, delta = map(np.array, zip(*map(_rounded_base, sizes)))
     saturation = _saturation_loads(table)
     tail = int(np.searchsorted(grid, saturation.max()))
-    # Why the window suffices: d ln h / dA = (N - A) / (A (A - 1)), so h
-    # rises below A = N and falls above it, and the best size is one of the
-    # two that bracket N, the last below it and the first at or above it.
-    # Why 4 and not 2: two is exact in exact arithmetic, but the dense loop
-    # compares rounded values.  Near the peak ln h falls off only as
-    # (A - N)**2 / (2 N**2), so the bracket's outer neighbours trail it the
-    # least: by less than rounding where sizes lie one apart near N of about
-    # 10**7.  The window keeps them, so such a near tie is decided as the
-    # dense loop decides it.  On the default grids of l4m4, l6m5 and l8m4 the
-    # nearest outer size trails the bracket by at least 1.1e-5 relative and
-    # the next by 1.5e-4, far above the few ulps of rounding.  The tail's cost
-    # grows with the number of sizes, not of loads.
     head_best, head_chosen, closed_form_loads = _dense_best(
         table, saturation, x, delta, grid[:tail])
-    del table  # one dict of terms per candidate: freed before the tail's arrays
-    head = _run_starts(head_chosen)
+    head = np.flatnonzero(np.diff(head_chosen, prepend=-1))  # where each run starts
     runs = [(head, head_chosen[head], head_best[head], head_best[np.append(head, tail)[1:] - 1])]
     checks = 0
     if tail < grid.size:
@@ -384,7 +322,7 @@ def threshold_schedule(candidates: CandidateSet) -> ThresholdSchedule:
         runs.append((starts + tail, *rest))
     starts, chosen, low, high = map(np.concatenate, zip(*runs))
     # the head's last run and the tail's first are one segment if they agree
-    first = _run_starts(chosen)
+    first = np.flatnonzero(np.diff(chosen, prepend=-1))
     last = np.append(first[1:], len(chosen)) - 1
     ends = np.append(starts[first[1:]], grid.size) - 1
     return ThresholdSchedule(tuple(

@@ -18,6 +18,7 @@ from codexpand import (
     reference_efficiency_curve,
 )
 from codexpand.contention import _rounded_base, _saturation_load, _whole_loads, whole_number
+from codexpand.markov import _checked_grid
 
 loads = st.builds(
     LoadPoint,
@@ -72,6 +73,18 @@ class TestWholeNumber:
             _whole_loads([2, -1])
         with pytest.raises(DomainError, match="efficiency is undefined without contenders"):
             _whole_loads(given, least=1)
+
+    def test_checked_grids_pass_through_uncopied(self):
+        grid = _checked_grid(np.arange(1, 11))
+        assert _checked_grid(grid) is grid and _whole_loads(grid) is grid
+        # a view does not own its data, so it is copied
+        assert _checked_grid(grid[::2]) is not grid
+        # and a read-only array is still checked
+        for bad, message in [([3, 2], "strictly increasing"), ([0, 2], "positive")]:
+            bad = np.array(bad)
+            bad.flags.writeable = False
+            with pytest.raises(DomainError, match=message):
+                _checked_grid(bad)
 
     @pytest.mark.parametrize("value", [2.0, np.int64(2), np.float64(2.0)])
     def test_load_point_takes_whole_numbers(self, value):

@@ -1,8 +1,11 @@
 """Candidate codebooks, efficiency curves and threshold schedules."""
 
+import decimal
 import itertools
 import math
 import tracemalloc
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -300,26 +303,39 @@ def dense_schedule(candidates):
                        *running_best(specs, candidates.load_grid))
 
 
+#: Distinct sizes `per_load_tail` compares at each load: the two that bracket
+#: it and one more on either side.  h(A) = (1 - 1/A)**(N-1) / A rises below
+#: A = N and falls above it, so the best size is among them.
+TAIL_WINDOW = 4
+
+
 def per_load_tail(specs, loads):
-    """The tail rule at every load: the running best over the `TAIL_WINDOW`
-    distinct sizes around each load, ``N h(A)`` in `_singles`' floats, and the
-    smallest codebook where every one has underflowed to 0.0; ``specs`` are
-    sorted by size."""
-    window = planner.TAIL_WINDOW
+    """The tail rule at every load, exactly: the first maximum of
+    ln h(A) = (N - 1) ln(1 - 1/A) - ln A in `decimal` over the `TAIL_WINDOW`
+    distinct sizes around each load, and the smallest codebook from the first
+    load where the largest size's float efficiency is 0.0; with the chosen
+    size's efficiency ``N h(A)`` in `_singles`' floats.  ``specs`` are sorted
+    by size."""
     sizes, first = np.unique([codebook_size(s) for s in specs], return_index=True)
     n = loads.astype(np.float64)
-    start = np.clip(np.searchsorted(sizes, loads) - window // 2, 0, max(len(sizes) - window, 0))
-    best = np.full(len(loads), -np.inf)
-    chosen = np.zeros(len(loads), dtype=np.intp)
-    for d, (size, index) in enumerate(zip(sizes.tolist(), first.tolist())):
-        lo = np.searchsorted(start, d - window + 1)
-        hi = np.searchsorted(start, d, side="right")
-        values = _singles(n[lo:hi], *_rounded_base(size)) / size
-        better = values > best[lo:hi]
-        best[lo:hi][better] = values[better]
-        chosen[lo:hi][better] = index
-    chosen[best == 0.0] = 0
-    return best, chosen
+    zeros = np.flatnonzero(_singles(n, *_rounded_base(int(sizes[-1]))) == 0.0)
+    cut = zeros[0] if zeros.size else len(loads)
+    starts = np.clip(np.searchsorted(sizes, loads) - TAIL_WINDOW // 2,
+                     0, max(len(sizes) - TAIL_WINDOW, 0))
+    member = np.zeros(len(loads), dtype=np.intp)
+    with decimal.localcontext() as context:
+        context.prec = 40
+        logs = [(Decimal(a - 1).ln() - Decimal(a).ln(), Decimal(a).ln()) for a in sizes.tolist()]
+        for i, (load, start) in enumerate(zip(loads[:cut].tolist(), starts[:cut].tolist())):
+            window = logs[start:start + TAIL_WINDOW]
+            values = [-log_a if load == 1 else (load - 1) * log_r - log_a
+                      for log_r, log_a in window]
+            member[i] = start + values.index(max(values))
+    best = np.empty(len(loads))
+    for d in np.unique(member).tolist():
+        at = member == d
+        best[at] = _singles(n[at], *_rounded_base(int(sizes[d]))) / sizes[d]
+    return best, first[member]
 
 
 def per_load_schedule(candidates):
@@ -339,7 +355,7 @@ def crossings(sizes):
     a window; with a = 1, at N = 1."""
     sizes = sorted(set(sizes))
     return [1.0 if a == 1 else 1 + math.log(b / a) / (math.log1p(-1 / b) - math.log1p(-1 / a))
-            for i, a in enumerate(sizes) for b in sizes[i + 1:i + planner.TAIL_WINDOW]]
+            for i, a in enumerate(sizes) for b in sizes[i + 1:i + TAIL_WINDOW]]
 
 
 class TestSaturatedTail:
@@ -477,6 +493,30 @@ class TestSaturatedTail:
         assert low.tolist() == best[starts].tolist()
         assert high.tolist() == best[stops - 1].tolist()
         assert checks <= len(loads)
+
+    def test_exact_decision_is_the_rational_comparison(self):
+        # h(A) = ((A - 1)/A)**(N - 1) / A in rationals, on either side of
+        # every crossover of small sizes, and at N = 1; with a = 1 it is 1 at
+        # N = 1 and 0 from N = 2 on
+        def h(size, load):
+            return Fraction(size - 1, size) ** (load - 1) / size
+
+        for a, b in itertools.combinations(range(1, 41), 2):
+            c = crossings([a, b])[0]
+            for n in {1, math.floor(c), math.floor(c) + 1}:
+                assert planner._beats(a, b, n) == (h(b, n) > h(a, n)), (a, b, n)
+
+    def test_a_load_within_float_error_of_a_crossover_is_decided_exactly(self):
+        # the crossover of 1012922 and 1018442 lies 2.8e-12 below 1015677, and
+        # rounds to 1015677.0: there the larger size already leads
+        sizes = [1012922, 1018442]
+        loads = np.arange(1015670, 1015685)
+        bases = map(np.array, zip(*map(_rounded_base, sizes)))
+        starts, chosen, *_, checks = planner._tail_runs(sizes, *bases, loads)
+        assert loads[starts].tolist() == [1015670, 1015677] and chosen.tolist() == [0, 1]
+        assert checks == 1
+        _, expected = per_load_tail([CodebookSpec.reference(a, 1) for a in sizes], loads)
+        assert expected.tolist() == [0] * 7 + [1] * 8
 
     def test_tail_allocates_nothing_of_its_length(self):
         # the tail of l2m4 on 1:1e6 starts at 281; no temporary of its
