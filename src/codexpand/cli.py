@@ -215,8 +215,13 @@ def parse_n_range(text: str) -> np.ndarray:
     return _whole_loads(grid)
 
 
-def _default_grid(size: int) -> np.ndarray:
-    return parse_n_range(f"1:{LOAD_SPAN_FACTOR * size}")
+def _grid(args: argparse.Namespace, size: int) -> tuple[np.ndarray, str]:
+    """The ``--n-range`` grid, else loads 1 to ``LOAD_SPAN_FACTOR * size``,
+    with its manifest form ``A:B:STEP``, read off the range's first two loads
+    rather than a pass over the grid."""
+    grid = parse_n_range(args.n_range or f"1:{LOAD_SPAN_FACTOR * size}")
+    step = grid[1] - grid[0] if len(grid) > 1 else 1
+    return grid, f"{grid[0]}:{grid[-1]}:{step}"
 
 
 def _simulate(spec: CodebookSpec, grid: np.ndarray, trials: int,
@@ -289,54 +294,36 @@ def _write_batches(path: Path, grid: np.ndarray, batches: Sequence[AggregateStat
     ))
 
 
-def _grid_parameter(grid: np.ndarray) -> str | list[int]:
-    """Compact ``A:B:STEP`` form when the grid rises by one positive step, else
-    the list; either form re-runs the same grid."""
-    if len(grid) == 1:
-        return f"{grid[0]}:{grid[0]}:1"
-    steps = np.diff(grid)
-    if steps[0] > 0 and (steps == steps[0]).all():
-        return f"{grid[0]}:{grid[-1]}:{steps[0]}"
-    return grid.tolist()
+def _scenario_range(loads: list[int]) -> str | list[int]:
+    """A scenario's loads as ``A:B:STEP`` when they rise by one positive step,
+    else as the list; either form re-runs the same loads."""
+    step = loads[1] - loads[0] if len(loads) > 1 else 1
+    if step > 0 and loads == list(range(loads[0], loads[-1] + 1, step)):
+        return f"{loads[0]}:{loads[-1]}:{step}"
+    return loads
 
 
-def _write_outputs(out_dir: Path, command: str, parameters: dict,
-                   master_seed: int | None, started: float,
-                   outputs: dict[str, Callable[[Path], None]],
-                   manifest_name: str | None = None, extra: Mapping | None = None) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for name, write in outputs.items():
-        write(out_dir / name)
-    manifest = {
-        "command": command,
-        "parameters": parameters,
-        "master_seed": master_seed,
-        "version": __version__,
-        "outputs": sorted(outputs),
-        "duration_seconds": round(time.perf_counter() - started, 6),
-        **(extra or {}),
-    }
-    if manifest_name is None:
-        manifest_name = f"{command.replace('-', '_')}_manifest.json"
-    write_manifest(out_dir / manifest_name, manifest)
+class Made(NamedTuple):
+    """What a command made: ``{stem}_manifest.json`` names its manifest, which
+    records ``parameters``, ``master_seed`` and ``extra``; ``outputs`` maps
+    each file name to the writer that writes it."""
+
+    stem: str
+    parameters: dict
+    outputs: dict[str, Callable[[Path], None]]
+    master_seed: int | None = None
+    extra: Mapping = {}
 
 
-def cmd_analyze(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
+def cmd_analyze(args: argparse.Namespace) -> Made:
     spec = load_spec(args.spec)
-    grid = parse_n_range(args.n_range) if args.n_range else _default_grid(codebook_size(spec))
+    grid, n_range = _grid(args, codebook_size(spec))
     curve = efficiency_curve(spec, grid)
-    _write_outputs(
-        Path(args.out), "analyze",
-        {"spec": spec.describe(), "n_range": _grid_parameter(grid)},
-        None, started,
-        {"analyze.csv": lambda p: write_csv(p, _CURVE_HEADER, _CURVE_ROW, curve)},
-    )
-    return 0
+    return Made("analyze", {"spec": spec.describe(), "n_range": n_range},
+                {"analyze.csv": lambda p: write_csv(p, _CURVE_HEADER, _CURVE_ROW, curve)})
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
+def cmd_simulate(args: argparse.Namespace) -> Made:
     if args.scenario:
         if args.spec:
             raise DomainError("give either --scenario or --spec, not both")
@@ -352,48 +339,38 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         loads = loads if isinstance(loads, list) else [loads]
         if not loads:
             raise DomainError(f"scenario {args.scenario} has an empty 'N' list")
-        grid = _whole_loads([whole_number(n, f"N in {args.scenario}") for n in loads])
+        loads = [whole_number(n, f"N in {args.scenario}") for n in loads]
+        grid, n_range = _whole_loads(loads), _scenario_range(loads)
         trials = whole_number(doc.get("trials", args.trials), f"trials in {args.scenario}")
         seed = whole_number(doc.get("master_seed", args.seed), f"master_seed in {args.scenario}")
     else:
         if not args.spec:
             raise DomainError("simulate needs --scenario FILE or --spec SPEC")
         spec = load_spec(args.spec)
-        grid = parse_n_range(args.n_range) if args.n_range else _default_grid(codebook_size(spec))
+        grid, n_range = _grid(args, codebook_size(spec))
         trials, seed = args.trials, args.seed
     simulating = time.perf_counter()
     batches = _simulate(spec, grid, trials, seed, args.workers)
     sizes = _simulate_sizes(spec, batches, time.perf_counter() - simulating)
     diagnostics = _diagnostics(spec, grid, batches)
-    _write_outputs(
-        Path(args.out), "simulate",
-        {"spec": spec.describe(), "n_range": _grid_parameter(grid), "trials": trials},
-        seed, started,
-        {"simulate.csv": lambda p: _write_batches(p, grid, batches, trials)},
-        extra={"diagnostics": diagnostics, "max_abs_z": _max_abs_z(diagnostics), "sizes": sizes},
+    return Made(
+        "simulate", {"spec": spec.describe(), "n_range": n_range, "trials": trials},
+        {"simulate.csv": lambda p: _write_batches(p, grid, batches, trials)}, seed,
+        {"diagnostics": diagnostics, "max_abs_z": _max_abs_z(diagnostics), "sizes": sizes},
     )
-    return 0
 
 
-def cmd_inspect_chain(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
+def cmd_inspect_chain(args: argparse.Namespace) -> Made:
     spec = load_spec(args.spec)
-    model = build_transition_model(spec, cap=DUMP_STATE_CAP)
-    table = chain_dump(model)
-    _write_outputs(
-        Path(args.out), "inspect-chain",
-        {"spec": spec.describe()},
-        None, started,
-        {"chain.csv": lambda p: write_csv(p, *table)},
-    )
-    return 0
+    table = chain_dump(build_transition_model(spec, cap=DUMP_STATE_CAP))
+    return Made("inspect-chain", {"spec": spec.describe()},
+                {"chain.csv": lambda p: write_csv(p, *table)})
 
 
-def cmd_thresholds(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
+def cmd_thresholds(args: argparse.Namespace) -> Made:
     # the spec checks the geometry before the default grid is sized from it
     full = CodebookSpec.expanded((args.preambles,) * args.length)
-    grid = parse_n_range(args.n_range) if args.n_range else _default_grid(codebook_size(full))
+    grid, n_range = _grid(args, codebook_size(full))
     candidates = default_candidates(
         args.length, args.preambles, grid, args.reference_preambles
     )
@@ -405,15 +382,14 @@ def cmd_thresholds(args: argparse.Namespace) -> int:
          codebook_size(seg.spec), seg.efficiency_low, seg.efficiency_high)
         for seg in schedule.segments
     )
-    _write_outputs(
-        Path(args.out), "thresholds",
+    return Made(
+        "thresholds",
         {
             "length": args.length,
             "preambles": args.preambles,
             "reference_preambles": args.reference_preambles,
-            "n_range": _grid_parameter(grid),
+            "n_range": n_range,
         },
-        None, started,
         {"thresholds.csv": lambda p: write_csv(p, header, "{},{},{},{},{},{:.6f},{:.6f}", rows)},
         extra={"tail_start": schedule.tail_start, "sizes": {
             "candidates": len(candidates.candidates),
@@ -423,14 +399,12 @@ def cmd_thresholds(args: argparse.Namespace) -> int:
             "tail_checks": schedule.tail_checks,
         }},
     )
-    return 0
 
 
-def cmd_reproduce(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
+def cmd_reproduce(args: argparse.Namespace) -> Made:
     figure = args.figure
     entry = FIGURES[figure]
-    grid = parse_n_range(args.n_range) if args.n_range else _default_grid(entry.size)
+    grid, n_range = _grid(args, entry.size)
     outputs: dict[str, Callable[[Path], None]] = {}
     plot_curves: list[tuple[str, Sequence[float], Sequence[float]]] = []
     for name, label, spec in entry.curves(grid):
@@ -439,7 +413,7 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
             lambda p, c=curve: write_csv(p, _CURVE_HEADER, _CURVE_ROW, c)
         )
         plot_curves.append((label, *zip(*curve)))
-    parameters = {"figure": figure, "n_range": _grid_parameter(grid)}
+    parameters = {"figure": figure, "n_range": n_range}
     seed = None
     if entry.montecarlo is not None:
         seed, parameters["trials"] = args.seed, args.trials
@@ -453,9 +427,7 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
     outputs[f"{figure}.svg"] = lambda p: svg_line_plot(
         p, plot_curves, figure, "contending users N", "efficiency"
     )
-    _write_outputs(Path(args.out), "reproduce", parameters, seed, started, outputs,
-                   manifest_name=f"{figure.replace('-', '_')}_manifest.json")
-    return 0
+    return Made(figure, parameters, outputs, seed)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -465,65 +437,76 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    spec_help = 'codebook: "L=2,m=2,2,mode=expanded" or a JSON file'
+    # options shared between subcommands, each defined once in a parent parser
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default=".", help="output directory (default: current)")
+    spec = argparse.ArgumentParser(add_help=False)
+    spec.add_argument("--spec", help=spec_help)
+    n_range = argparse.ArgumentParser(add_help=False)
+    n_range.add_argument("--n-range", help="load grid A, A:B, or A:B:STEP (inclusive; "
+                         "default 1 to ten times the codebook or figure size)")
+    runs = argparse.ArgumentParser(add_help=False)
+    runs.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
+    runs.add_argument("--seed", type=int, default=DEFAULT_SEED, help="master seed")
+    runs.add_argument("--workers", type=int, default=1, help="parallel processes")
 
-    def add_common(p: argparse.ArgumentParser, spec: bool = True) -> None:
-        if spec:
-            p.add_argument("--spec", help='codebook: "L=2,m=2,2,mode=expanded" or a JSON file')
-        p.add_argument("--n-range", help="load grid A, A:B, or A:B:STEP (inclusive)")
-        p.add_argument("--out", default=".", help="output directory (default: current)")
-
-    p = sub.add_parser("analyze", help="analytic efficiency curve as CSV")
-    add_common(p)
+    p = sub.add_parser("analyze", parents=[spec, n_range, out],
+                       help="analytic efficiency curve as CSV")
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("simulate", help="Monte Carlo batch per load point")
+    p = sub.add_parser("simulate", parents=[spec, n_range, out, runs],
+                       help="Monte Carlo batch per load point")
     p.add_argument("--scenario", help="JSON file {spec, N or N-list, trials, master_seed}")
-    add_common(p)
-    p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="master seed")
-    p.add_argument("--workers", type=int, default=1, help="parallel processes")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("inspect-chain", help="dump the observation chain as CSV")
-    p.add_argument("--spec", required=True,
-                   help='codebook: "L=2,m=2,2,mode=expanded" or a JSON file')
-    p.add_argument("--out", default=".", help="output directory (default: current)")
+    p = sub.add_parser("inspect-chain", parents=[out], help="dump the observation chain as CSV")
+    p.add_argument("--spec", required=True, help=spec_help)
     p.set_defaults(func=cmd_inspect_chain)
 
-    p = sub.add_parser("thresholds", help="load-adaptive codebook schedule as CSV")
+    p = sub.add_parser("thresholds", parents=[n_range, out],
+                       help="load-adaptive codebook schedule as CSV")
     p.add_argument("--length", type=int, required=True, help="sub-frames per virtual frame")
     p.add_argument("--preambles", type=int, required=True, help="preambles per sub-frame")
     p.add_argument("--reference-preambles", type=int, default=None,
                    help="baseline scheme preamble count, when different")
-    p.add_argument("--n-range", help="load grid A, A:B, or A:B:STEP (inclusive)")
-    p.add_argument("--out", default=".", help="output directory (default: current)")
     p.set_defaults(func=cmd_thresholds)
 
-    p = sub.add_parser("reproduce", help="regenerate a standard figure (CSV + SVG)")
+    p = sub.add_parser("reproduce", parents=[n_range, runs, out],
+                       help="regenerate a standard figure (CSV + SVG)")
     p.add_argument("--figure", required=True, choices=list(FIGURES))
-    p.add_argument("--n-range", help="override the figure's default load grid")
-    p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="master seed")
-    p.add_argument("--workers", type=int, default=1, help="parallel processes")
-    p.add_argument("--out", default=".", help="output directory (default: current)")
     p.set_defaults(func=cmd_reproduce)
 
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    """Run one command, then write its outputs and its manifest, timed from
+    the parsed arguments on; the output directory is made only once the
+    command has succeeded."""
     args = build_parser().parse_args(argv)
+    started = time.perf_counter()
     try:
-        return args.func(args)
-    except (StateSpaceTooLarge, SizeExceedsCap, EnumerationTooLarge) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except InputParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        made = args.func(args)
+        out_dir = Path(args.out)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for name, write in made.outputs.items():
+            write(out_dir / name)
+        write_manifest(out_dir / f"{made.stem.replace('-', '_')}_manifest.json", {
+            "command": args.command,
+            "parameters": made.parameters,
+            "master_seed": made.master_seed,
+            "version": __version__,
+            "outputs": sorted(made.outputs),
+            "duration_seconds": round(time.perf_counter() - started, 6),
+            **made.extra,
+        })
     except (ValueError, CodexpandError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        if isinstance(exc, (StateSpaceTooLarge, SizeExceedsCap, EnumerationTooLarge)):
+            return 3
+        return 4 if isinstance(exc, InputParseError) else 2
+    return 0
 
 
 def console_entry() -> None:
@@ -531,4 +514,4 @@ def console_entry() -> None:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    console_entry()

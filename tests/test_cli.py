@@ -1,9 +1,11 @@
 """Command line interface: grammar, file outputs, exit codes."""
 
+import argparse
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -12,11 +14,28 @@ import pytest
 
 import codexpand
 from codexpand import CodebookSpec, DomainError, Mode
-from codexpand.cli import main, parse_inline_spec, parse_n_range, spec_from_json_value
+from codexpand.cli import (
+    build_parser,
+    main,
+    parse_inline_spec,
+    parse_n_range,
+    spec_from_json_value,
+)
 
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+#: One small successful run of each command.
+SMALL_RUNS = {
+    "analyze": ["analyze", "--spec", "L=2,m=2,2,mode=expanded", "--n-range", "1:4"],
+    "simulate": ["simulate", "--spec", "L=2,m=2,2,mode=expanded", "--n-range", "1:4",
+                 "--trials", 100],
+    "inspect-chain": ["inspect-chain", "--spec", "L=2,m=2,2,mode=expanded"],
+    "thresholds": ["thresholds", "--length", 2, "--preambles", 2],
+    "reproduce": ["reproduce", "--figure", "comparison", "--n-range", "1:4", "--trials", 100],
+}
 
 
 class TestInlineGrammar:
@@ -447,10 +466,14 @@ class TestReproduce:
         assert err.value.code == 2
 
     def test_no_temp_files_left_behind(self, tmp_path):
-        run("reproduce", "--figure", "comparison", "--n-range", "1:4",
-            "--trials", 100, "--out", tmp_path)
-        leftovers = [p for p in tmp_path.iterdir() if p.name.startswith(".")]
-        assert leftovers == []
+        # every command's directory holds its manifest's outputs and the
+        # manifest, and nothing else, such as an atomic write's ``.tmp``
+        for argv in SMALL_RUNS.values():
+            out = tmp_path / argv[0]
+            assert run(*argv, "--out", out) == 0
+            [manifest] = out.glob("*_manifest.json")
+            outputs = json.loads(manifest.read_text())["outputs"]
+            assert sorted(p.name for p in out.iterdir()) == sorted([*outputs, manifest.name])
 
 
 class TestImport:
@@ -469,3 +492,98 @@ class TestImport:
         bound = {name for name, value in vars(codexpand).items()
                  if not name.startswith("_") and not isinstance(value, type(codexpand))}
         assert set(exports) == bound
+
+
+#: Every subcommand's options as ``build_parser`` defined them when this table
+#: was taken: ``(default, required, type, choices)`` per option string.
+OPTION_SURFACE = {
+    "analyze": {
+        "--spec": (None, False, None, None),
+        "--n-range": (None, False, None, None),
+        "--out": (".", False, None, None),
+    },
+    "simulate": {
+        "--scenario": (None, False, None, None),
+        "--spec": (None, False, None, None),
+        "--n-range": (None, False, None, None),
+        "--out": (".", False, None, None),
+        "--trials": (100_000, False, int, None),
+        "--seed": (24601, False, int, None),
+        "--workers": (1, False, int, None),
+    },
+    "inspect-chain": {
+        "--spec": (None, True, None, None),
+        "--out": (".", False, None, None),
+    },
+    "thresholds": {
+        "--length": (None, True, int, None),
+        "--preambles": (None, True, int, None),
+        "--reference-preambles": (None, False, int, None),
+        "--n-range": (None, False, None, None),
+        "--out": (".", False, None, None),
+    },
+    "reproduce": {
+        "--figure": (None, True, None,
+                     ["comparison", "adaptive-l2m4", "adaptive-l4m4", "application-l4"]),
+        "--n-range": (None, False, None, None),
+        "--trials": (100_000, False, int, None),
+        "--seed": (24601, False, int, None),
+        "--workers": (1, False, int, None),
+        "--out": (".", False, None, None),
+    },
+}
+
+
+class TestCommandPath:
+    def test_option_surface(self):
+        [commands] = [a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction)]
+        surface = {
+            name: {
+                flag: (action.default, action.required, action.type, action.choices)
+                for action in parser._actions if not isinstance(action, argparse._HelpAction)
+                for flag in action.option_strings
+            }
+            for name, parser in commands.choices.items()
+        }
+        assert surface == OPTION_SURFACE
+
+    # analyze, simulate and inspect-chain are checked in their own classes
+    @pytest.mark.parametrize("argv", [
+        ["thresholds", "--length", 0, "--preambles", 4],
+        ["reproduce", "--figure", "comparison", "--n-range", "5:2"],
+    ], ids=lambda argv: argv[0])
+    def test_failure_writes_no_output(self, tmp_path, argv):
+        assert run(*argv, "--out", tmp_path / "out") == 2
+        assert not (tmp_path / "out").exists()
+
+    def test_manifest_range_takes_no_pass_over_the_grid(self, tmp_path):
+        # the manifest's A:B:STEP comes from the range, so the run's largest
+        # allocation is its one 32 MB grid, not a second grid-length array
+        tracemalloc.start()
+        try:
+            assert run("thresholds", "--length", 2, "--preambles", 4,
+                       "--n-range", "1:4000000", "--out", tmp_path) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 4_000_000 * 8
+        manifest = json.loads((tmp_path / "thresholds_manifest.json").read_text())
+        assert manifest["parameters"]["n_range"] == "1:4000000:1"
+
+    def test_module_entry_point(self, tmp_path):
+        # ``python -m codexpand.cli`` runs `console_entry`, the installed script
+        src = Path(codexpand.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+
+        def entry(*argv):
+            return subprocess.run([sys.executable, "-m", "codexpand.cli", *map(str, argv)],
+                                  capture_output=True, text=True, env=env)
+
+        version = entry("--version")
+        assert (version.returncode, version.stdout) == (0, "codexpand 0.1.0\n")
+        malformed = ["analyze", "--spec", "L=2,m=2,2,mode=banana", "--out", tmp_path / "out"]
+        failed = entry(*malformed)
+        assert failed.returncode == run(*malformed) == 2
+        assert failed.stderr.startswith("error: ")
+        assert not (tmp_path / "out").exists()
