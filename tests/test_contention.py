@@ -1,5 +1,6 @@
 """Closed-form contention statistics."""
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -262,3 +263,33 @@ class TestReferencePrecision:
             expected_used_curve([-1], 8)
         with pytest.raises(DomainError):
             expected_used_curve([1], 0)
+
+
+
+# The curves' float bytes, pinned: the tests above allow a few ulps, these
+# catch a one-ulp move in any evaluator behind them.  The grid is geometric,
+# from 0 to past 10**8, built in integers only.
+PIN_GRID = [0, 1]
+while PIN_GRID[-1] < 10**8:
+    PIN_GRID.append(PIN_GRID[-1] + max(1, PIN_GRID[-1] // 8))
+PIN_SIZES = [1, 2, 3, 16, 24, 640, 390624, 9150624]
+PIN_GEOMETRIES = [(1, 1), (2, 2), (4, 4), (8, 2), (32, 4), (54, 3), (3, 5)]
+
+
+@pytest.mark.parametrize("curves, expected", [
+    pytest.param(lambda: [expected_singles_curve(PIN_GRID, a) for a in PIN_SIZES],
+                 "47f504e31040f2229eac2f5010290dffb6f8176a774249ff42c491e4bae37272",
+                 id="singles"),
+    pytest.param(lambda: [expected_used_curve(PIN_GRID, a) for a in PIN_SIZES],
+                 "18fa2a6cf6435b0312ae1d28314fda11bd145aad3ae85737783d9fa64217de89",
+                 id="used"),
+    pytest.param(lambda: [reference_efficiency_curve(PIN_GRID[1:], m, length)
+                          for m, length in PIN_GEOMETRIES],
+                 "328bba0164ec4e33ab9204039e767a565d6b173975dda120e7d72a6f3089a1d3",
+                 id="reference-efficiency"),
+])
+def test_curve_float_bytes(curves, expected):
+    digest = hashlib.sha256()
+    for curve in curves():
+        digest.update(np.ascontiguousarray(curve, dtype="<f8").tobytes())
+    assert digest.hexdigest() == expected
