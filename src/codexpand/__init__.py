@@ -21,9 +21,15 @@ from .codebook import (
 )
 from .contention import (
     LoadPoint,
+    expanded_efficiency,
+    expanded_efficiency_curve,
     expected_singles,
     expected_singles_curve,
     expected_used_curve,
+    perceived_count,
+    perceived_count_rational,
+    perceived_curve,
+    perceived_terms,
     reference_efficiency,
     reference_efficiency_curve,
 )
@@ -35,17 +41,7 @@ from .errors import (
     SizeExceedsCap,
     StateSpaceTooLarge,
 )
-from .markov import (
-    STATE_CAP,
-    TransitionModel,
-    build_transition_model,
-    expanded_efficiency,
-    expanded_efficiency_curve,
-    perceived_count,
-    perceived_count_rational,
-    perceived_curve,
-    perceived_terms,
-)
+from .markov import STATE_CAP, TransitionModel, build_transition_model
 from .planner import (
     CandidateSet,
     ScheduleSegment,

@@ -33,8 +33,8 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from . import __version__
-from .codebook import CodebookSpec, codebook_size
-from .contention import _whole_loads, expected_singles_curve, whole_number
+from .codebook import CodebookSpec, codebook_size, whole_number
+from .contention import _whole_loads, expected_singles_curve, perceived_curve
 from .errors import (
     CodexpandError,
     DomainError,
@@ -43,7 +43,7 @@ from .errors import (
     SizeExceedsCap,
     StateSpaceTooLarge,
 )
-from .markov import build_transition_model, perceived_curve
+from .markov import build_transition_model
 from .planner import default_candidates, efficiency_curve, threshold_schedule
 from .reporting import chain_dump, svg_line_plot, write_csv, write_manifest
 from .simulate import AggregateStats, Estimate, ScenarioConfig, block_count, run_batch
@@ -316,6 +316,8 @@ class Made(NamedTuple):
 
 
 def cmd_analyze(args: argparse.Namespace) -> Made:
+    if not args.spec:
+        raise DomainError("analyze needs --spec SPEC")
     spec = load_spec(args.spec)
     grid, n_range = _grid(args, codebook_size(spec))
     curve = efficiency_curve(spec, grid)

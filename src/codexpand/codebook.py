@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -33,6 +34,19 @@ Codeword = tuple[int, ...]
 
 #: Largest codebook `enumerate_codewords` will materialize.
 ENUMERATION_CAP = 10**6
+
+
+def whole_number(value, name: str) -> int:
+    """``value`` as a Python int, by the package's one rule for counts:
+    integers and integral floats are taken; bools, fractional values and
+    non-numbers raise `DomainError` instead of being truncated."""
+    if type(value) is int:
+        return value
+    if isinstance(value, (float, np.floating)) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise DomainError(f"{name} must be a whole number, got {value!r}")
+    return int(value)
 
 
 class Mode(Enum):
@@ -55,6 +69,8 @@ class CodebookSpec:
     m_global :
         Preambles provisioned by the system; every budget must fit in it.
         Defaults to ``max(budgets)``.
+
+    Every count is taken by `whole_number`'s rule.
     """
 
     budgets: tuple[int, ...]
@@ -62,7 +78,7 @@ class CodebookSpec:
     m_global: int = 0
 
     def __post_init__(self) -> None:
-        budgets = tuple(int(b) for b in self.budgets)
+        budgets = tuple(whole_number(b, "preamble budget") for b in self.budgets)
         object.__setattr__(self, "budgets", budgets)
         if len(budgets) < 1:
             raise DomainError("a virtual frame needs at least one sub-frame")
@@ -70,7 +86,7 @@ class CodebookSpec:
             raise DomainError(f"negative preamble budget in {budgets}")
         if all(b == 0 for b in budgets):
             raise DomainError("empty codebook: every sub-frame budget is zero")
-        m_global = int(self.m_global) if self.m_global else max(budgets)
+        m_global = whole_number(self.m_global, "provisioned preamble count") or max(budgets)
         object.__setattr__(self, "m_global", m_global)
         if max(budgets) > m_global:
             raise DomainError(
@@ -82,12 +98,13 @@ class CodebookSpec:
     @classmethod
     def reference(cls, m: int, length: int, m_global: int | None = None) -> "CodebookSpec":
         """Reference alphabet with ``m`` preambles in each of ``length`` sub-frames."""
-        return cls((int(m),) * int(length), Mode.REFERENCE, m_global or 0)
+        return cls((m,) * whole_number(length, "sub-frame count"), Mode.REFERENCE,
+                   0 if m_global is None else m_global)
 
     @classmethod
     def expanded(cls, budgets: Sequence[int], m_global: int | None = None) -> "CodebookSpec":
         """Expanded alphabet with the given per-sub-frame budgets."""
-        return cls(tuple(int(b) for b in budgets), Mode.EXPANDED, m_global or 0)
+        return cls(tuple(budgets), Mode.EXPANDED, 0 if m_global is None else m_global)
 
     @property
     def length(self) -> int:

@@ -1,20 +1,51 @@
-"""Closed-form contention statistics for uniform random codeword choice.
+"""Closed-form contention statistics: singles, and perceived codewords.
 
 With ``N`` contenders each picking one of ``A`` codewords independently and
 uniformly, the number of contenders on any fixed codeword is binomial(N, 1/A).
 Codewords picked by exactly one contender (singles) number ``N (1 - 1/A)^(N-1)``
-on average, and codewords picked by any (used) ``A (1 - (1 - 1/A)^N)``.  The
-reference scheme's contention efficiency is singles over used codewords.  Each
-quantity is one numpy formula over a load grid; scalars evaluate it at one load.
-Used codewords are the one-sub-frame case of the perceived count's closed form
-(`codexpand.markov`).  `_closed_form` is its one evaluator, for both alphabets
-and a whole batch of codebooks at once (`_term_table`); it sums each value's
-terms one at a time in a fixed order, so a batch of one gives the same floats.
+on average.  Each quantity is one numpy formula over a load grid; scalars
+evaluate it at one load.
+
+The base station cannot see codewords directly; in each sub-frame ``j`` it
+sees some set of preambles.  Writing ``C_j`` for the number of observed
+preambles in sub-frame ``j`` *counting idle as always present*, the tuple
+``(C_1, ..., C_L)`` -- a configuration -- is everything the observation
+reveals.  The codewords consistent with a configuration number
+``prod(C_j) - 1`` (the all-idle word never counts), and that cardinality is
+exactly how many codewords the base station perceives: singles, collisions,
+and phantom codewords no one sent.
+
+``prod(C_j)`` counts the words ``w`` of the full alphabet (idle allowed
+everywhere) whose every non-idle symbol was observed.  By inclusion-exclusion
+over the set ``T`` of sub-frames in which such a symbol goes unobserved::
+
+    E[perceived | N] = sum_T (-1)^|T| * P_T * ((P_T - 1) / A)^N - 1,
+    P_T = prod_{j in T} m_j * prod_{j not in T} (m_j + 1),
+
+where ``A`` is the codebook size: ``P_T`` words carry a preamble in every
+sub-frame of ``T``, and for each of them ``P_T - 1`` codewords avoid all
+those preambles.  Equal products merge, so uniform budgets leave ``L + 1``
+terms (`perceived_terms`).  A reference codebook of ``A`` codewords is
+observed like one sub-frame of ``A`` preambles, terms ``{A+1: 1, A: -1}``, so
+it perceives exactly its used codewords ``A (1 - (1 - 1/A)^N)``; the
+reference scheme's efficiency, singles over used codewords, is the
+efficiency of that one-sub-frame codebook.
+
+`_closed_form` is the sum's one evaluator, for both alphabets and a whole
+batch of codebooks at once (`_term_table`): with ``w = coef * P`` and
+``y = N log1p((P - 1 - A) / A)``, a term is ``w + w expm1(y)`` where
+``y > -1``, its ``w`` summed exactly into an integer constant, and
+``w exp(y)`` beyond, added one term at a time in `perceived_terms` order,
+never by a dot product, so a batch of one gives the same floats.  With ``e``
+the expm1 or exp evaluated, the rounding bound
+``eps (terms + 4) (sum |w e| + |value|)`` has no term in ``N``; where it
+exceeds ``CLOSED_FORM_RTOL`` of the value, and at ``N = 1``, the sum is
+evaluated exactly.  The observation chain (`codexpand.markov`) is an
+independent route to the same numbers.
 """
 
 from __future__ import annotations
 
-import numbers
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
@@ -22,6 +53,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .codebook import CodebookSpec, Mode, codebook_size, whole_number
 from .errors import DomainError
 
 
@@ -43,17 +75,6 @@ class LoadPoint:
             raise DomainError("user count cannot be negative")
         if self.codewords < 1:
             raise DomainError("need at least one codeword")
-
-
-def whole_number(value, name: str) -> int:
-    """``value`` as a Python int, by the package's one rule for counts:
-    integers and integral floats are taken; bools, fractional values and
-    non-numbers raise `DomainError` instead of being truncated."""
-    if isinstance(value, (float, np.floating)) and value.is_integer():
-        return int(value)
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise DomainError(f"{name} must be a whole number, got {value!r}")
-    return int(value)
 
 
 def _whole_loads(n_values, least: int = 0) -> np.ndarray:
@@ -78,20 +99,25 @@ def _whole_loads(n_values, least: int = 0) -> np.ndarray:
     return loads
 
 
-def _loads(n_values: Sequence[int], codewords: int) -> tuple[np.ndarray, int]:
-    """Loads as floats and the codeword count as a Python int, both checked."""
-    n = _whole_loads(n_values).astype(np.float64)
-    codewords = whole_number(codewords, "codeword count")
-    if codewords < 1:
-        raise DomainError("need at least one codeword")
-    return n, codewords
+def _checked_grid(n_values: Sequence[int]) -> np.ndarray:
+    """The one grid format, checked once: `_whole_loads`' read-only int64
+    array, one-dimensional, non-empty, positive and strictly increasing."""
+    loads = _whole_loads(n_values)
+    if loads.ndim != 1 or not loads.size or (loads < 1).any():
+        raise DomainError("grid must be non-empty with positive user counts")
+    if (loads[1:] <= loads[:-1]).any():
+        raise DomainError("grid must be strictly increasing")
+    return loads
 
 
 def expected_singles_curve(n_values: Sequence[int], codewords: int) -> np.ndarray:
     """Expected singles at every load of a grid, ``N * (1 - 1/A)**(N - 1)``,
     as ``N * x**(N - 1) * (1 + (N - 1) * delta)`` with ``x`` the rounded base
     and ``delta`` its relative rounding (`_rounded_base`)."""
-    n, codewords = _loads(n_values, codewords)
+    n = _whole_loads(n_values).astype(np.float64)
+    codewords = whole_number(codewords, "codeword count")
+    if codewords < 1:
+        raise DomainError("need at least one codeword")
     return _singles(n, *_rounded_base(codewords))
 
 
@@ -117,9 +143,8 @@ def _rounded_base(codewords: int) -> tuple[float, float]:
 
 def expected_used_curve(n_values: Sequence[int], codewords: int) -> np.ndarray:
     """Expected codewords chosen by at least one contender, ``A (1 - (1 - 1/A)**N)``:
-    the closed form of one sub-frame of ``A`` preambles, terms ``{A+1: 1, A: -1}``."""
-    n, codewords = _loads(n_values, codewords)
-    return _closed_form(_term_table([{codewords + 1: 1, codewords: -1}], [codewords]), n)[0]
+    the perceived count of one sub-frame of ``A`` preambles."""
+    return perceived_curve(CodebookSpec.reference(codewords, 1), n_values)
 
 
 #: Loads whose float closed form may be off by more than this relative error
@@ -135,14 +160,39 @@ CLOSED_FORM_CHUNK = 2**13
 _TermTable = namedtuple("_TermTable", "terms fill widths log_r exact rounding")
 
 
-def _term_table(terms: Sequence[dict[int, int]], sizes: Sequence[int]) -> _TermTable:
-    """The terms ``{P: c}`` of codebooks of the given sizes ``A``, one column
-    each: those other than the leading ``P = A+1`` and ``P = 1``, in
-    `markov.perceived_terms` order and zero-padded to ``widths`` terms, as
-    ``log_r = log1p((P - 1 - A) / A)`` and the weights ``c*P`` in ``exact``,
+def perceived_terms(budgets: Sequence[int]) -> dict[int, int]:
+    """Inclusion-exclusion terms ``{P: coef}`` of the perceived-count sum.
+
+    One pass over the sub-frames: each term ``(p, c)`` becomes
+    ``(p * (m_j + 1), c)`` and ``(p * m_j, -c)``; equal products merge, and
+    terms with a zero product or coefficient are dropped.
+    """
+    terms = {1: 1}
+    for m in budgets:
+        merged: dict[int, int] = {}
+        for p, c in terms.items():
+            for product, coef in ((p * (m + 1), c), (p * m, -c)):
+                if product:
+                    merged[product] = merged.get(product, 0) + coef
+        terms = {p: c for p, c in merged.items() if c}
+    return terms
+
+
+def _alphabet_terms(spec: CodebookSpec) -> dict[int, int]:
+    """`perceived_terms` of either alphabet; a reference one is a single sub-frame."""
+    return perceived_terms(spec.budgets if spec.mode is Mode.EXPANDED else (spec.size,))
+
+
+def _term_table(specs: Sequence[CodebookSpec]) -> _TermTable:
+    """The terms ``{P: c}`` of codebooks (`_alphabet_terms`), one column
+    each, with ``A`` the codebook's size: those other than the leading
+    ``P = A+1`` and ``P = 1``, in `perceived_terms` order and zero-padded to
+    ``widths`` terms, as ``log_r = log1p((P - 1 - A) / A)`` and the weights ``c*P`` in ``exact``,
     integers (Python ints where int64 sums could overflow) with ``A`` in its
     last row; ``fill`` is ``float(A)`` and ``rounding`` is
     ``eps (terms + 4)``, the rounding bound's factor."""
+    terms = [_alphabet_terms(spec) for spec in specs]
+    sizes = [codebook_size(spec) for spec in specs]
     widths = np.array([len(t) - 1 - (1 in t) for t in terms], dtype=np.intp)
     held = (np.arange(widths.max(initial=0))[:, None] < widths).T
     fits = max(sum(abs(c * p) for p, c in t.items()) for t in terms) + max(sizes) < 2**63
@@ -160,7 +210,7 @@ def _term_table(terms: Sequence[dict[int, int]], sizes: Sequence[int]) -> _TermT
 def _closed_form(table: _TermTable, loads: np.ndarray, counts: np.ndarray | None = None
                  ) -> np.ndarray:
     """``sum c*P*((P-1)/A)**N - 1`` at every load, one row per codebook of
-    the `_term_table`, in the two forms `codexpand.markov` describes; exactly
+    the `_term_table`, in the two forms the module docstring describes; exactly
     at ``N = 1``, as one integer quotient, and, in rationals, wherever the
     rounding bound exceeds `CLOSED_FORM_RTOL` of the value.  Codebook ``k``
     is evaluated at its first ``counts[k]`` loads (all by default) and is
@@ -246,20 +296,43 @@ def _saturation_loads(table: _TermTable) -> np.ndarray:
     return n
 
 
-def _saturation_load(terms: dict[int, int], size: int) -> int:
-    """`_saturation_loads` of one codebook."""
-    return int(_saturation_loads(_term_table([terms], [size]))[0])
+def perceived_count_rational(spec: CodebookSpec, n_users: int) -> Fraction:
+    """Exact expected perceived count, ``sum coef*P*(P-1)^N / A^N - 1``."""
+    n = int(_whole_loads(n_users))
+    return _closed_form_exact(_alphabet_terms(spec), codebook_size(spec), n)
+
+
+def perceived_curve(spec: CodebookSpec, n_values: Sequence[int]) -> np.ndarray:
+    """Expected perceived codewords at every load of a grid (closed form).
+
+    Evaluated in floats for the whole grid at once, and exactly at one
+    contender and where large terms cancel beyond float precision.
+    """
+    return _closed_form(_term_table([spec]), _whole_loads(n_values))[0]
+
+
+def expanded_efficiency_curve(spec: CodebookSpec, n_values: Sequence[int]) -> np.ndarray:
+    """Expected singles over expected perceived codewords at every load, for
+    either alphabet (a reference codebook perceives its used codewords)."""
+    n = _whole_loads(n_values, least=1).astype(np.float64)
+    singles = _singles(n, *_rounded_base(codebook_size(spec)))
+    return singles / _closed_form(_term_table([spec]), n)[0]
 
 
 def reference_efficiency_curve(n_values: Sequence[int], m: int, length: int) -> np.ndarray:
     """Singles over used codewords at every (positive) load of a grid, for the
     reference scheme with ``m`` preambles over ``length`` sub-frames."""
-    m, length = whole_number(m, "preamble count"), whole_number(length, "sub-frame count")
-    if m < 1 or length < 1:
-        raise DomainError("need at least one preamble and one sub-frame")
-    n = _whole_loads(n_values, least=1)
-    a = m * length
-    return expected_singles_curve(n, a) / expected_used_curve(n, a)
+    return expanded_efficiency_curve(CodebookSpec.reference(m, length), n_values)
+
+
+def perceived_count(spec: CodebookSpec, n_users: int) -> float:
+    """Expected perceived codewords for ``n_users`` contenders (closed form)."""
+    return float(perceived_curve(spec, [n_users])[0])
+
+
+def expanded_efficiency(spec: CodebookSpec, n_users: int) -> float:
+    """Expected singles over expected perceived codewords (closed form)."""
+    return float(expanded_efficiency_curve(spec, [n_users])[0])
 
 
 def expected_singles(point: LoadPoint) -> float:

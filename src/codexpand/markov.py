@@ -1,43 +1,14 @@
-"""Expected perceived codewords: closed form, and the observation chain.
+"""The observation chain: expected perceived codewords, one contender at a time.
 
-The base station cannot see codewords directly; in each sub-frame ``j`` it
-sees some set of preambles.  Writing ``C_j`` for the number of observed
-preambles in sub-frame ``j`` *counting idle as always present*, the tuple
-``(C_1, ..., C_L)`` -- a configuration -- is everything the observation
-reveals.  The codewords consistent with a configuration number
-``prod(C_j) - 1`` (the all-idle word never counts), and that cardinality is
-exactly how many codewords the base station perceives: singles, collisions,
-and phantom codewords no one sent.
-
-Closed form.  ``prod(C_j)`` counts the words ``w`` of the full alphabet
-(idle allowed everywhere) whose every non-idle symbol was observed.  By
-inclusion-exclusion over the set ``T`` of sub-frames in which such a symbol
-goes unobserved::
-
-    E[perceived | N] = sum_T (-1)^|T| * P_T * ((P_T - 1) / A)^N - 1,
-    P_T = prod_{j in T} m_j * prod_{j not in T} (m_j + 1),
-
-where ``A`` is the codebook size: ``P_T`` words carry a preamble in every
-sub-frame of ``T``, and for each of them ``P_T - 1`` codewords avoid all
-those preambles.  Equal products merge, so uniform budgets leave ``L + 1``
-terms.  A reference codebook of ``A`` codewords is observed like one
-sub-frame of ``A`` preambles, so it perceives exactly its used codewords.
-`perceived_curve` evaluates the sum in floats over a whole load grid, as a
-batch of one of `contention._closed_form`, which the planner runs on all its
-candidates at once: with ``w = coef * P`` and ``y = N log1p((P - 1 - A) / A)``,
-a term is ``w + w expm1(y)`` where ``y > -1``, its ``w`` summed exactly into
-an integer constant, and ``w exp(y)`` beyond, added one term at a time in
-`perceived_terms` order, never by a dot product.  With ``e`` the expm1 or exp
-evaluated, the rounding bound ``eps (terms + 4) (sum |w e| + |value|)`` has
-no term in ``N``; where it exceeds ``CLOSED_FORM_RTOL`` of the value, and at
-``N = 1``, the sum is evaluated exactly.
-
-The chain.  Contenders pick codewords independently and uniformly, so adding
-one more contender moves the configuration by keeping each ``C_j`` or raising
-it by one, with a probability that depends only on the current configuration
--- never on which codewords produced it.  The new contender picks its symbol
-in each sub-frame independently, so the codewords driving the move from ``c``
-to ``c'`` number::
+A configuration ``(C_1, ..., C_L)`` counts the preambles observed in each
+sub-frame, idle included; its ``prod(C_j) - 1`` consistent codewords are the
+ones the base station perceives (`codexpand.contention`, which holds the
+perceived count's closed form).  Contenders pick codewords independently and
+uniformly, so adding one more contender moves the configuration by keeping
+each ``C_j`` or raising it by one, with a probability that depends only on
+the current configuration -- never on which codewords produced it.  The new
+contender picks its symbol in each sub-frame independently, so the codewords
+driving the move from ``c`` to ``c'`` number::
 
     prod_j F_j[C_j - 1, C'_j - 1] - [c == c'],
     F_j[C - 1, C - 1] = C,  F_j[C - 1, C] = m_j + 1 - C,  0 otherwise,
@@ -75,8 +46,7 @@ from typing import Sequence
 import numpy as np
 
 from .codebook import CodebookSpec, Mode, codebook_size, decode_codewords
-from .contention import (
-    _closed_form, _closed_form_exact, _term_table, _whole_loads, expected_singles_curve)
+from .contention import _checked_grid, _whole_loads
 from .errors import DomainError, StateSpaceTooLarge
 
 #: Largest chain `build_transition_model` accepts, in states.
@@ -227,17 +197,6 @@ class TransitionModel:
         return Fraction(int(dist.ravel()[1:] @ self.cardinalities), self.denominator**n)
 
 
-def _checked_grid(n_values: Sequence[int]) -> np.ndarray:
-    """The one grid format, checked once: `_whole_loads`' read-only int64
-    array, one-dimensional, non-empty, positive and strictly increasing."""
-    loads = _whole_loads(n_values)
-    if loads.ndim != 1 or not loads.size or (loads < 1).any():
-        raise DomainError("grid must be non-empty with positive user counts")
-    if (loads[1:] <= loads[:-1]).any():
-        raise DomainError("grid must be strictly increasing")
-    return loads
-
-
 def build_transition_model(spec: CodebookSpec, cap: int = STATE_CAP) -> TransitionModel:
     """The observation chain of an expanded codebook, with its ``A`` states.
 
@@ -249,70 +208,14 @@ def build_transition_model(spec: CodebookSpec, cap: int = STATE_CAP) -> Transiti
     DomainError
         For a reference codebook, whose observations are unambiguous.
     StateSpaceTooLarge
-        When the ``A`` states exceed ``cap``; use `perceived_curve` or Monte
-        Carlo instead.
+        When the ``A`` states exceed ``cap``; use `contention.perceived_curve`
+        or Monte Carlo instead.
     """
     _check_expanded(spec)
     size = codebook_size(spec)
     if size > cap:
         raise StateSpaceTooLarge(f"{size} states exceed the cap of {cap}")
     return TransitionModel(spec)
-
-
-def perceived_terms(budgets: Sequence[int]) -> dict[int, int]:
-    """Inclusion-exclusion terms ``{P: coef}`` of the perceived-count sum.
-
-    One pass over the sub-frames: each term ``(p, c)`` becomes
-    ``(p * (m_j + 1), c)`` and ``(p * m_j, -c)``; equal products merge, and
-    terms with a zero product or coefficient are dropped.
-    """
-    terms = {1: 1}
-    for m in budgets:
-        merged: dict[int, int] = {}
-        for p, c in terms.items():
-            for product, coef in ((p * (m + 1), c), (p * m, -c)):
-                if product:
-                    merged[product] = merged.get(product, 0) + coef
-        terms = {p: c for p, c in merged.items() if c}
-    return terms
-
-
-def _alphabet_terms(spec: CodebookSpec) -> dict[int, int]:
-    """`perceived_terms` of either alphabet; a reference one is a single sub-frame."""
-    return perceived_terms(spec.budgets if spec.mode is Mode.EXPANDED else (spec.size,))
-
-
-def perceived_count_rational(spec: CodebookSpec, n_users: int) -> Fraction:
-    """Exact expected perceived count, ``sum coef*P*(P-1)^N / A^N - 1``."""
-    n = int(_whole_loads(n_users))
-    return _closed_form_exact(_alphabet_terms(spec), codebook_size(spec), n)
-
-
-def perceived_curve(spec: CodebookSpec, n_values: Sequence[int]) -> np.ndarray:
-    """Expected perceived codewords at every load of a grid (closed form).
-
-    Evaluated in floats for the whole grid at once, and exactly at one
-    contender and where large terms cancel beyond float precision.
-    """
-    loads = _whole_loads(n_values)
-    return _closed_form(_term_table([_alphabet_terms(spec)], [codebook_size(spec)]), loads)[0]
-
-
-def expanded_efficiency_curve(spec: CodebookSpec, n_values: Sequence[int]) -> np.ndarray:
-    """Expected singles over expected perceived codewords at every load, for
-    either alphabet (a reference codebook perceives its used codewords)."""
-    loads = _whole_loads(n_values, least=1)
-    return expected_singles_curve(loads, codebook_size(spec)) / perceived_curve(spec, loads)
-
-
-def perceived_count(spec: CodebookSpec, n_users: int) -> float:
-    """Expected perceived codewords for ``n_users`` contenders (closed form)."""
-    return float(perceived_curve(spec, [n_users])[0])
-
-
-def expanded_efficiency(spec: CodebookSpec, n_users: int) -> float:
-    """Expected singles over expected perceived codewords (closed form)."""
-    return float(expanded_efficiency_curve(spec, [n_users])[0])
 
 
 def _check_row_sums(counts, denom: int) -> None:

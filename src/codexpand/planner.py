@@ -34,10 +34,9 @@ import numpy as np
 
 from .codebook import CodebookSpec, _smallest_budgets, codebook_size
 from .contention import (
-    _closed_form, _rounded_base, _saturation_loads, _singles, _term_table, _TermTable,
-    _whole_loads)
+    _checked_grid, _closed_form, _rounded_base, _saturation_loads, _singles, _term_table,
+    _TermTable, _whole_loads, expanded_efficiency_curve)
 from .errors import DomainError
-from .markov import _alphabet_terms, _checked_grid, expanded_efficiency_curve
 
 #: Candidate-loads evaluated together in the schedule's dense head: enough to
 #: amortise numpy's per-call cost, few enough to stay in cache.
@@ -47,7 +46,7 @@ HEAD_CHUNK = 2**15
 @dataclass(frozen=True)
 class CandidateSet:
     """Codebooks competing over a strictly increasing user-load grid, held as
-    `markov._checked_grid`'s read-only int64 array.  The array makes the
+    `contention._checked_grid`'s read-only int64 array.  The array makes the
     generated ``==`` raise; nothing compares candidate sets."""
 
     candidates: tuple[CodebookSpec, ...]
@@ -161,7 +160,7 @@ def efficiency_curve(
 ) -> list[tuple[int, float]]:
     """Contention efficiency at each grid load: expected singles
     ``N (1 - 1/A)^(N-1)`` over the expected perceived count
-    ``sum_T (-1)^|T| P_T ((P_T - 1)/A)^N - 1`` (see `codexpand.markov`),
+    ``sum_T (-1)^|T| P_T ((P_T - 1)/A)^N - 1`` (see `codexpand.contention`),
     evaluated over the whole grid at once.  A reference codebook is observed
     like one sub-frame of ``A`` preambles, so it perceives exactly its used
     codewords ``A (1 - (1 - 1/A)^N)``.
@@ -308,7 +307,7 @@ def threshold_schedule(candidates: CandidateSet) -> ThresholdSchedule:
     # stable: ties keep input order
     sizes, specs = zip(*sorted(zip(map(codebook_size, candidates.candidates),
                                    candidates.candidates), key=itemgetter(0)))
-    table = _term_table([_alphabet_terms(spec) for spec in specs], sizes)
+    table = _term_table(specs)
     x, delta = map(np.array, zip(*map(_rounded_base, sizes)))
     saturation = _saturation_loads(table)
     tail = int(np.searchsorted(grid, saturation.max()))

@@ -50,8 +50,8 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .codebook import CodebookSpec, Mode, codebook_size, codeword_id_stop, encode_codewords
-from .contention import whole_number
+from .codebook import (
+    CodebookSpec, Mode, codebook_size, codeword_id_stop, encode_codewords, whole_number)
 from .errors import DomainError, EnumerationTooLarge
 
 #: Largest number ``A**N`` of ordered codeword assignments that

@@ -548,8 +548,10 @@ class TestCommandPath:
         }
         assert surface == OPTION_SURFACE
 
-    # analyze, simulate and inspect-chain are checked in their own classes
+    # simulate and inspect-chain, and analyze with a bad spec, are checked
+    # in their own classes
     @pytest.mark.parametrize("argv", [
+        ["analyze"],
         ["thresholds", "--length", 0, "--preambles", 4],
         ["reproduce", "--figure", "comparison", "--n-range", "5:2"],
     ], ids=lambda argv: argv[0])

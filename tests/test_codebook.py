@@ -56,6 +56,28 @@ class TestSpecValidation:
         with pytest.raises(DomainError):
             CodebookSpec(budgets=(1, 2), mode=Mode.REFERENCE)
 
+    # every count of a spec, built from a value: a budget of the expanded
+    # and of the reference alphabet, the sub-frame count, the provisioned pool
+    COUNT_FIELDS = {
+        "expanded budget": lambda v: CodebookSpec.expanded([v, 2]),
+        "reference budget": lambda v: CodebookSpec.reference(v, 2),
+        "length": lambda v: CodebookSpec.reference(2, v),
+        "m_global": lambda v: CodebookSpec.expanded([2, 2], m_global=v),
+    }
+
+    @pytest.mark.parametrize("field", COUNT_FIELDS)
+    @pytest.mark.parametrize("value", [2.5, True, np.float64(3.7)])
+    def test_counts_follow_the_whole_number_rule(self, field, value):
+        with pytest.raises(DomainError, match="must be a whole number"):
+            self.COUNT_FIELDS[field](value)
+
+    @pytest.mark.parametrize("field", COUNT_FIELDS)
+    @pytest.mark.parametrize("value", [2.0, np.int64(2)])
+    def test_whole_counts_taken_as_ints(self, field, value):
+        spec = self.COUNT_FIELDS[field](value)
+        assert spec == self.COUNT_FIELDS[field](2)
+        assert all(type(b) is int for b in spec.budgets) and type(spec.m_global) is int
+
     def test_describe_round_trips_through_inline_grammar(self):
         for spec in (
             CodebookSpec.reference(2, 2),

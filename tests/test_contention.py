@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from codexpand import (
+    CodebookSpec,
     DomainError,
     LoadPoint,
     expected_singles,
@@ -18,8 +19,8 @@ from codexpand import (
     reference_efficiency,
     reference_efficiency_curve,
 )
-from codexpand.contention import _rounded_base, _saturation_load, _whole_loads, whole_number
-from codexpand.markov import _checked_grid
+from codexpand.contention import (
+    _checked_grid, _rounded_base, _saturation_loads, _term_table, _whole_loads, whole_number)
 
 loads = st.builds(
     LoadPoint,
@@ -247,7 +248,7 @@ class TestReferencePrecision:
 
     @pytest.mark.parametrize("codewords", [16, 24, 128])
     def test_used_codewords_saturate_from_the_saturation_load(self, codewords):
-        start = _saturation_load({codewords + 1: 1, codewords: -1}, codewords)
+        start = _saturation_loads(_term_table([CodebookSpec.reference(codewords, 1)]))[0]
         used = expected_used_curve(range(start, 10 * start), codewords)
         assert (used == codewords).all()
         if codewords == 16:
@@ -263,7 +264,6 @@ class TestReferencePrecision:
             expected_used_curve([-1], 8)
         with pytest.raises(DomainError):
             expected_used_curve([1], 0)
-
 
 
 # The curves' float bytes, pinned: the tests above allow a few ulps, these

@@ -1,8 +1,10 @@
 """Observation-configuration chain over expanded codebooks."""
 
+import ast
 import itertools
 import math
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -27,8 +29,9 @@ from codexpand import (
     reference_efficiency,
     reference_efficiency_curve,
 )
-from codexpand import contention
-from codexpand.markov import _alphabet_terms, _step
+from codexpand import contention, markov, planner
+from codexpand.contention import _alphabet_terms
+from codexpand.markov import _step
 
 L2M2 = CodebookSpec.expanded((2, 2))
 
@@ -266,7 +269,8 @@ class TestClosedForm:
         specs = default_candidates(length, m, [1]).candidates
         exact = [float(perceived_count_rational(spec, 1)) for spec in specs]
         assert [perceived_curve(spec, [1])[0] for spec in specs] == exact
-        assert contention._closed_form(batch_table(specs), np.array([1]))[:, 0].tolist() == exact
+        table = contention._term_table(specs)
+        assert contention._closed_form(table, np.array([1]))[:, 0].tolist() == exact
 
     @given(st.lists(st.integers(min_value=0, max_value=40), min_size=1, max_size=8).filter(any))
     @settings(max_examples=60, deadline=None)
@@ -305,10 +309,6 @@ CODEBOOKS = st.one_of(
 CANCELLING = CodebookSpec.expanded((4,) * 10)  # exact at N = 1..4
 
 
-def batch_table(specs):
-    return contention._term_table([_alphabet_terms(s) for s in specs], [s.size for s in specs])
-
-
 class TestBatchedClosedForm:
     @given(st.lists(CODEBOOKS, min_size=1, max_size=8),
            st.lists(st.integers(min_value=0, max_value=3000), max_size=20),
@@ -322,7 +322,7 @@ class TestBatchedClosedForm:
         counts = np.minimum([loads.size, *counts[:len(specs) - 1]], loads.size)
         with mock.patch.object(contention, "_closed_form_exact",
                                wraps=contention._closed_form_exact) as exact:
-            batch = contention._closed_form(batch_table(specs), loads, counts)
+            batch = contention._closed_form(contention._term_table(specs), loads, counts)
         assert (_alphabet_terms(CANCELLING), CANCELLING.size, 3) in [
             c.args for c in exact.call_args_list]
         for spec, count, values in zip(specs, counts, batch):
@@ -337,7 +337,7 @@ class TestBatchedClosedForm:
         # L=1,m=20000`); every codebook keeps its batch-of-one floats
         large = CodebookSpec.expanded(budgets)
         specs = [CodebookSpec.reference(4, 4), large, CodebookSpec.expanded((3, 3))]
-        table = batch_table(specs)
+        table = contention._term_table(specs)
         assert table.exact.dtype == dtype
         loads = np.array([0, 1, 2, 3, 10, top])
         batch = contention._closed_form(table, loads)
@@ -369,8 +369,8 @@ class TestBatchedClosedForm:
     @settings(max_examples=60, deadline=None)
     def test_batched_saturation_loads_are_each_codebooks(self, specs):
         specs = [CANCELLING, CodebookSpec.reference(1, 1), *specs]
-        expected = [contention._saturation_load(_alphabet_terms(s), s.size) for s in specs]
-        assert contention._saturation_loads(batch_table(specs)).tolist() == expected
+        expected = [contention._saturation_loads(contention._term_table([s]))[0] for s in specs]
+        assert contention._saturation_loads(contention._term_table(specs)).tolist() == expected
 
 
 class TestEfficiency:
@@ -415,3 +415,27 @@ class TestWholeLoads:
             assert perceived_curve(L2M2, grid).tolist() == expected
         assert perceived_count_rational(L2M2, np.int16(2)) == perceived_count_rational(L2M2, 2)
         assert efficiency_curve(L2M2, []) == []
+
+
+def imported(module):
+    """Every name a package module imports, dotted and without the package:
+    ``from .contention import _step`` gives ``contention._step``."""
+    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            yield from (f"{node.module or ''}.{alias.name}".removeprefix("codexpand.").lstrip(".")
+                        for alias in node.names)
+        elif isinstance(node, ast.Import):
+            yield from (alias.name.removeprefix("codexpand.") for alias in node.names)
+
+
+class TestLayering:
+    """The chain stays an independent route to the closed form: it takes
+    only the load checks from `contention`, and the planner never uses it."""
+
+    def test_chain_takes_only_the_load_checks_from_the_closed_form(self):
+        taken = {name for name in imported(markov) if name.startswith("contention.")}
+        assert taken == {"contention._whole_loads", "contention._checked_grid"}
+
+    def test_planner_does_not_import_the_chain(self):
+        assert not [name for name in imported(planner) if "markov" in name.split(".")]

@@ -31,8 +31,7 @@ from codexpand import (
     supported_load,
     threshold_schedule,
 )
-from codexpand.contention import _rounded_base, _saturation_load, _singles
-from codexpand.markov import _alphabet_terms
+from codexpand.contention import _rounded_base, _saturation_loads, _singles, _term_table
 from codexpand import planner
 from codexpand.planner import ScheduleSegment
 
@@ -343,8 +342,7 @@ def per_load_schedule(candidates):
     candidate's saturation load on."""
     grid = candidates.load_grid
     specs = sorted(candidates.candidates, key=codebook_size)
-    tail = np.searchsorted(grid, max(_saturation_load(_alphabet_terms(s), codebook_size(s))
-                                     for s in specs))
+    tail = np.searchsorted(grid, max(_saturation_loads(_term_table([s]))[0] for s in specs))
     best, chosen = (np.concatenate(parts) for parts in zip(
         running_best(specs, grid[:tail]), per_load_tail(specs, grid[tail:])))
     return segments_of(grid, specs, best, chosen)
@@ -400,7 +398,7 @@ class TestSaturatedTail:
             # with a one-codeword reference, which saturates at the first load
             # and so has no closed-form loads in the head
             one = CodebookSpec.reference(1, 1)
-            assert _saturation_load(_alphabet_terms(one), 1) == 1
+            assert _saturation_loads(_term_table([one]))[0] == 1
             cands = CandidateSet((one, CodebookSpec.reference(2, 2), *self.EQUAL_23),
                                  range(1, 2001))
         else:
@@ -411,7 +409,7 @@ class TestSaturatedTail:
         evaluated = 0
         for spec in cands.candidates:
             size = codebook_size(spec)
-            start = _saturation_load(_alphabet_terms(spec), size)
+            start = _saturation_loads(_term_table([spec]))[0]
             assert (perceived_curve(spec, grid[grid >= start]) == size).all(), spec
             evaluated += np.count_nonzero(head < start)
         assert schedule.closed_form_loads == evaluated
