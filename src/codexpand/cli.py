@@ -33,8 +33,8 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from . import __version__
-from .codebook import CodebookSpec, codebook_size, whole_number
-from .contention import _whole_loads, expected_singles_curve, perceived_curve
+from .codebook import CodebookSpec, _whole_loads, codebook_size, whole_number
+from .contention import expected_singles_curve, perceived_curve
 from .errors import (
     CodexpandError,
     DomainError,
@@ -197,7 +197,7 @@ def _load_json(path: Path):
 
 def parse_n_range(text: str) -> np.ndarray:
     """Parse ``A``, ``A:B``, or ``A:B:STEP`` into an inclusive load grid, a
-    read-only int64 array (`contention._whole_loads`)."""
+    read-only int64 array (`codebook._whole_loads`)."""
     fields = text.split(":")
     if len(fields) > 3:
         raise DomainError(f"load range {text!r} is not A, A:B, or A:B:STEP")

@@ -18,7 +18,6 @@ here: budgets are counts, and preamble identity is positional.
 
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -36,17 +35,55 @@ Codeword = tuple[int, ...]
 ENUMERATION_CAP = 10**6
 
 
-def whole_number(value, name: str) -> int:
+def whole_number(value, name: str, least: int | None = None) -> int:
     """``value`` as a Python int, by the package's one rule for counts:
-    integers and integral floats are taken; bools, fractional values and
-    non-numbers raise `DomainError` instead of being truncated."""
+    integers and integral floats are taken; bools, fractional values,
+    non-numbers and values below ``least`` raise `DomainError` instead of
+    being truncated or clamped."""
     if type(value) is int:
-        return value
-    if isinstance(value, (float, np.floating)) and value.is_integer():
-        return int(value)
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        number = value
+    elif isinstance(value, (float, np.floating)) and value.is_integer():
+        number = int(value)
+    elif isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise DomainError(f"{name} must be a whole number, got {value!r}")
-    return int(value)
+    else:
+        number = int(value)
+    if least is not None and number < least:
+        raise DomainError(f"{name} must be at least {least}, got {number}")
+    return number
+
+
+def _whole_loads(n_values, least: int = 0) -> np.ndarray:
+    """User counts, a scalar or a grid, as a read-only int64 copy, by
+    `whole_number`'s rule applied to the array's type: integer arrays, and
+    float arrays of whole values inside the int64 range; bool and other
+    arrays raise, and so do loads below ``least`` (1 where efficiency is taken).
+    A read-only int64 array that owns its data is checked and returned as is."""
+    loads = np.asarray(n_values)
+    if loads.dtype.kind == "f" and (np.abs(loads) < 2.0**63).all():
+        fractional = loads[loads != np.trunc(loads)]
+        if fractional.size:
+            raise DomainError(f"user counts must be whole numbers, got {fractional[0]:g}")
+    elif loads.dtype.kind not in "iu":
+        raise DomainError(f"user counts must be whole numbers, got {n_values!r}")
+    if not (loads.dtype == np.int64 and loads.flags.owndata and not loads.flags.writeable):
+        loads = loads.astype(np.int64)
+    if (loads < least).any():
+        raise DomainError("efficiency is undefined without contenders" if least
+                          else "user count cannot be negative")
+    loads.flags.writeable = False
+    return loads
+
+
+def _checked_grid(n_values: Sequence[int]) -> np.ndarray:
+    """The one grid format, checked once: `_whole_loads`' read-only int64
+    array, one-dimensional, non-empty, positive and strictly increasing."""
+    loads = _whole_loads(n_values)
+    if loads.ndim != 1 or not loads.size or (loads < 1).any():
+        raise DomainError("grid must be non-empty with positive user counts")
+    if (loads[1:] <= loads[:-1]).any():
+        raise DomainError("grid must be strictly increasing")
+    return loads
 
 
 class Mode(Enum):
@@ -78,12 +115,10 @@ class CodebookSpec:
     m_global: int = 0
 
     def __post_init__(self) -> None:
-        budgets = tuple(whole_number(b, "preamble budget") for b in self.budgets)
+        budgets = tuple(whole_number(b, "preamble budget", 0) for b in self.budgets)
         object.__setattr__(self, "budgets", budgets)
         if len(budgets) < 1:
             raise DomainError("a virtual frame needs at least one sub-frame")
-        if any(b < 0 for b in budgets):
-            raise DomainError(f"negative preamble budget in {budgets}")
         if all(b == 0 for b in budgets):
             raise DomainError("empty codebook: every sub-frame budget is zero")
         m_global = whole_number(self.m_global, "provisioned preamble count") or max(budgets)
@@ -145,18 +180,7 @@ def enumerate_codewords(spec: CodebookSpec, cap: int = ENUMERATION_CAP) -> list[
     size = codebook_size(spec)
     if size > cap:
         raise SizeExceedsCap(f"{size} codewords exceed the enumeration cap of {cap}")
-    if spec.mode is Mode.REFERENCE:
-        words = []
-        for j, m in enumerate(spec.budgets):
-            for p in range(1, m + 1):
-                word = [0] * spec.length
-                word[j] = p
-                words.append(tuple(word))
-        words.sort()
-        return words
-    ranges = [range(b + 1) for b in spec.budgets]
-    all_idle = (0,) * spec.length
-    return [w for w in itertools.product(*ranges) if w != all_idle]
+    return sorted(map(tuple, decode_codewords(spec, np.arange(1, size + 1)).tolist()))
 
 
 def codeword_id_stop(spec: CodebookSpec) -> int:
@@ -239,8 +263,8 @@ def min_expanded_preambles(m_reference: int, length: int) -> int:
     At exact equality of codebook sizes the bound is attained but not
     exceeded.
     """
-    if m_reference < 1 or length < 1:
-        raise DomainError("need at least one preamble and one sub-frame")
+    m_reference = whole_number(m_reference, "reference preamble count", 1)
+    length = whole_number(length, "sub-frame count", 1)
     target = m_reference * length + 1
     x = max(1, math.ceil(target ** (1.0 / length) - 1) - 2)
     while (x + 1) ** length < target:
@@ -254,6 +278,8 @@ def _smallest_budgets(length: int, m_global: int) -> tuple[np.ndarray, np.ndarra
     one pass over the sub-frames from the last: the smallest vector has the
     smallest first budget and, after it, the smallest suffix for the rest of
     the product, so the first factor to make a product keeps its vector."""
+    length = whole_number(length, "sub-frame count", 1)
+    m_global = whole_number(m_global, "provisioned preamble count", 1)
     products = np.ones(1, dtype=np.int64 if (m_global + 1) ** length < 2**63 else object)
     budgets = np.zeros((1, 0), dtype=np.int64)
     for _ in range(length):

@@ -39,7 +39,7 @@ batch of codebooks at once (`_term_table`): with ``w = coef * P`` and
 never by a dot product, so a batch of one gives the same floats.  With ``e``
 the expm1 or exp evaluated, the rounding bound
 ``eps (terms + 4) (sum |w e| + |value|)`` has no term in ``N``; where it
-exceeds ``CLOSED_FORM_RTOL`` of the value, and at ``N = 1``, the sum is
+exceeds ``CLOSED_FORM_RTOL`` of the value, and at ``N <= 1``, the sum is
 evaluated exactly.  The observation chain (`codexpand.markov`) is an
 independent route to the same numbers.
 """
@@ -53,8 +53,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .codebook import CodebookSpec, Mode, codebook_size, whole_number
-from .errors import DomainError
+from .codebook import (  # the load checks, also reachable from here
+    CodebookSpec, Mode, _checked_grid, _whole_loads, codebook_size, whole_number)
 
 
 @dataclass(frozen=True)
@@ -69,45 +69,8 @@ class LoadPoint:
     codewords: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n_users", whole_number(self.n_users, "user count"))
-        object.__setattr__(self, "codewords", whole_number(self.codewords, "codeword count"))
-        if self.n_users < 0:
-            raise DomainError("user count cannot be negative")
-        if self.codewords < 1:
-            raise DomainError("need at least one codeword")
-
-
-def _whole_loads(n_values, least: int = 0) -> np.ndarray:
-    """User counts, a scalar or a grid, as a read-only int64 copy, by
-    `whole_number`'s rule applied to the array's type: integer arrays, and
-    float arrays of whole values inside the int64 range; bool and other
-    arrays raise, and so do loads below ``least`` (1 where efficiency is taken).
-    A read-only int64 array that owns its data is checked and returned as is."""
-    loads = np.asarray(n_values)
-    if loads.dtype.kind == "f" and (np.abs(loads) < 2.0**63).all():
-        fractional = loads[loads != np.trunc(loads)]
-        if fractional.size:
-            raise DomainError(f"user counts must be whole numbers, got {fractional[0]:g}")
-    elif loads.dtype.kind not in "iu":
-        raise DomainError(f"user counts must be whole numbers, got {n_values!r}")
-    if not (loads.dtype == np.int64 and loads.flags.owndata and not loads.flags.writeable):
-        loads = loads.astype(np.int64)
-    if (loads < least).any():
-        raise DomainError("efficiency is undefined without contenders" if least
-                          else "user count cannot be negative")
-    loads.flags.writeable = False
-    return loads
-
-
-def _checked_grid(n_values: Sequence[int]) -> np.ndarray:
-    """The one grid format, checked once: `_whole_loads`' read-only int64
-    array, one-dimensional, non-empty, positive and strictly increasing."""
-    loads = _whole_loads(n_values)
-    if loads.ndim != 1 or not loads.size or (loads < 1).any():
-        raise DomainError("grid must be non-empty with positive user counts")
-    if (loads[1:] <= loads[:-1]).any():
-        raise DomainError("grid must be strictly increasing")
-    return loads
+        object.__setattr__(self, "n_users", whole_number(self.n_users, "user count", 0))
+        object.__setattr__(self, "codewords", whole_number(self.codewords, "codeword count", 1))
 
 
 def expected_singles_curve(n_values: Sequence[int], codewords: int) -> np.ndarray:
@@ -115,10 +78,7 @@ def expected_singles_curve(n_values: Sequence[int], codewords: int) -> np.ndarra
     as ``N * x**(N - 1) * (1 + (N - 1) * delta)`` with ``x`` the rounded base
     and ``delta`` its relative rounding (`_rounded_base`)."""
     n = _whole_loads(n_values).astype(np.float64)
-    codewords = whole_number(codewords, "codeword count")
-    if codewords < 1:
-        raise DomainError("need at least one codeword")
-    return _singles(n, *_rounded_base(codewords))
+    return _singles(n, *_rounded_base(whole_number(codewords, "codeword count", 1)))
 
 
 def _singles(n: np.ndarray, x, delta) -> np.ndarray:
@@ -210,9 +170,9 @@ def _term_table(specs: Sequence[CodebookSpec]) -> _TermTable:
 def _closed_form(table: _TermTable, loads: np.ndarray, counts: np.ndarray | None = None
                  ) -> np.ndarray:
     """``sum c*P*((P-1)/A)**N - 1`` at every load, one row per codebook of
-    the `_term_table`, in the two forms the module docstring describes; exactly
-    at ``N = 1``, as one integer quotient, and, in rationals, wherever the
-    rounding bound exceeds `CLOSED_FORM_RTOL` of the value.  Codebook ``k``
+    the `_term_table`, in the two forms the module docstring describes; exactly,
+    as one integer quotient, at ``N <= 1`` and wherever the rounding bound
+    exceeds `CLOSED_FORM_RTOL` of the value.  Codebook ``k``
     is evaluated at its first ``counts[k]`` loads (all by default) and is
     ``float(A)`` from there on, its value from its saturation load on.
     Terms are summed one at a time in table order, never by a dot product,
@@ -241,27 +201,26 @@ def _closed_form(table: _TermTable, loads: np.ndarray, counts: np.ndarray | None
         for term in np.abs(e, out=e):
             magnitude += term
     values = total + constant.astype(np.float64)
-    values[x == 0] = 0.0  # where the P = 1 terms count, and every term cancels
     # Rounding ln r costs eps*|y|*e**y*|w|: at most eps*|w*expm1(y)| where
     # y > -1, and at most eps*|w|/e beyond, where it decays as e**y while the
     # value grows with N.  The other roundings scale with |e| |w| or the value.
     bound = np.repeat(table.rounding, counts) * (magnitude + np.abs(values))
-    single = x == 1
-    for i, c in zip(np.flatnonzero(single).tolist(), k[single].tolist()):
-        # at N = 1, (sum c*P*(P-1) - A) / A: one correctly rounded integer quotient
-        size = int(table.exact[-1, c])
-        values[i] = (sum(w * p * (p - 1) for p, w in table.terms[c].items()) - size) / size
-    fallback = np.flatnonzero(~single & (bound > CLOSED_FORM_RTOL * np.abs(values)))
-    for i, c in zip(fallback.tolist(), k[fallback].tolist()):
-        values[i] = float(_closed_form_exact(table.terms[c], int(table.exact[-1, c]), int(x[i])))
+    # exactly, as one correctly rounded integer quotient: at N = 0, where the
+    # P = 1 terms count, at N = 1, and where the terms cancel beyond the bound
+    redo = np.flatnonzero((x <= 1) | (bound > CLOSED_FORM_RTOL * np.abs(values)))
+    for i, c in zip(redo.tolist(), k[redo].tolist()):
+        top, bottom = _closed_form_exact(table.terms[c], int(table.exact[-1, c]), int(x[i]))
+        values[i] = top / bottom
     out = np.repeat(table.fill[:, None], n.size, axis=1)
     out[k, at] = values
     return out
 
 
-def _closed_form_exact(terms: dict[int, int], size: int, n: int) -> Fraction:
-    """`_closed_form` at one load in rationals, ``sum c*P*(P-1)**N / A**N - 1``."""
-    return Fraction(sum(c * p * (p - 1) ** n for p, c in terms.items()), size**n) - 1
+def _closed_form_exact(terms: dict[int, int], size: int, n: int) -> tuple[int, int]:
+    """`_closed_form` at one load as integers ``(sum c*P*(P-1)**N - A**N, A**N)``,
+    a numerator over a denominator."""
+    denominator = size**n
+    return sum(c * p * (p - 1) ** n for p, c in terms.items()) - denominator, denominator
 
 
 def _saturation_loads(table: _TermTable) -> np.ndarray:
@@ -299,13 +258,13 @@ def _saturation_loads(table: _TermTable) -> np.ndarray:
 def perceived_count_rational(spec: CodebookSpec, n_users: int) -> Fraction:
     """Exact expected perceived count, ``sum coef*P*(P-1)^N / A^N - 1``."""
     n = int(_whole_loads(n_users))
-    return _closed_form_exact(_alphabet_terms(spec), codebook_size(spec), n)
+    return Fraction(*_closed_form_exact(_alphabet_terms(spec), codebook_size(spec), n))
 
 
 def perceived_curve(spec: CodebookSpec, n_values: Sequence[int]) -> np.ndarray:
     """Expected perceived codewords at every load of a grid (closed form).
 
-    Evaluated in floats for the whole grid at once, and exactly at one
+    Evaluated in floats for the whole grid at once, and exactly at no or one
     contender and where large terms cancel beyond float precision.
     """
     return _closed_form(_term_table([spec]), _whole_loads(n_values))[0]

@@ -45,8 +45,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .codebook import CodebookSpec, Mode, codebook_size, decode_codewords
-from .contention import _checked_grid, _whole_loads
+from .codebook import (
+    CodebookSpec, Mode, _checked_grid, _whole_loads, codebook_size, decode_codewords)
 from .errors import DomainError, StateSpaceTooLarge
 
 #: Largest chain `build_transition_model` accepts, in states.

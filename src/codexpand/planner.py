@@ -32,10 +32,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .codebook import CodebookSpec, _smallest_budgets, codebook_size
+from .codebook import (
+    CodebookSpec, _checked_grid, _smallest_budgets, _whole_loads, codebook_size, whole_number)
 from .contention import (
-    _checked_grid, _closed_form, _rounded_base, _saturation_loads, _singles, _term_table,
-    _TermTable, _whole_loads, expanded_efficiency_curve)
+    _closed_form, _rounded_base, _saturation_loads, _singles, _term_table, _TermTable,
+    expanded_efficiency_curve)
 from .errors import DomainError
 
 #: Candidate-loads evaluated together in the schedule's dense head: enough to
@@ -46,7 +47,7 @@ HEAD_CHUNK = 2**15
 @dataclass(frozen=True)
 class CandidateSet:
     """Codebooks competing over a strictly increasing user-load grid, held as
-    `contention._checked_grid`'s read-only int64 array.  The array makes the
+    `codebook._checked_grid`'s read-only int64 array.  The array makes the
     generated ``==`` raise; nothing compares candidate sets."""
 
     candidates: tuple[CodebookSpec, ...]
@@ -94,6 +95,7 @@ class ThresholdSchedule:
 
     def spec_at(self, n_users: int) -> CodebookSpec:
         """Codebook chosen for a load inside the grid's span."""
+        n_users = whole_number(n_users, "user count")
         lows = [seg.n_low for seg in self.segments]
         pos = bisect_right(lows, n_users) - 1
         if pos < 0 or n_users > self.segments[pos].n_high:
@@ -116,10 +118,12 @@ def cardinalities_of_interest(
 ) -> list[int]:
     """Realizable codebook sizes that beat the reference scheme's size.
 
-    The baseline is ``reference_preambles * length`` codewords when given,
-    otherwise ``m * length`` (same preamble count in both schemes).
+    The baseline is the size of the reference codebook with
+    ``reference_preambles`` (by default ``m``, the same preamble count in
+    both schemes) in each of ``length`` sub-frames.
     """
-    baseline = (reference_preambles if reference_preambles is not None else m) * length
+    baseline = codebook_size(CodebookSpec.reference(
+        reference_preambles if reference_preambles is not None else m, length))
     return [a for a in state_cardinality_values(length, m) if a > baseline]
 
 
@@ -132,6 +136,7 @@ def spec_for_cardinality(length: int, m: int, target: int) -> CodebookSpec:
     leading sub-frames stay idle (budget 0) wherever the size allows.
     """
     products, budgets = _smallest_budgets(length, m)
+    target = whole_number(target, "codebook size", 1)
     index = np.searchsorted(products, target + 1)
     if index == products.size or products[index] != target + 1:
         raise DomainError(f"no codebook of size {target} with L={length}, M={m}")

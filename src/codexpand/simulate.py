@@ -75,13 +75,9 @@ class ScenarioConfig:
     master_seed: int
 
     def __post_init__(self) -> None:
-        for name in ("n_users", "trials", "master_seed"):
-            object.__setattr__(self, name, whole_number(getattr(self, name), name))
-        if self.n_users < 1:
-            raise DomainError("a scenario needs at least one contender")
-        if self.trials < 1:
-            raise DomainError("a scenario needs at least one trial")
-        if not 0 <= self.master_seed < 2**64:
+        for name, least in (("n_users", 1), ("trials", 1), ("master_seed", 0)):
+            object.__setattr__(self, name, whole_number(getattr(self, name), name, least))
+        if self.master_seed >= 2**64:
             raise DomainError("master seed must fit in 64 bits")
 
 
@@ -302,6 +298,8 @@ def block_rng(master_seed: int, block_index: int) -> np.random.Generator:
     The block index occupies the highest counter word, giving each block a
     disjoint 2**192-long stretch of the keyed Philox sequence.
     """
+    master_seed = whole_number(master_seed, "master seed", 0)
+    block_index = whole_number(block_index, "block index", 0)
     # the new Philox's own seed is overwritten at once
     return _seek(np.random.Generator(np.random.Philox()), master_seed, block_index)
 
@@ -403,8 +401,7 @@ def run_batch(config: ScenarioConfig, workers: int = 1, pool=None) -> AggregateS
     processes, or else over a pool opened for this batch.  Results are
     byte-identical for any worker count because the histogram is an exact sum.
     """
-    if workers < 1:
-        raise DomainError("need at least one worker")
+    workers = whole_number(workers, "workers", 1)
     trials = config.trials
     blocks = block_count(config)
     if workers == 1 or blocks < 2 * workers:
@@ -437,13 +434,10 @@ class ExpectedOutcome:
 
 
 def _exceeds(base: int, exponent: int, cap: int) -> bool:
-    """Whether ``base**exponent > cap``, multiplying no further than past ``cap``."""
-    power = 1
-    for _ in range(exponent if base > 1 else 0):
-        power *= base
-        if power > cap:
-            return True
-    return power > cap
+    """Whether ``base**exponent > cap`` for ``base >= 1`` and ``cap >= 0``:
+    from ``cap``'s bit length on, every power of a base of at least 2 exceeds
+    it, so no larger power is formed."""
+    return base ** min(exponent, cap.bit_length()) > cap
 
 
 def brute_force_expected(
@@ -464,9 +458,8 @@ def brute_force_expected(
         When ``A**n_users`` exceeds ``cap``, or when its weighted sums could
         overflow 64-bit integers.
     """
-    n_users = whole_number(n_users, "user count")
-    if n_users < 0:
-        raise DomainError("user count cannot be negative")
+    n_users = whole_number(n_users, "user count", 0)
+    cap = whole_number(cap, "cap", 0)
     size = codebook_size(spec)
     # weighted sums stay in int64: the weights add up to A**N, each count is at
     # most A; A**(N+1) fitting int64 keeps A < 2**32 for N >= 1, so the counts'

@@ -10,13 +10,24 @@ from hypothesis import strategies as st
 from codexpand import (
     CodebookSpec,
     DomainError,
+    LoadPoint,
     Mode,
+    ScenarioConfig,
     SizeExceedsCap,
+    block_rng,
+    brute_force_expected,
+    cardinalities_of_interest,
     codebook_size,
     decode_codewords,
+    default_candidates,
     encode_codewords,
     enumerate_codewords,
+    expected_singles_curve,
     min_expanded_preambles,
+    run_batch,
+    spec_for_cardinality,
+    state_cardinality_values,
+    threshold_schedule,
 )
 from codexpand.cli import parse_inline_spec
 
@@ -209,3 +220,55 @@ class TestPreambleBound:
             min_expanded_preambles(0, 4)
         with pytest.raises(DomainError):
             min_expanded_preambles(4, 0)
+
+
+L2M2 = CodebookSpec.expanded((2, 2))
+SCHEDULE = threshold_schedule(default_candidates(2, 2, range(1, 50)))
+
+#: Every public entry that takes a count, with the count in one argument,
+#: and the least value it takes there.
+COUNT_ENTRIES = {
+    "LoadPoint n_users": (lambda v: LoadPoint(v, 4), 0),
+    "LoadPoint codewords": (lambda v: LoadPoint(2, v), 1),
+    "ScenarioConfig n_users": (lambda v: ScenarioConfig(L2M2, v, 2, 1), 1),
+    "ScenarioConfig trials": (lambda v: ScenarioConfig(L2M2, 2, v, 1), 1),
+    "ScenarioConfig master_seed": (lambda v: ScenarioConfig(L2M2, 2, 2, v), 0),
+    "CodebookSpec budget": (lambda v: CodebookSpec.expanded((v, 2)), 0),
+    "expected_singles_curve codewords": (lambda v: expected_singles_curve([1, 3], v), 1),
+    "brute_force_expected n_users": (lambda v: brute_force_expected(L2M2, v), 0),
+    "brute_force_expected cap": (lambda v: brute_force_expected(L2M2, 0, cap=v), 0),
+    # two trials of two contenders fill one block, so every worker count runs in-process
+    "run_batch workers": (lambda v: run_batch(ScenarioConfig(L2M2, 2, 2, 1), workers=v), 1),
+    "min_expanded_preambles m_reference": (lambda v: min_expanded_preambles(v, 2), 1),
+    "min_expanded_preambles length": (lambda v: min_expanded_preambles(2, v), 1),
+    "state_cardinality_values length": (lambda v: state_cardinality_values(v, 2), 1),
+    "state_cardinality_values m": (lambda v: state_cardinality_values(2, v), 1),
+    "cardinalities_of_interest length": (lambda v: cardinalities_of_interest(v, 2), 1),
+    "cardinalities_of_interest m": (lambda v: cardinalities_of_interest(2, v), 1),
+    "cardinalities_of_interest reference_preambles":
+        (lambda v: cardinalities_of_interest(2, 2, v), 1),
+    "spec_for_cardinality length": (lambda v: spec_for_cardinality(v, 2, 3), 1),
+    "spec_for_cardinality m": (lambda v: spec_for_cardinality(2, v, 3), 1),
+    "spec_for_cardinality target": (lambda v: spec_for_cardinality(2, 2, v), 1),
+    "default_candidates length": (lambda v: default_candidates(v, 2, [1]), 1),
+    "default_candidates m": (lambda v: default_candidates(2, v, [1]), 1),
+    # the schedule's grid starts at load 1
+    "ThresholdSchedule.spec_at": (lambda v: SCHEDULE.spec_at(v), 1),
+    "block_rng master_seed": (lambda v: block_rng(v, 0).bit_generator.state, 0),
+    "block_rng block_index": (lambda v: block_rng(1, v).bit_generator.state, 0),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(COUNT_ENTRIES))
+class TestCountEntries:
+    """Every count a public entry takes follows `codebook.whole_number`."""
+
+    def test_fractions_bools_and_values_below_the_least_refused(self, entry):
+        call, least = COUNT_ENTRIES[entry]
+        for value in (2.5, True, least - 1):
+            with pytest.raises(DomainError):
+                call(value)
+
+    def test_integral_floats_and_numpy_integers_taken_as_ints(self, entry):
+        call, _ = COUNT_ENTRIES[entry]
+        assert repr(call(2.0)) == repr(call(np.int64(2))) == repr(call(2))

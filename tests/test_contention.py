@@ -19,8 +19,8 @@ from codexpand import (
     reference_efficiency,
     reference_efficiency_curve,
 )
-from codexpand.contention import (
-    _checked_grid, _rounded_base, _saturation_loads, _term_table, _whole_loads, whole_number)
+from codexpand.codebook import _checked_grid, _whole_loads, whole_number
+from codexpand.contention import _rounded_base, _saturation_loads, _term_table
 
 loads = st.builds(
     LoadPoint,
@@ -64,6 +64,11 @@ class TestWholeNumber:
 
     def test_integers_of_any_size_taken(self):
         assert whole_number(2**70, "seed") == 2**70
+
+    def test_values_below_the_least_refused(self):
+        assert whole_number(np.int64(1), "count", 1) == 1
+        with pytest.raises(DomainError, match="count must be at least 1, got 0"):
+            whole_number(0.0, "count", 1)
 
     def test_loads_are_a_read_only_copy_checked_against_the_least(self):
         given = np.array([0, 2])

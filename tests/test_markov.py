@@ -29,7 +29,7 @@ from codexpand import (
     reference_efficiency,
     reference_efficiency_curve,
 )
-from codexpand import contention, markov, planner
+from codexpand import contention, markov, planner, simulate
 from codexpand.contention import _alphabet_terms
 from codexpand.markov import _step
 
@@ -249,7 +249,7 @@ class TestClosedForm:
     @pytest.mark.parametrize("m,top", [(5000, 3000), (20000, 4000)])
     def test_wide_subframe_stays_on_the_float_path(self, monkeypatch, m, top):
         # one wide sub-frame is the used-codeword count of m codewords; the
-        # float form suffices at every load but N = 1, one integer quotient
+        # float form suffices at every load but N = 1, taken exactly
         exact_loads = []
         exact = contention._closed_form_exact
 
@@ -260,7 +260,7 @@ class TestClosedForm:
         monkeypatch.setattr(contention, "_closed_form_exact", counted)
         grid = range(1, top + 1)
         values = perceived_curve(CodebookSpec.expanded((m,)), grid)
-        assert exact_loads == []
+        assert exact_loads == [1]
         assert values.tolist() == expected_used_curve(grid, m).tolist()
 
     @pytest.mark.parametrize("length, m", [(4, 4), (6, 5)])
@@ -430,12 +430,13 @@ def imported(module):
 
 
 class TestLayering:
-    """The chain stays an independent route to the closed form: it takes
-    only the load checks from `contention`, and the planner never uses it."""
+    """The chain and the Monte Carlo runner stay independent routes to the
+    closed form: neither imports from `contention`, and the planner never
+    uses the chain."""
 
-    def test_chain_takes_only_the_load_checks_from_the_closed_form(self):
-        taken = {name for name in imported(markov) if name.startswith("contention.")}
-        assert taken == {"contention._whole_loads", "contention._checked_grid"}
+    def test_chain_and_trials_import_nothing_from_the_closed_form(self):
+        for module in (markov, simulate):
+            assert not [name for name in imported(module) if "contention" in name.split(".")]
 
     def test_planner_does_not_import_the_chain(self):
         assert not [name for name in imported(planner) if "markov" in name.split(".")]

@@ -609,6 +609,11 @@ class TestBruteForce:
             brute_force_expected(CodebookSpec.expanded((1000, 1000)), 10**7)
         assert time.perf_counter() - started < 2.0
 
+    def test_exceeds_is_the_direct_power_comparison(self):
+        for cap in (0, 1, 7, 10**7, 2**63 - 1):
+            for base, exponent in itertools.product(range(1, 6), range(71)):
+                assert simulate._exceeds(base, exponent, cap) is (base**exponent > cap)
+
     @pytest.mark.parametrize("n_users", [2.5, True, "2"])
     def test_non_whole_user_counts_rejected(self, n_users):
         with pytest.raises(DomainError):
