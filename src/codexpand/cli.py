@@ -24,6 +24,7 @@ the parameters from its manifest reproduces the CSV output byte for byte.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -432,6 +433,7 @@ def cmd_reproduce(args: argparse.Namespace) -> Made:
     return Made(figure, parameters, outputs, seed)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="codexpand",

@@ -177,6 +177,7 @@ def enumerate_codewords(spec: CodebookSpec, cap: int = ENUMERATION_CAP) -> list[
     SizeExceedsCap
         If the codebook holds more than ``cap`` codewords.
     """
+    cap = whole_number(cap, "cap", 0)
     size = codebook_size(spec)
     if size > cap:
         raise SizeExceedsCap(f"{size} codewords exceed the enumeration cap of {cap}")

@@ -31,8 +31,11 @@ it perceives exactly its used codewords ``A (1 - (1 - 1/A)^N)``; the
 reference scheme's efficiency, singles over used codewords, is the
 efficiency of that one-sub-frame codebook.
 
-`_closed_form` is the sum's one evaluator, for both alphabets and a whole
-batch of codebooks at once (`_term_table`): with ``w = coef * P`` and
+`_closed_form` is the sum's one evaluator, and `_efficiency`, singles over
+it, the one efficiency evaluator, for both alphabets and a whole batch of
+codebooks at once (`_term_table`).  From a codebook's saturation load on,
+every codeword is perceived and the sum is ``float(A)``, unevaluated; below
+it, with ``w = coef * P`` and
 ``y = N log1p((P - 1 - A) / A)``, a term is ``w + w expm1(y)`` where
 ``y > -1``, its ``w`` summed exactly into an integer constant, and
 ``w exp(y)`` beyond, added one term at a time in `perceived_terms` order,
@@ -117,7 +120,7 @@ CLOSED_FORM_CHUNK = 2**13
 
 
 #: The closed-form terms of a batch of codebooks, built by `_term_table`.
-_TermTable = namedtuple("_TermTable", "terms fill widths log_r exact rounding")
+_TermTable = namedtuple("_TermTable", "terms fill widths log_r exact rounding x delta saturation")
 
 
 def perceived_terms(budgets: Sequence[int]) -> dict[int, int]:
@@ -149,8 +152,9 @@ def _term_table(specs: Sequence[CodebookSpec]) -> _TermTable:
     ``P = A+1`` and ``P = 1``, in `perceived_terms` order and zero-padded to
     ``widths`` terms, as ``log_r = log1p((P - 1 - A) / A)`` and the weights ``c*P`` in ``exact``,
     integers (Python ints where int64 sums could overflow) with ``A`` in its
-    last row; ``fill`` is ``float(A)`` and ``rounding`` is
-    ``eps (terms + 4)``, the rounding bound's factor."""
+    last row; ``fill`` is ``float(A)``, ``rounding`` is ``eps (terms + 4)``,
+    the rounding bound's factor, ``x, delta`` the `_rounded_base` and
+    ``saturation`` the `_saturation_loads`."""
     terms = [_alphabet_terms(spec) for spec in specs]
     sizes = [codebook_size(spec) for spec in specs]
     widths = np.array([len(t) - 1 - (1 in t) for t in terms], dtype=np.intp)
@@ -163,34 +167,32 @@ def _term_table(specs: Sequence[CodebookSpec]) -> _TermTable:
     log_r = np.zeros(exact[:-1].shape)
     log_r.T[held] = np.log1p(np.fromiter(((p - 1 - a) / a for t, a in zip(terms, sizes) for p in t
                                           if p not in (1, a + 1)), np.float64, held.sum()))
-    return _TermTable(list(terms), np.array(sizes, dtype=np.float64), widths, log_r, exact,
-                      np.finfo(np.float64).eps * (np.array(list(map(len, terms))) + 4))
+    table = _TermTable(list(terms), np.array(sizes, dtype=np.float64), widths, log_r, exact,
+                       np.finfo(np.float64).eps * (np.array(list(map(len, terms))) + 4),
+                       *map(np.array, zip(*map(_rounded_base, sizes))), None)
+    return table._replace(saturation=_saturation_loads(table))
 
 
-def _closed_form(table: _TermTable, loads: np.ndarray, counts: np.ndarray | None = None
-                 ) -> np.ndarray:
+def _closed_form(table: _TermTable, loads: np.ndarray) -> np.ndarray:
     """``sum c*P*((P-1)/A)**N - 1`` at every load, one row per codebook of
     the `_term_table`, in the two forms the module docstring describes; exactly,
     as one integer quotient, at ``N <= 1`` and wherever the rounding bound
-    exceeds `CLOSED_FORM_RTOL` of the value.  Codebook ``k``
-    is evaluated at its first ``counts[k]`` loads (all by default) and is
-    ``float(A)`` from there on, its value from its saturation load on.
-    Terms are summed one at a time in table order, never by a dot product,
-    so a codebook's floats do not depend on its batch, on
-    `CLOSED_FORM_CHUNK` or on the BLAS build."""
+    exceeds `CLOSED_FORM_RTOL` of the value.  Codebook ``k`` is evaluated
+    only at loads below ``table.saturation[k]``, and is ``float(A)``, the
+    value the sum rounds to there, at the others.  Terms are summed one at a
+    time in table order, never by a dot product, so a codebook's floats do
+    not depend on its batch, on `CLOSED_FORM_CHUNK` or on the BLAS build."""
     n = np.asarray(loads, dtype=np.float64)
-    counts = np.full(len(table.fill), n.size) if counts is None else counts
-    # the values evaluated, codebook k at load at, codebook by codebook
-    k = np.repeat(np.arange(counts.size), counts)
-    at = np.arange(k.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    # the values evaluated, codebook k at load at
+    k, at = np.nonzero(n < table.saturation[:, None])
     x = n[at]
     total, magnitude = np.zeros(x.size), np.zeros(x.size)
-    constant = np.repeat(table.exact[-1], counts)
+    constant = table.exact[-1, k]
     width = table.widths.max(initial=0)  # the terms beyond a codebook's own add 0
     step = max(1, CLOSED_FORM_CHUNK // max(x.size, 1))  # terms at a time
     for terms in (slice(j, min(j + step, width)) for j in range(0, width, step)):
-        y = np.repeat(table.log_r[terms], counts, axis=1) * x
-        w = np.repeat(table.exact[terms], counts, axis=1)
+        y = table.log_r[terms, k] * x
+        w = table.exact[terms, k]
         near = y > -1.0
         constant += np.where(near, w, 0).sum(axis=0)
         e = np.exp(y)
@@ -204,7 +206,7 @@ def _closed_form(table: _TermTable, loads: np.ndarray, counts: np.ndarray | None
     # Rounding ln r costs eps*|y|*e**y*|w|: at most eps*|w*expm1(y)| where
     # y > -1, and at most eps*|w|/e beyond, where it decays as e**y while the
     # value grows with N.  The other roundings scale with |e| |w| or the value.
-    bound = np.repeat(table.rounding, counts) * (magnitude + np.abs(values))
+    bound = table.rounding[k] * (magnitude + np.abs(values))
     # exactly, as one correctly rounded integer quotient: at N = 0, where the
     # P = 1 terms count, at N = 1, and where the terms cancel beyond the bound
     redo = np.flatnonzero((x <= 1) | (bound > CLOSED_FORM_RTOL * np.abs(values)))
@@ -216,6 +218,12 @@ def _closed_form(table: _TermTable, loads: np.ndarray, counts: np.ndarray | None
     return out
 
 
+def _efficiency(table: _TermTable, loads: np.ndarray) -> np.ndarray:
+    """Singles over `_closed_form` at every positive load, one row per codebook."""
+    n = np.asarray(loads, dtype=np.float64)
+    return _singles(n, table.x[:, None], table.delta[:, None]) / _closed_form(table, n)
+
+
 def _closed_form_exact(terms: dict[int, int], size: int, n: int) -> tuple[int, int]:
     """`_closed_form` at one load as integers ``(sum c*P*(P-1)**N - A**N, A**N)``,
     a numerator over a denominator."""
@@ -224,8 +232,9 @@ def _closed_form_exact(terms: dict[int, int], size: int, n: int) -> tuple[int, i
 
 
 def _saturation_loads(table: _TermTable) -> np.ndarray:
-    """First load from which `_closed_form` returns exactly ``float(A)``, for
-    every codebook of the `_term_table`.
+    """First load from which the `_closed_form` sum rounds to exactly
+    ``float(A)``, for every codebook of the `_term_table`, as floats:
+    ``inf`` where that load lies beyond every int64 load.
 
     There every term but the leading ``P = A+1`` and the ``P = 1`` ones takes
     the ``exp`` form, so the constant is exactly ``A``; their sum, bounded by
@@ -244,15 +253,16 @@ def _saturation_loads(table: _TermTable) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):  # codebooks without such terms
         start = np.maximum(np.ceil(-1 / slope),
                            np.floor(np.log(target / sum(weights)) / slope) + 1)
-    n = np.where(table.widths > 0, np.maximum(start, 1), 1).astype(np.int64)
-    late = np.flatnonzero(table.widths)
+    start = np.where(table.widths > 0, np.maximum(start, 1), 1)
+    finite = start < 2.0**63  # the others never saturate, and are not stepped
+    n, late = np.where(finite, start, 1).astype(np.int64), np.flatnonzero(table.widths * finite)
     while late.size:  # every codebook still failing the check steps on
         terms = table.log_r[:, late] * n[late]
         terms = np.exp(terms, out=terms) * weights[:, late]
         late = late[(n[late] * slope[late] > -1.0) | (
             sum(terms) * (1 + (table.widths[late] + 2) * eps) >= target[late])]
         n[late] += 1
-    return n
+    return np.where(finite, n, np.inf)
 
 
 def perceived_count_rational(spec: CodebookSpec, n_users: int) -> Fraction:
@@ -273,9 +283,7 @@ def perceived_curve(spec: CodebookSpec, n_values: Sequence[int]) -> np.ndarray:
 def expanded_efficiency_curve(spec: CodebookSpec, n_values: Sequence[int]) -> np.ndarray:
     """Expected singles over expected perceived codewords at every load, for
     either alphabet (a reference codebook perceives its used codewords)."""
-    n = _whole_loads(n_values, least=1).astype(np.float64)
-    singles = _singles(n, *_rounded_base(codebook_size(spec)))
-    return singles / _closed_form(_term_table([spec]), n)[0]
+    return _efficiency(_term_table([spec]), _whole_loads(n_values, least=1))[0]
 
 
 def reference_efficiency_curve(n_values: Sequence[int], m: int, length: int) -> np.ndarray:

@@ -46,7 +46,7 @@ from typing import Sequence
 import numpy as np
 
 from .codebook import (
-    CodebookSpec, Mode, _checked_grid, _whole_loads, codebook_size, decode_codewords)
+    CodebookSpec, Mode, _checked_grid, _whole_loads, codebook_size, decode_codewords, whole_number)
 from .errors import DomainError, StateSpaceTooLarge
 
 #: Largest chain `build_transition_model` accepts, in states.
@@ -212,6 +212,7 @@ def build_transition_model(spec: CodebookSpec, cap: int = STATE_CAP) -> Transiti
         or Monte Carlo instead.
     """
     _check_expanded(spec)
+    cap = whole_number(cap, "cap", 0)
     size = codebook_size(spec)
     if size > cap:
         raise StateSpaceTooLarge(f"{size} states exceed the cap of {cap}")

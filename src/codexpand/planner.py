@@ -9,7 +9,8 @@ the preferred codebook changes.
 
 The sweep has a dense head and a saturated tail.  At high load every preamble
 is seen in every sub-frame, so every codeword is perceived: from its
-saturation load (`contention._saturation_loads`) a candidate's closed form
+saturation load, held in the candidates' one term table
+(`contention._term_table`), a candidate's closed form
 rounds to exactly its size ``A``, and its efficiency is ``N h(A)`` with
 ``h(A) = (1 - 1/A)**(N-1) / A``.  That function of ``A`` peaks at ``A = N``,
 so from the last candidate's saturation load on, each size takes the loads
@@ -17,14 +18,12 @@ between its crossovers with the next smaller and larger size, found in
 closed form and decided exactly (`_tail_runs`), until every efficiency
 underflows; the tail costs a few operations per size.  Below it every candidate
 is compared at every load, in array passes over blocks of candidates x
-loads, each closed form evaluated only below its own saturation load by the
-one batched evaluator, `contention._closed_form`; the perceived count is
-``float(A)`` from there on.
+loads, by the one batched efficiency evaluator, `contention._efficiency`.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from operator import itemgetter
@@ -35,8 +34,7 @@ import numpy as np
 from .codebook import (
     CodebookSpec, _checked_grid, _smallest_budgets, _whole_loads, codebook_size, whole_number)
 from .contention import (
-    _closed_form, _rounded_base, _saturation_loads, _singles, _term_table, _TermTable,
-    expanded_efficiency_curve)
+    _efficiency, _singles, _term_table, _TermTable, expanded_efficiency_curve)
 from .errors import DomainError
 
 #: Candidate-loads evaluated together in the schedule's dense head: enough to
@@ -196,31 +194,24 @@ def supported_load(
     return int(grid[reached[-1]]) if reached.size else None
 
 
-def _dense_best(table: _TermTable, saturation: np.ndarray, x: np.ndarray, delta: np.ndarray,
-                loads: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+def _dense_best(table: _TermTable, loads: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Running best over every candidate at every load, in table order: a
     later candidate takes a load only if strictly better.  Candidates are
     compared in blocks of about `HEAD_CHUNK` candidate-loads, the first of a
-    block's most efficient (``argmax``) against the earlier blocks' best;
-    each closed form is evaluated only below its ``saturation`` load; ``x``
-    and ``delta`` are the candidates' rounded bases.  Also returns how many
-    closed-form loads that is, summed over the candidates."""
-    counts = np.searchsorted(loads, saturation)
-    x, delta = x[:, None], delta[:, None]
-    n = loads.astype(np.float64)
-    best = np.full(n.size, -np.inf)
-    chosen = np.zeros(n.size, dtype=np.intp)
-    step = max(1, HEAD_CHUNK // max(n.size, 1))
-    for lo in range(0, len(counts), step):
+    block's most efficient (``argmax``) against the earlier blocks' best."""
+    best = np.full(loads.size, -np.inf)
+    chosen = np.zeros(loads.size, dtype=np.intp)
+    step = max(1, HEAD_CHUNK // max(loads.size, 1))
+    for lo in range(0, len(table.terms), step):
         block = slice(lo, lo + step)  # of candidates, the table's last axis
-        efficiency = _singles(n, x[block], delta[block]) / _closed_form(
-            _TermTable(table.terms[block], *(f[..., block] for f in table[1:])), n, counts[block])
+        efficiency = _efficiency(
+            _TermTable(table.terms[block], *(f[..., block] for f in table[1:])), loads)
         index = efficiency.argmax(axis=0)
-        values = efficiency[index, np.arange(n.size)]
+        values = efficiency[index, np.arange(loads.size)]
         better = values > best
         best[better] = values[better]
         chosen[better] = index[better] + lo
-    return best, chosen, int(counts.sum())
+    return best, chosen
 
 
 def _beats(a: int, b: int, n: int) -> bool:
@@ -294,35 +285,30 @@ def threshold_schedule(candidates: CandidateSet) -> ThresholdSchedule:
     simultaneous preambles on the air.  Contiguous choices merge into
     segments; segment boundaries are the adaptation thresholds.
 
-    Below the tail start, the largest `contention._saturation_loads` over
-    the candidates, every candidate's efficiency is compared at every load
-    (the dense head, `_dense_best`), its closed form evaluated only below its
-    own saturation load and its perceived count ``float(A)`` from there on,
-    the float the closed form gives; the terms and saturation loads of all
-    candidates are computed once, in one table.  From the tail start on,
-    every candidate perceives exactly its ``A`` codewords in floats, so its
-    efficiency is ``N h(A)`` with ``h(A) = (1 - 1/A)**(N-1) / A``, the same
-    float as the dense value.  There (the tail) each size takes the loads
-    between its crossovers with its neighbours in size, compared exactly,
-    and the smallest codebook every load where all efficiencies are 0.0
-    (`_tail_runs`); the tail's efficiencies are evaluated at its segment
-    edges only.
+    Below the tail start, the largest saturation load over the candidates,
+    every candidate's efficiency is compared at every load (the dense head,
+    `_dense_best`); the terms, rounded bases and saturation loads of all
+    candidates are computed once, in one `contention._term_table`.  From the
+    tail start on, every candidate perceives exactly its ``A`` codewords in
+    floats, so its efficiency is ``N h(A)`` with
+    ``h(A) = (1 - 1/A)**(N-1) / A``, the same float as the dense value.
+    There (the tail) each size takes the loads between its crossovers with
+    its neighbours in size, compared exactly, and the smallest codebook
+    every load where all efficiencies are 0.0 (`_tail_runs`); the tail's
+    efficiencies are evaluated at its segment edges only.
     """
     grid = candidates.load_grid
     # stable: ties keep input order
     sizes, specs = zip(*sorted(zip(map(codebook_size, candidates.candidates),
                                    candidates.candidates), key=itemgetter(0)))
     table = _term_table(specs)
-    x, delta = map(np.array, zip(*map(_rounded_base, sizes)))
-    saturation = _saturation_loads(table)
-    tail = int(np.searchsorted(grid, saturation.max()))
-    head_best, head_chosen, closed_form_loads = _dense_best(
-        table, saturation, x, delta, grid[:tail])
+    tail = bisect_left(grid, table.saturation.max())  # no float copy of the grid
+    head_best, head_chosen = _dense_best(table, grid[:tail])
     head = np.flatnonzero(np.diff(head_chosen, prepend=-1))  # where each run starts
     runs = [(head, head_chosen[head], head_best[head], head_best[np.append(head, tail)[1:] - 1])]
     checks = 0
     if tail < grid.size:
-        starts, *rest, checks = _tail_runs(sizes, x, delta, grid[tail:])
+        starts, *rest, checks = _tail_runs(sizes, table.x, table.delta, grid[tail:])
         runs.append((starts + tail, *rest))
     starts, chosen, low, high = map(np.concatenate, zip(*runs))
     # the head's last run and the tail's first are one segment if they agree
@@ -336,4 +322,5 @@ def threshold_schedule(candidates: CandidateSet) -> ThresholdSchedule:
             grid[starts[first]].tolist(), grid[ends].tolist(), chosen[first].tolist(),
             low[first].tolist(), high[last].tolist())
     ), tail_start=int(grid[tail]) if tail < grid.size else None,
-        closed_form_loads=closed_form_loads, tail_checks=checks)
+        closed_form_loads=int(np.searchsorted(grid[:tail], table.saturation).sum()),
+        tail_checks=checks)

@@ -535,6 +535,9 @@ OPTION_SURFACE = {
 
 
 class TestCommandPath:
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
     def test_option_surface(self):
         [commands] = [a for a in build_parser()._actions
                       if isinstance(a, argparse._SubParsersAction)]

@@ -16,6 +16,7 @@ from codexpand import (
     SizeExceedsCap,
     block_rng,
     brute_force_expected,
+    build_transition_model,
     cardinalities_of_interest,
     codebook_size,
     decode_codewords,
@@ -223,6 +224,7 @@ class TestPreambleBound:
 
 
 L2M2 = CodebookSpec.expanded((2, 2))
+ONE = CodebookSpec.expanded((1,))  # one codeword, under every cap from 1 on
 SCHEDULE = threshold_schedule(default_candidates(2, 2, range(1, 50)))
 
 #: Every public entry that takes a count, with the count in one argument,
@@ -237,6 +239,8 @@ COUNT_ENTRIES = {
     "expected_singles_curve codewords": (lambda v: expected_singles_curve([1, 3], v), 1),
     "brute_force_expected n_users": (lambda v: brute_force_expected(L2M2, v), 0),
     "brute_force_expected cap": (lambda v: brute_force_expected(L2M2, 0, cap=v), 0),
+    "enumerate_codewords cap": (lambda v: enumerate_codewords(ONE, cap=v), 0),
+    "build_transition_model cap": (lambda v: build_transition_model(ONE, cap=v), 0),
     # two trials of two contenders fill one block, so every worker count runs in-process
     "run_batch workers": (lambda v: run_batch(ScenarioConfig(L2M2, 2, 2, 1), workers=v), 1),
     "min_expanded_preambles m_reference": (lambda v: min_expanded_preambles(v, 2), 1),

@@ -20,7 +20,7 @@ from codexpand import (
     reference_efficiency_curve,
 )
 from codexpand.codebook import _checked_grid, _whole_loads, whole_number
-from codexpand.contention import _rounded_base, _saturation_loads, _term_table
+from codexpand.contention import _closed_form, _rounded_base, _term_table
 
 loads = st.builds(
     LoadPoint,
@@ -253,8 +253,11 @@ class TestReferencePrecision:
 
     @pytest.mark.parametrize("codewords", [16, 24, 128])
     def test_used_codewords_saturate_from_the_saturation_load(self, codewords):
-        start = _saturation_loads(_term_table([CodebookSpec.reference(codewords, 1)]))[0]
-        used = expected_used_curve(range(start, 10 * start), codewords)
+        # evaluated at every load, not cut at the saturation load
+        table = _term_table([CodebookSpec.reference(codewords, 1)])
+        start = int(table.saturation[0])
+        used = _closed_form(table._replace(saturation=np.array([np.inf])),
+                            np.arange(start, 10 * start))
         assert (used == codewords).all()
         if codewords == 16:
             # the bound is tight where A is a power of two: one load earlier

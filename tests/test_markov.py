@@ -311,23 +311,33 @@ CANCELLING = CodebookSpec.expanded((4,) * 10)  # exact at N = 1..4
 
 class TestBatchedClosedForm:
     @given(st.lists(CODEBOOKS, min_size=1, max_size=8),
-           st.lists(st.integers(min_value=0, max_value=3000), max_size=20),
-           st.lists(st.integers(min_value=0, max_value=40), min_size=9, max_size=9))
+           st.lists(st.integers(min_value=0, max_value=3000), max_size=20))
     @settings(max_examples=60, deadline=None)
-    def test_batch_is_each_codebook_alone(self, specs, extra, counts):
-        # each codebook's own leading loads, bit for bit as a batch of one, and
-        # float(A) from there on; the loads include 0, 1 and an exact fallback
+    def test_batch_is_each_codebook_alone(self, specs, extra):
+        # bit for bit as a batch of one, each codebook cut at its own
+        # saturation load; the loads include 0, 1 and an exact fallback
         specs = [CANCELLING, *specs]
         loads = np.array(sorted({0, 1, 3, *extra}))
-        counts = np.minimum([loads.size, *counts[:len(specs) - 1]], loads.size)
         with mock.patch.object(contention, "_closed_form_exact",
                                wraps=contention._closed_form_exact) as exact:
-            batch = contention._closed_form(contention._term_table(specs), loads, counts)
+            batch = contention._closed_form(contention._term_table(specs), loads)
         assert (_alphabet_terms(CANCELLING), CANCELLING.size, 3) in [
             c.args for c in exact.call_args_list]
-        for spec, count, values in zip(specs, counts, batch):
-            assert values[:count].tobytes() == perceived_curve(spec, loads[:count]).tobytes()
-            assert (values[count:] == spec.size).all()
+        for spec, values in zip(specs, batch):
+            assert values.tobytes() == perceived_curve(spec, loads).tobytes()
+
+    @given(st.lists(CODEBOOKS, min_size=1, max_size=8),
+           st.lists(st.integers(min_value=0, max_value=10**8), max_size=30))
+    @settings(max_examples=60, deadline=None)
+    def test_saturation_cut_changes_no_float(self, specs, extra):
+        # from its saturation load on, each codebook's sum rounds to float(A)
+        # itself, so evaluating it there too gives the same bytes
+        table = contention._term_table([CANCELLING, *specs])
+        edges = (table.saturation[:, None] + [-1, 0, 1]).astype(np.int64).ravel()
+        loads = np.array(sorted({0, 1, 2, *extra, *edges.tolist()}))
+        uncut = table._replace(saturation=np.full(len(specs) + 1, np.inf))
+        assert (contention._closed_form(table, loads).tobytes()
+                == contention._closed_form(uncut, loads).tobytes())
 
     @pytest.mark.parametrize("budgets, dtype, top", [((2**21,) * 3, object, 1000),
                                                      ((20000,), np.int64, 40000)])
@@ -432,7 +442,14 @@ def imported(module):
 class TestLayering:
     """The chain and the Monte Carlo runner stay independent routes to the
     closed form: neither imports from `contention`, and the planner never
-    uses the chain."""
+    uses the chain.  The planner evaluates efficiency only through
+    `contention._efficiency` and the tail's singles."""
+
+    def test_planner_imports_only_the_batched_evaluators(self):
+        assert sorted(name for name in imported(planner)
+                      if name.startswith("contention._")) == [
+            "contention._TermTable", "contention._efficiency", "contention._singles",
+            "contention._term_table"]
 
     def test_chain_and_trials_import_nothing_from_the_closed_form(self):
         for module in (markov, simulate):

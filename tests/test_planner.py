@@ -31,7 +31,7 @@ from codexpand import (
     supported_load,
     threshold_schedule,
 )
-from codexpand.contention import _rounded_base, _saturation_loads, _singles, _term_table
+from codexpand.contention import _closed_form, _rounded_base, _singles, _term_table
 from codexpand import planner
 from codexpand.planner import ScheduleSegment
 
@@ -342,10 +342,17 @@ def per_load_schedule(candidates):
     candidate's saturation load on."""
     grid = candidates.load_grid
     specs = sorted(candidates.candidates, key=codebook_size)
-    tail = np.searchsorted(grid, max(_saturation_loads(_term_table([s]))[0] for s in specs))
+    tail = np.searchsorted(grid, max(_term_table([s]).saturation[0] for s in specs))
     best, chosen = (np.concatenate(parts) for parts in zip(
         running_best(specs, grid[:tail]), per_load_tail(specs, grid[tail:])))
     return segments_of(grid, specs, best, chosen)
+
+
+def uncut_closed_form(specs, loads):
+    """`contention._closed_form` of codebooks evaluated at every load, none
+    cut at its saturation load."""
+    table = _term_table(specs)
+    return _closed_form(table._replace(saturation=np.full(len(specs), np.inf)), loads)
 
 
 def crossings(sizes):
@@ -388,9 +395,9 @@ class TestSaturatedTail:
     def test_every_candidate_perceives_its_size_in_the_tail(self, case):
         args, tail_start = self.GRIDS[case]
         cands = self.candidates(*args)
-        tail = [n for n in cands.load_grid if n >= tail_start]
+        tail = cands.load_grid[cands.load_grid >= tail_start]
         for spec in cands.candidates:
-            assert (perceived_curve(spec, tail) == codebook_size(spec)).all(), spec
+            assert (uncut_closed_form([spec], tail) == codebook_size(spec)).all(), spec
 
     @pytest.mark.parametrize("case", [*sorted(GRIDS), "equal-23"])
     def test_every_candidate_perceives_its_size_from_its_own_saturation(self, case):
@@ -398,7 +405,7 @@ class TestSaturatedTail:
             # with a one-codeword reference, which saturates at the first load
             # and so has no closed-form loads in the head
             one = CodebookSpec.reference(1, 1)
-            assert _saturation_loads(_term_table([one]))[0] == 1
+            assert _term_table([one]).saturation[0] == 1
             cands = CandidateSet((one, CodebookSpec.reference(2, 2), *self.EQUAL_23),
                                  range(1, 2001))
         else:
@@ -409,12 +416,34 @@ class TestSaturatedTail:
         evaluated = 0
         for spec in cands.candidates:
             size = codebook_size(spec)
-            start = _saturation_loads(_term_table([spec]))[0]
-            assert (perceived_curve(spec, grid[grid >= start]) == size).all(), spec
+            start = _term_table([spec]).saturation[0]
+            assert (uncut_closed_form([spec], grid[grid >= start]) == size).all(), spec
             evaluated += np.count_nonzero(head < start)
         assert schedule.closed_form_loads == evaluated
         if case == "equal-23":  # the other cases are compared in the test above
             assert schedule.segments == dense_schedule(cands)
+
+    @pytest.mark.parametrize("case", sorted(GRIDS))
+    def test_saturation_cut_changes_no_float(self, case):
+        # every candidate at every load of the case's grid
+        cands = self.candidates(*self.GRIDS[case][0])
+        table, loads = _term_table(cands.candidates), cands.load_grid
+        assert (_closed_form(table, loads).tobytes()
+                == uncut_closed_form(cands.candidates, loads).tobytes())
+
+    @pytest.mark.parametrize("spec", [CodebookSpec.expanded((2**61,)),
+                                      CodebookSpec.reference(2**60, 2)], ids=["2^61", "2^60x2"])
+    def test_codebooks_saturating_beyond_every_int64_load(self, spec):
+        # the saturation estimate, near 8.6e19, is past every int64 load: the
+        # codebook never saturates, and its values are the evaluated sum's
+        assert _term_table([spec]).saturation[0] == np.inf
+        assert perceived_curve(spec, [1, 2, 10, 1000]).tolist() == [
+            1.0, 2.0, 10.0, float.fromhex("0x1.f3ffffffffffep+9")]
+        cands = CandidateSet((CodebookSpec.reference(2, 2), spec), range(1, 50))
+        schedule = threshold_schedule(cands)
+        assert schedule.tail_start is None and schedule.closed_form_loads == 98
+        assert schedule.segments == dense_schedule(cands)
+        assert schedule.thresholds == (2,)
 
     @pytest.mark.parametrize("chunk", [1, 7 * 579, 2**40])
     def test_head_blocks_leave_the_schedule_unchanged(self, monkeypatch, chunk):
