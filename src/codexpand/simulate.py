@@ -21,18 +21,19 @@ blocks are scheduled across workers.
 
 Kernel: `observe_codes` checks a block's ids against ``1..A``, casts them once
 to the narrowest unsigned type of at least 16 bits that holds ``A + 1`` (16
-bits for every codebook of the paper), and sorts each row once.  Singles and
-distinct are counted on the raveled block and summed per row with
-``np.add.reduceat``, so short rows cost no per-row reduction.  For expanded
-codebooks, consecutive sub-frames of fewer than 64 preambles form digit
-groups of at most 2**16 values and 64 bits (`_digit_groups`, cached per
+bits for every codebook of the paper), and sorts each row once; the oracle's
+int64 rows come sorted and skip both.  `_observe_sorted` counts singles and
+distinct from the run edges of the raveled block, summed per row with
+``np.add.reduceat``; the oracle's weights come from the same edges.  For
+expanded codebooks, consecutive sub-frames of fewer than 64 preambles form
+digit groups of at most 2**16 values and 64 bits (`_digit_groups`, cached per
 budget tuple): each group's digit indexes a table of lit words, one bit per
-preamble its symbols light, which are ORed per row and popcounted per
-sub-frame field.  For (3, 3, 3, 3) the one group's digit is the id itself,
-so no division is done.  A sub-frame of 64 or more preambles counts the runs
-of its sorted symbols instead.  Every count is at most ``A``, so the counts
-stay in the id type too.  Means and variances are exact rationals from
-integer power sums over the histogram; floats are taken only at the end.
+preamble its symbols light, ORed per row and popcounted per sub-frame field;
+for (3, 3, 3, 3) the digit is the id itself.  A sub-frame of 64 or more
+preambles counts the runs of its sorted symbols instead.  Every count is at
+most ``A``, so the counts stay in the id type too.  Means and variances are
+exact rationals from integer power sums over the histogram; floats are taken
+only at the end.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import sqrt
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -150,25 +150,33 @@ def observe_codes(
         If an id lies outside ``1..A``.
     """
     codes = np.asarray(codes)
-    stop = codeword_id_stop(spec)
     # check before narrowing, so that no out-of-range id wraps into range
-    if codes.size and (codes.min() < 1 or codes.max() >= stop):
-        raise DomainError(f"codeword ids of {spec.describe()} must lie in 1..{stop - 1}")
-    # the narrowest unsigned type that holds A + 1, the largest radix m_j + 1 of
-    # the digit split; at least 16 bits, as numpy sorts 8-bit rows slower
+    stop = _id_stop(spec, codes)
+    # narrowest to hold A + 1, the largest digit radix; 16 bits at least: 8-bit rows sort slower
     codes = codes.astype(np.promote_types(np.uint16, np.min_scalar_type(stop)))
     if codes.size == 0:  # no rows, or rows of no contender
-        none = np.zeros(len(codes), dtype=codes.dtype)
-        return none, none, none
+        return (np.zeros(len(codes), dtype=codes.dtype),) * 3
     codes.sort(axis=1)
+    return _observe_sorted(spec, codes)[1:]
+
+
+def _id_stop(spec: CodebookSpec, codes: np.ndarray) -> int:
+    """``A + 1``, once every id in ``codes`` is checked to lie in ``1..A``."""
+    stop = codeword_id_stop(spec)
+    if codes.size and (codes.min() < 1 or codes.max() >= stop):
+        raise DomainError(f"codeword ids of {spec.describe()} must lie in 1..{stop - 1}")
+    return stop
+
+
+def _observe_sorted(spec: CodebookSpec, codes: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The `_run_edges` of sorted rows of ``N >= 1`` ids, then `observe_codes`'s counts."""
     starts = np.arange(0, codes.size, codes.shape[1])
+    # perceived first, so that its lit words never share the peak with the edges
+    perceived = None if spec.mode is Mode.REFERENCE else _perceived(spec.budgets, codes, starts)
     edges = _run_edges(codes.ravel(), starts)
     singles = np.add.reduceat(edges[:-1] & edges[1:], starts, dtype=codes.dtype)
     distinct = np.add.reduceat(edges[:-1], starts, dtype=codes.dtype)
-    if spec.mode is Mode.REFERENCE:
-        return singles, distinct, distinct
-    del edges  # keeps a block's peak memory down while the lit words are looked up
-    return singles, distinct, _perceived(spec.budgets, codes, starts)
+    return edges, singles, distinct, distinct if perceived is None else perceived
 
 
 def _run_edges(flat: np.ndarray, starts: np.ndarray) -> np.ndarray:
@@ -367,7 +375,7 @@ def _estimate(s1: int | Fraction, s2: int | Fraction, n: int) -> Estimate:
     if n < 2:
         return Estimate(float(mean), None)
     # sum (v - mean)**2 == s2 - 2*mean*s1 + n*mean**2 == s2 - s1*mean
-    return Estimate(float(mean), sqrt((s2 - s1 * mean) / (n - 1) / n))
+    return Estimate(float(mean), math.sqrt((s2 - s1 * mean) / (n - 1) / n))
 
 
 def _power_sums(counts: list[int], values: list[int]) -> tuple[int, int]:
@@ -445,12 +453,12 @@ def brute_force_expected(
 ) -> ExpectedOutcome:
     """Average the observation over every assignment of codeword ids.
 
-    All ``A**n_users`` ordered assignments are equally likely because
-    contenders pick independently and uniformly.  The observation depends
-    only on the multiset of picked ids, so each multiset, as a sorted row, is
-    observed once and weighted by its number of orderings: the weighted sums
-    are exact integers, and their averages over ``A**n_users`` the exact
-    expectations.
+    All ``A**n_users`` ordered assignments are equally likely, as contenders
+    pick independently and uniformly.  The observation depends only on the
+    multiset of picked ids, so each multiset is observed once, as a sorted
+    row from `_multisets` that skips the kernel's cast and sort, weighted by
+    its orderings from the kernel's run edges (`_weights`): the weighted sums
+    are exact integers, their averages over ``A**n_users`` the expectations.
 
     Raises
     ------
@@ -461,27 +469,41 @@ def brute_force_expected(
     n_users = whole_number(n_users, "user count", 0)
     cap = whole_number(cap, "cap", 0)
     size = codebook_size(spec)
-    # weighted sums stay in int64: the weights add up to A**N, each count is at
-    # most A; A**(N+1) fitting int64 keeps A < 2**32 for N >= 1, so the counts'
-    # unsigned id type promotes to int64 against the weights
+    # weighted sums stay in int64: the weights add up to A**N and each count,
+    # in the rows' int64, is at most A, so A**(N+1) fitting int64 bounds them
     limit = min(cap, np.iinfo(np.int64).max // size)
     if _exceeds(size, n_users, limit):
         raise EnumerationTooLarge(f"{size}**{n_users} assignments exceed the cap of {limit}")
     if n_users == 0:
         return ExpectedOutcome(*[Fraction(0)] * 5)
+    # the limit keeps N <= 61 from A = 2 on; a size-1 codebook's one row weighs 1
+    upto = range(n_users + 1)
+    binomials = np.array([[math.comb(i, k) for k in upto] for i in upto]) if size > 1 else None
     sums = [0, 0, 0]
     for codes in _multisets(size, n_users):
-        counts = observe_codes(spec, codes)
-        weights = _orderings(codes)
+        _id_stop(spec, codes)
+        edges, *counts = _observe_sorted(spec, codes)
+        weights = np.ones(1, dtype=np.int64) if binomials is None else _weights(edges, binomials)
         sums = [t + int(weights @ x) for t, x in zip(sums, counts)]
-    total = size**n_users
-    return ExpectedOutcome(*(Fraction(v, total) for v in _outcome_fields(*sums)))
+    return ExpectedOutcome(*(Fraction(v, size**n_users) for v in _outcome_fields(*sums)))
+
+
+def _weights(edges: np.ndarray, binomials: np.ndarray) -> np.ndarray:
+    """Orderings ``N!/prod_j c_j!`` of sorted rows of ``N`` ids, from their run
+    edges and ``binomials[i, k] = C(i, k)``: the product over a row's runs of
+    C(run end in row, run length).  Each partial product is the orderings of
+    a row prefix, so none exceeds the row's."""
+    n = len(binomials) - 1
+    bounds = np.flatnonzero(edges)  # each run's start, then the end of the last
+    lengths = np.diff(bounds)
+    place = bounds[:-1] % n  # where each run starts in its row
+    terms = binomials.take((place + lengths) * (n + 1) + lengths)  # faster than 2-d indexing
+    return np.multiply.reduceat(terms, np.flatnonzero(place == 0))
 
 
 def _multisets(size: int, n: int, prefix: tuple[int, ...] = ()) -> Iterator[np.ndarray]:
     """Every non-decreasing row of ``n`` ids in ``1..size`` that starts with
-    ``prefix``, in lexicographic order, in blocks of at most `_block_rows`
-    rows.
+    ``prefix``, in lexicographic order, in blocks of at most `_block_rows` rows.
 
     A block holds the rows of a range of next ids.  Its bounds come from the
     count ``C(size - v + k, k)`` of rows whose ``k`` free ids are all at
@@ -522,25 +544,3 @@ def _extend(codes: np.ndarray, size: int, n: int) -> np.ndarray:
         following = np.arange(start[-1] + fan[-1]) - np.repeat(start - last, fan)
         codes = np.column_stack((np.repeat(codes, fan, axis=0), following))
     return codes
-
-
-def _orderings(codes: np.ndarray) -> np.ndarray:
-    """Number of orderings ``N!/prod_j c_j!`` of each sorted row of ids, whose
-    runs of equal ids have lengths ``c_j``.
-
-    It is the product over runs of C(run end, run length), taken one
-    position at a time: position ``i`` (from 0) multiplies the orderings of
-    the row's first ``i`` ids by ``(i + 1)/t``, where ``t`` is its place in
-    its run (from 1).  Every partial product is the orderings of a prefix and
-    divides the whole, so none overflows where the whole fits.
-    """
-    n = codes.shape[1]
-    # positions inside every row's first run have t = i + 1 and multiply by 1
-    start = int(np.argmin(np.append((codes == codes[:, :1]).all(axis=0), False)))
-    weights = np.ones(len(codes), dtype=np.int64)
-    place = start
-    for i in range(start, n):
-        place = np.where(codes[:, i] == codes[:, i - 1], place + 1, 1)
-        common = np.gcd(place, i + 1)
-        weights = weights // (place // common) * ((i + 1) // common)
-    return weights

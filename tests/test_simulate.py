@@ -598,6 +598,53 @@ class TestBruteForce:
         assert out.perceived == perceived_count_rational(spec, 5)
         assert out.singles == 5 * Fraction(10, 11) ** 4
 
+    def test_rows_over_several_blocks_with_long_runs(self):
+        spec = CodebookSpec.expanded((4, 7))
+        size, n = codebook_size(spec), 4
+        assert sum(1 for _ in simulate._multisets(size, n)) > 1
+        out = brute_force_expected(spec, n)
+        assert out.perceived == perceived_count_rational(spec, n)
+        assert out.singles == n * Fraction(size - 1, size) ** (n - 1)
+        assert out.distinct_used == size * (1 - Fraction(size - 1, size) ** n)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_weights_are_the_multinomials(self, data):
+        size, n = data.draw(st.integers(1, 12)), data.draw(st.integers(1, 9))
+        row = st.lists(st.integers(1, size), min_size=n, max_size=n).map(sorted)
+        rows = data.draw(st.lists(row, min_size=1, max_size=8))
+        codes = np.array(rows, dtype=np.int64)
+        edges = simulate._run_edges(codes.ravel(), np.arange(0, codes.size, n))
+        binomials = np.array([[math.comb(i, k) for k in range(n + 1)] for i in range(n + 1)])
+        want = [math.factorial(n) // math.prod(map(math.factorial, Counter(r).values()))
+                for r in rows]
+        assert simulate._weights(edges, binomials).tolist() == want
+
+    def test_two_codewords_up_to_the_default_cap(self):
+        spec = CodebookSpec.expanded((2,))
+        assert codebook_size(spec) == 2
+        out = brute_force_expected(spec, 23)
+        assert out.singles == 23 * Fraction(1, 2) ** 22
+        assert out.perceived == perceived_count_rational(spec, 23)
+        with pytest.raises(EnumerationTooLarge):
+            brute_force_expected(spec, 24)
+
+    def test_two_codewords_up_to_the_int64_limit(self):
+        # 2**62 assignments would let the weighted sums reach 2**63
+        spec = CodebookSpec.expanded((2,))
+        out = brute_force_expected(spec, 61, cap=2**62)
+        assert out.singles == Fraction(61, 2**60)
+        assert out.perceived == perceived_count_rational(spec, 61)
+        with pytest.raises(EnumerationTooLarge):
+            brute_force_expected(spec, 62, cap=2**62)
+
+    def test_one_codeword_builds_no_table_of_binomials(self):
+        # a table of C(i, k) for i, k <= 10**6 would not fit in memory
+        started = time.perf_counter()
+        out = brute_force_expected(CodebookSpec.expanded((1,)), 10**6)
+        assert time.perf_counter() - started < 2.0
+        assert out == ExpectedOutcome(0, 1, 1, 1, 0)
+
     def test_cap_enforced(self):
         with pytest.raises(EnumerationTooLarge):
             brute_force_expected(L2M2, 9, cap=10**6)
