@@ -50,8 +50,6 @@ from .planner import (
     crossover_point,
     default_candidates,
     efficiency_curve,
-    spec_for_cardinality,
-    state_cardinality_values,
     supported_load,
     threshold_schedule,
 )
@@ -120,8 +118,6 @@ __all__ = [
     "reference_efficiency",
     "reference_efficiency_curve",
     "run_batch",
-    "spec_for_cardinality",
-    "state_cardinality_values",
     "supported_load",
     "threshold_schedule",
 ]

@@ -35,7 +35,7 @@ import numpy as np
 
 from . import __version__
 from .codebook import CodebookSpec, _whole_loads, codebook_size, whole_number
-from .contention import expected_singles_curve, perceived_curve
+from .contention import expanded_efficiency_curve, expected_singles_curve, perceived_curve
 from .errors import (
     CodexpandError,
     DomainError,
@@ -45,7 +45,7 @@ from .errors import (
     StateSpaceTooLarge,
 )
 from .markov import build_transition_model
-from .planner import default_candidates, efficiency_curve, threshold_schedule
+from .planner import default_candidates, threshold_schedule
 from .reporting import chain_dump, svg_line_plot, write_csv, write_manifest
 from .simulate import AggregateStats, Estimate, ScenarioConfig, block_count, run_batch
 
@@ -61,7 +61,7 @@ DUMP_STATE_CAP = 10**4
 _BATCH_HEADER = ["N", "mean_singles", "mean_perceived", "mean_phantoms",
                  "efficiency", "se_efficiency"]
 _CURVE_HEADER = ["N", "efficiency"]
-#: One efficiency-curve row, from `efficiency_curve`'s ``(N, e)`` tuples.
+#: One efficiency-curve row: a load and its efficiency.
 _CURVE_ROW = "{},{:.6f}"
 
 
@@ -82,9 +82,9 @@ def _adaptive(length: int) -> Callable[[np.ndarray], list]:
     m = 4
 
     def curves(grid: np.ndarray) -> list[tuple[str, str, CodebookSpec]]:
-        expanded = default_candidates(length, m, grid).candidates[1:]
+        reference, *expanded = default_candidates(length, m, grid).candidates
         sizes = map(codebook_size, expanded)
-        return [("reference", f"reference, M={m}", CodebookSpec.reference(m, length)),
+        return [("reference", f"reference, M={m}", reference),
                 *((f"card{a}", f"code-expanded, {a} codewords", spec)
                   for a, spec in zip(sizes, expanded))]
     return curves
@@ -321,9 +321,10 @@ def cmd_analyze(args: argparse.Namespace) -> Made:
         raise DomainError("analyze needs --spec SPEC")
     spec = load_spec(args.spec)
     grid, n_range = _grid(args, codebook_size(spec))
-    curve = efficiency_curve(spec, grid)
+    curve = expanded_efficiency_curve(spec, grid)
     return Made("analyze", {"spec": spec.describe(), "n_range": n_range},
-                {"analyze.csv": lambda p: write_csv(p, _CURVE_HEADER, _CURVE_ROW, curve)})
+                {"analyze.csv": lambda p: write_csv(
+                    p, _CURVE_HEADER, _CURVE_ROW, zip(grid.tolist(), curve.tolist()))})
 
 
 def cmd_simulate(args: argparse.Namespace) -> Made:
@@ -411,11 +412,10 @@ def cmd_reproduce(args: argparse.Namespace) -> Made:
     outputs: dict[str, Callable[[Path], None]] = {}
     plot_curves: list[tuple[str, Sequence[float], Sequence[float]]] = []
     for name, label, spec in entry.curves(grid):
-        curve = efficiency_curve(spec, grid)
-        outputs[f"{figure}_{name}.csv"] = (
-            lambda p, c=curve: write_csv(p, _CURVE_HEADER, _CURVE_ROW, c)
-        )
-        plot_curves.append((label, *zip(*curve)))
+        curve = expanded_efficiency_curve(spec, grid)
+        outputs[f"{figure}_{name}.csv"] = lambda p, c=curve: write_csv(
+            p, _CURVE_HEADER, _CURVE_ROW, zip(grid.tolist(), c.tolist()))
+        plot_curves.append((label, grid, curve))
     parameters = {"figure": figure, "n_range": n_range}
     seed = None
     if entry.montecarlo is not None:

@@ -169,18 +169,17 @@ def codebook_size(spec: CodebookSpec) -> int:
     return math.prod(b + 1 for b in spec.budgets) - 1
 
 
-def enumerate_codewords(spec: CodebookSpec, cap: int = ENUMERATION_CAP) -> list[Codeword]:
+def enumerate_codewords(spec: CodebookSpec) -> list[Codeword]:
     """All codewords in lexicographic order of their symbol vectors.
 
     Raises
     ------
     SizeExceedsCap
-        If the codebook holds more than ``cap`` codewords.
+        If the codebook holds more than `ENUMERATION_CAP` codewords.
     """
-    cap = whole_number(cap, "cap", 0)
     size = codebook_size(spec)
-    if size > cap:
-        raise SizeExceedsCap(f"{size} codewords exceed the enumeration cap of {cap}")
+    if size > ENUMERATION_CAP:
+        raise SizeExceedsCap(f"{size} codewords exceed the enumeration cap of {ENUMERATION_CAP}")
     return sorted(map(tuple, decode_codewords(spec, np.arange(1, size + 1)).tolist()))
 
 

@@ -56,8 +56,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .codebook import (  # the load checks, also reachable from here
-    CodebookSpec, Mode, _checked_grid, _whole_loads, codebook_size, whole_number)
+from .codebook import CodebookSpec, Mode, _whole_loads, codebook_size, whole_number
 
 
 @dataclass(frozen=True)

@@ -101,14 +101,16 @@ class ThresholdSchedule:
         return self.segments[pos].spec
 
 
-def state_cardinality_values(length: int, m: int) -> list[int]:
-    """Distinct observation cardinalities of the full codebook's chain.
-
-    These are the values ``prod(C_j) - 1`` over configurations with
-    ``1 <= C_j <= m + 1``, the all-idle one (cardinality 0) excluded: the
-    products of `codebook._smallest_budgets`, with no state space built.
-    """
-    return (_smallest_budgets(length, m)[0][1:] - 1).tolist()
+def _above_reference(length: int, m: int, reference_preambles: int | None
+                     ) -> tuple[CodebookSpec, np.ndarray, np.ndarray]:
+    """The reference codebook with ``reference_preambles`` (by default ``m``)
+    in each of ``length`` sub-frames, the realizable expanded sizes above its
+    own, ascending, and their smallest budgets (`codebook._smallest_budgets`)."""
+    reference = CodebookSpec.reference(
+        reference_preambles if reference_preambles is not None else m, length)
+    products, budgets = _smallest_budgets(length, m)
+    above = products - 1 > codebook_size(reference)
+    return reference, products[above] - 1, budgets[above]
 
 
 def cardinalities_of_interest(
@@ -120,25 +122,7 @@ def cardinalities_of_interest(
     ``reference_preambles`` (by default ``m``, the same preamble count in
     both schemes) in each of ``length`` sub-frames.
     """
-    baseline = codebook_size(CodebookSpec.reference(
-        reference_preambles if reference_preambles is not None else m, length))
-    return [a for a in state_cardinality_values(length, m) if a > baseline]
-
-
-def spec_for_cardinality(length: int, m: int, target: int) -> CodebookSpec:
-    """Expanded codebook of exactly ``target`` codewords.
-
-    Budget vectors realizing the same size can differ in efficiency, so the
-    realization matters.  The lexicographically smallest one is used
-    (`codebook._smallest_budgets`): its budgets are non-decreasing, and its
-    leading sub-frames stay idle (budget 0) wherever the size allows.
-    """
-    products, budgets = _smallest_budgets(length, m)
-    target = whole_number(target, "codebook size", 1)
-    index = np.searchsorted(products, target + 1)
-    if index == products.size or products[index] != target + 1:
-        raise DomainError(f"no codebook of size {target} with L={length}, M={m}")
-    return CodebookSpec.expanded(budgets[index].tolist(), m_global=m)
+    return _above_reference(length, m, reference_preambles)[1].tolist()
 
 
 def default_candidates(
@@ -147,14 +131,15 @@ def default_candidates(
     load_grid: Sequence[int],
     reference_preambles: int | None = None,
 ) -> CandidateSet:
-    """Reference codebook plus one expanded codebook per interest cardinality,
-    each realized as in `spec_for_cardinality`."""
-    reference = CodebookSpec.reference(
-        reference_preambles if reference_preambles is not None else m, length
-    )
-    products, budgets = _smallest_budgets(length, m)
-    expanded = tuple(CodebookSpec.expanded(b, m_global=m)
-                     for b in budgets[products - 1 > codebook_size(reference)].tolist())
+    """Reference codebook plus one expanded codebook per interest cardinality.
+
+    Budget vectors realizing the same size can differ in efficiency, so the
+    realization matters.  Each size takes its lexicographically smallest
+    budgets: they are non-decreasing, and the leading sub-frames stay idle
+    (budget 0) wherever the size allows.
+    """
+    reference, _, budgets = _above_reference(length, m, reference_preambles)
+    expanded = tuple(CodebookSpec.expanded(b, m_global=m) for b in budgets.tolist())
     return CandidateSet((reference,) + expanded, load_grid)
 
 

@@ -448,9 +448,7 @@ def _exceeds(base: int, exponent: int, cap: int) -> bool:
     return base ** min(exponent, cap.bit_length()) > cap
 
 
-def brute_force_expected(
-    spec: CodebookSpec, n_users: int, cap: int = BRUTE_FORCE_CAP
-) -> ExpectedOutcome:
+def brute_force_expected(spec: CodebookSpec, n_users: int) -> ExpectedOutcome:
     """Average the observation over every assignment of codeword ids.
 
     All ``A**n_users`` ordered assignments are equally likely, as contenders
@@ -463,15 +461,14 @@ def brute_force_expected(
     Raises
     ------
     EnumerationTooLarge
-        When ``A**n_users`` exceeds ``cap``, or when its weighted sums could
-        overflow 64-bit integers.
+        When ``A**n_users`` exceeds `BRUTE_FORCE_CAP`, or when its weighted
+        sums could overflow 64-bit integers.
     """
     n_users = whole_number(n_users, "user count", 0)
-    cap = whole_number(cap, "cap", 0)
     size = codebook_size(spec)
     # weighted sums stay in int64: the weights add up to A**N and each count,
     # in the rows' int64, is at most A, so A**(N+1) fitting int64 bounds them
-    limit = min(cap, np.iinfo(np.int64).max // size)
+    limit = min(BRUTE_FORCE_CAP, np.iinfo(np.int64).max // size)
     if _exceeds(size, n_users, limit):
         raise EnumerationTooLarge(f"{size}**{n_users} assignments exceed the cap of {limit}")
     if n_users == 0:

@@ -25,9 +25,10 @@ from codexpand import (
     enumerate_codewords,
     expected_singles_curve,
     min_expanded_preambles,
+    perceived_count,
+    perceived_count_rational,
+    reference_efficiency,
     run_batch,
-    spec_for_cardinality,
-    state_cardinality_values,
     threshold_schedule,
 )
 from codexpand.cli import parse_inline_spec
@@ -151,7 +152,7 @@ class TestEnumeration:
 
     def test_enumeration_cap_guards_blowup(self):
         with pytest.raises(SizeExceedsCap):
-            enumerate_codewords(CodebookSpec.expanded((9,) * 7), cap=10**5)
+            enumerate_codewords(CodebookSpec.expanded((9,) * 7))
 
 
 @pytest.mark.parametrize("spec", [CodebookSpec.expanded((2, 3)),
@@ -236,26 +237,28 @@ COUNT_ENTRIES = {
     "ScenarioConfig trials": (lambda v: ScenarioConfig(L2M2, 2, v, 1), 1),
     "ScenarioConfig master_seed": (lambda v: ScenarioConfig(L2M2, 2, 2, v), 0),
     "CodebookSpec budget": (lambda v: CodebookSpec.expanded((v, 2)), 0),
+    "CodebookSpec m_global": (lambda v: CodebookSpec.expanded((2, 2), m_global=v), 0),
+    # no preambles, or no sub-frames, leave the reference codebook empty
+    "CodebookSpec.reference m": (lambda v: CodebookSpec.reference(v, 2), 1),
+    "CodebookSpec.reference length": (lambda v: CodebookSpec.reference(2, v), 1),
+    "perceived_count n_users": (lambda v: perceived_count(L2M2, v), 0),
+    "perceived_count_rational n_users": (lambda v: perceived_count_rational(L2M2, v), 0),
+    "reference_efficiency n_users": (lambda v: reference_efficiency(v, 2, 2), 1),
     "expected_singles_curve codewords": (lambda v: expected_singles_curve([1, 3], v), 1),
     "brute_force_expected n_users": (lambda v: brute_force_expected(L2M2, v), 0),
-    "brute_force_expected cap": (lambda v: brute_force_expected(L2M2, 0, cap=v), 0),
-    "enumerate_codewords cap": (lambda v: enumerate_codewords(ONE, cap=v), 0),
     "build_transition_model cap": (lambda v: build_transition_model(ONE, cap=v), 0),
     # two trials of two contenders fill one block, so every worker count runs in-process
     "run_batch workers": (lambda v: run_batch(ScenarioConfig(L2M2, 2, 2, 1), workers=v), 1),
     "min_expanded_preambles m_reference": (lambda v: min_expanded_preambles(v, 2), 1),
     "min_expanded_preambles length": (lambda v: min_expanded_preambles(2, v), 1),
-    "state_cardinality_values length": (lambda v: state_cardinality_values(v, 2), 1),
-    "state_cardinality_values m": (lambda v: state_cardinality_values(2, v), 1),
     "cardinalities_of_interest length": (lambda v: cardinalities_of_interest(v, 2), 1),
     "cardinalities_of_interest m": (lambda v: cardinalities_of_interest(2, v), 1),
     "cardinalities_of_interest reference_preambles":
         (lambda v: cardinalities_of_interest(2, 2, v), 1),
-    "spec_for_cardinality length": (lambda v: spec_for_cardinality(v, 2, 3), 1),
-    "spec_for_cardinality m": (lambda v: spec_for_cardinality(2, v, 3), 1),
-    "spec_for_cardinality target": (lambda v: spec_for_cardinality(2, 2, v), 1),
     "default_candidates length": (lambda v: default_candidates(v, 2, [1]), 1),
     "default_candidates m": (lambda v: default_candidates(2, v, [1]), 1),
+    "default_candidates reference_preambles":
+        (lambda v: default_candidates(2, 2, [1], v), 1),
     # the schedule's grid starts at load 1
     "ThresholdSchedule.spec_at": (lambda v: SCHEDULE.spec_at(v), 1),
     "block_rng master_seed": (lambda v: block_rng(v, 0).bit_generator.state, 0),

@@ -1,8 +1,10 @@
 """Observation-configuration chain over expanded codebooks."""
 
 import ast
+import importlib
 import itertools
 import math
+import pkgutil
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -29,6 +31,7 @@ from codexpand import (
     reference_efficiency,
     reference_efficiency_curve,
 )
+import codexpand
 from codexpand import contention, markov, planner, simulate
 from codexpand.contention import _alphabet_terms
 from codexpand.markov import _step
@@ -428,15 +431,17 @@ class TestWholeLoads:
 
 
 def imported(module):
-    """Every name a package module imports, dotted and without the package:
-    ``from .contention import _step`` gives ``contention._step``."""
+    """Every name a package module imports, dotted and without the package,
+    with the name it binds there: ``from .contention import _step`` gives
+    ``("contention._step", "_step")``."""
     tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
-            yield from (f"{node.module or ''}.{alias.name}".removeprefix("codexpand.").lstrip(".")
-                        for alias in node.names)
+            yield from ((f"{node.module or ''}.{alias.name}".removeprefix("codexpand.")
+                         .lstrip("."), alias.asname or alias.name) for alias in node.names)
         elif isinstance(node, ast.Import):
-            yield from (alias.name.removeprefix("codexpand.") for alias in node.names)
+            yield from ((alias.name.removeprefix("codexpand."),
+                         alias.asname or alias.name.partition(".")[0]) for alias in node.names)
 
 
 class TestLayering:
@@ -446,14 +451,25 @@ class TestLayering:
     `contention._efficiency` and the tail's singles."""
 
     def test_planner_imports_only_the_batched_evaluators(self):
-        assert sorted(name for name in imported(planner)
+        assert sorted(name for name, _ in imported(planner)
                       if name.startswith("contention._")) == [
             "contention._TermTable", "contention._efficiency", "contention._singles",
             "contention._term_table"]
 
     def test_chain_and_trials_import_nothing_from_the_closed_form(self):
         for module in (markov, simulate):
-            assert not [name for name in imported(module) if "contention" in name.split(".")]
+            assert not [name for name, _ in imported(module) if "contention" in name.split(".")]
 
     def test_planner_does_not_import_the_chain(self):
-        assert not [name for name in imported(planner) if "markov" in name.split(".")]
+        assert not [name for name, _ in imported(planner) if "markov" in name.split(".")]
+
+    def test_every_imported_name_is_used(self):
+        # `__init__` imports to re-export, and a `__future__` import binds no name
+        unused = []
+        for info in pkgutil.iter_modules(codexpand.__path__):
+            module = importlib.import_module(f"codexpand.{info.name}")
+            tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+            used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            unused += [f"{info.name}: {name}" for name, bound in imported(module)
+                       if bound not in used and not name.startswith("__future__.")]
+        assert not unused

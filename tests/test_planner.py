@@ -26,28 +26,37 @@ from codexpand import (
     expanded_efficiency_curve,
     perceived_curve,
     reference_efficiency,
-    spec_for_cardinality,
-    state_cardinality_values,
     supported_load,
     threshold_schedule,
 )
 from codexpand.contention import _closed_form, _rounded_base, _singles, _term_table
 from codexpand import planner
+from codexpand.codebook import _smallest_budgets
 from codexpand.planner import ScheduleSegment
 
 GRID_200 = list(range(1, 201))
 
 
+def realizations(length, m):
+    """Every budget vector of ``length`` budgets up to ``m``, by codebook size."""
+    sizes = {}
+    for budgets in itertools.product(range(m + 1), repeat=length):
+        sizes.setdefault(math.prod(b + 1 for b in budgets) - 1, []).append(budgets)
+    sizes.pop(0)
+    return sizes
+
+
 class TestCardinalities:
     def test_reachable_values_for_two_by_four(self):
-        assert state_cardinality_values(2, 4) == [
+        assert (_smallest_budgets(2, 4)[0][1:] - 1).tolist() == [
             1, 2, 3, 4, 5, 7, 8, 9, 11, 14, 15, 19, 24,
         ]
 
     @pytest.mark.parametrize("length, m", [(2, 4), (4, 3), (4, 4)])
     def test_values_match_the_state_space(self, length, m):
         model = build_transition_model(CodebookSpec.expanded((m,) * length))
-        assert state_cardinality_values(length, m) == sorted(set(model.cardinalities.tolist()))
+        assert ((_smallest_budgets(length, m)[0][1:] - 1).tolist()
+                == sorted(set(model.cardinalities.tolist())))
 
     def test_interest_exceeds_reference_pool(self):
         assert cardinalities_of_interest(2, 4) == [9, 11, 14, 15, 19, 24]
@@ -57,34 +66,34 @@ class TestCardinalities:
         assert cardinalities_of_interest(4, 3, reference_preambles=32) == [143, 191, 255]
 
     def test_interest_is_subset_of_reachable(self):
-        values = set(state_cardinality_values(3, 3))
+        values = set((_smallest_budgets(3, 3)[0][1:] - 1).tolist())
         assert set(cardinalities_of_interest(3, 3)) <= values
 
-    def test_spec_for_cardinality_picks_smallest_budgets(self):
-        assert spec_for_cardinality(2, 4, 9).budgets == (1, 4)
-        assert spec_for_cardinality(2, 4, 24).budgets == (4, 4)
+    def test_candidates_take_the_smallest_budgets(self):
+        budgets = {s.size: s.budgets for s in default_candidates(2, 4, GRID_200).candidates[1:]}
+        assert (budgets[9], budgets[24]) == ((1, 4), (4, 4))
 
     @pytest.mark.parametrize("length, m", [*itertools.product(range(1, 5), repeat=2),
                                            (2, 54), (3, 12), (8, 2)])
-    def test_spec_for_cardinality_is_the_smallest_realization(self, length, m):
-        realizations = {}
-        for budgets in itertools.product(range(m + 1), repeat=length):
-            realizations.setdefault(math.prod(b + 1 for b in budgets) - 1, []).append(budgets)
-        realizations.pop(0)
-        assert sorted(realizations) == state_cardinality_values(length, m)
-        for target, options in realizations.items():
-            assert spec_for_cardinality(length, m, target).budgets == min(options)
+    def test_candidates_are_the_smallest_realizations(self, length, m):
+        sizes = sorted(realizations(length, m).items())
+        products, budgets = _smallest_budgets(length, m)
+        assert [(a, min(options)) for a, options in sizes] == list(
+            zip((products[1:] - 1).tolist(), map(tuple, budgets[1:].tolist())))
+        # above the smallest reference codebook, of one preamble per sub-frame
+        expanded = default_candidates(length, m, [1], reference_preambles=1).candidates[1:]
+        assert ([(s.size, s.budgets) for s in expanded]
+                == [(a, min(options)) for a, options in sizes if a > length])
 
     @pytest.mark.parametrize("m", [3, 4])
     def test_chosen_realization_is_never_less_efficient(self, m):
         # realizations of one size differ in efficiency; the lexicographically
         # smallest one, with its idle leading sub-frames, wins at every load
         grid = np.arange(1, 10 * ((m + 1) ** 4 - 1) + 1)
+        sizes = realizations(4, m)
         contested = 0
-        for target in cardinalities_of_interest(4, m):
-            chosen = spec_for_cardinality(4, m, target)
-            others = {tuple(sorted(b)) for b in itertools.product(range(m + 1), repeat=4)
-                      if math.prod(c + 1 for c in b) - 1 == target}
+        for chosen in default_candidates(4, m, grid).candidates[1:]:
+            others = {tuple(sorted(b)) for b in sizes[chosen.size]}
             others.discard(tuple(sorted(chosen.budgets)))
             contested += bool(others)
             best = expanded_efficiency_curve(chosen, grid)
@@ -93,17 +102,16 @@ class TestCardinalities:
                 assert (best >= other).all()
         assert contested > 0
 
-    def test_spec_for_unreachable_cardinality(self):
-        with pytest.raises(DomainError):
-            spec_for_cardinality(2, 4, 6)
-
 
 class TestCandidates:
-    def test_default_set_shape(self):
-        cands = default_candidates(2, 4, GRID_200)
-        assert codebook_size(cands.candidates[0]) == 8
+    @pytest.mark.parametrize("length, m, reference_preambles, reference", [
+        (2, 4, None, 8), (4, 3, 32, 128)])
+    def test_default_set_shape(self, length, m, reference_preambles, reference):
+        cands = default_candidates(length, m, GRID_200, reference_preambles)
+        assert codebook_size(cands.candidates[0]) == reference
         assert cands.candidates[0].mode is Mode.REFERENCE
-        assert [codebook_size(s) for s in cands.candidates[1:]] == [9, 11, 14, 15, 19, 24]
+        assert ([codebook_size(s) for s in cands.candidates[1:]]
+                == cardinalities_of_interest(length, m, reference_preambles))
 
     def test_load_grid_validation(self):
         with pytest.raises(DomainError):

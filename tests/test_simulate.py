@@ -629,14 +629,15 @@ class TestBruteForce:
         with pytest.raises(EnumerationTooLarge):
             brute_force_expected(spec, 24)
 
-    def test_two_codewords_up_to_the_int64_limit(self):
+    def test_two_codewords_up_to_the_int64_limit(self, monkeypatch):
         # 2**62 assignments would let the weighted sums reach 2**63
+        monkeypatch.setattr(simulate, "BRUTE_FORCE_CAP", 2**62)
         spec = CodebookSpec.expanded((2,))
-        out = brute_force_expected(spec, 61, cap=2**62)
+        out = brute_force_expected(spec, 61)
         assert out.singles == Fraction(61, 2**60)
         assert out.perceived == perceived_count_rational(spec, 61)
         with pytest.raises(EnumerationTooLarge):
-            brute_force_expected(spec, 62, cap=2**62)
+            brute_force_expected(spec, 62)
 
     def test_one_codeword_builds_no_table_of_binomials(self):
         # a table of C(i, k) for i, k <= 10**6 would not fit in memory
@@ -646,8 +647,9 @@ class TestBruteForce:
         assert out == ExpectedOutcome(0, 1, 1, 1, 0)
 
     def test_cap_enforced(self):
+        # 8**8 = 16,777,216 assignments, over the default cap
         with pytest.raises(EnumerationTooLarge):
-            brute_force_expected(L2M2, 9, cap=10**6)
+            brute_force_expected(L2M2, 8)
 
     def test_cap_refuses_without_forming_the_power(self):
         # forming 1,002,000**(10**7) before comparing takes about a minute
