@@ -15,8 +15,8 @@ reproduce
     Canned parameter sets that regenerate the library's standard figures,
     one CSV per curve plus an SVG overlay.
 
-Exit codes: 0 success, 2 usage or invalid values, 3 a configured capacity
-cap was exceeded, 4 an input file could not be parsed.  Every run writes a
+Exit codes: 0 success, 2 usage, bad values or unwritable outputs, 3 a cap
+was exceeded, 4 an input file could not be parsed.  Every run writes a
 manifest JSON recording the resolved parameters; re-running a command with
 the parameters from its manifest reproduces the CSV output byte for byte.
 """
@@ -492,7 +492,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     started = time.perf_counter()
     try:
         made = args.func(args)
-        out_dir = Path(args.out)
+    except (ValueError, CodexpandError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, (StateSpaceTooLarge, SizeExceedsCap, EnumerationTooLarge)):
+            return 3
+        return 4 if isinstance(exc, InputParseError) else 2
+    out_dir = Path(args.out)
+    try:
         out_dir.mkdir(parents=True, exist_ok=True)
         for name, write in made.outputs.items():
             write(out_dir / name)
@@ -505,11 +511,9 @@ def main(argv: Sequence[str] | None = None) -> int:
             "duration_seconds": round(time.perf_counter() - started, 6),
             **made.extra,
         })
-    except (ValueError, CodexpandError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        if isinstance(exc, (StateSpaceTooLarge, SizeExceedsCap, EnumerationTooLarge)):
-            return 3
-        return 4 if isinstance(exc, InputParseError) else 2
+    except OSError as exc:
+        print(f"error: cannot write outputs to {out_dir}: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

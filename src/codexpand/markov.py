@@ -30,8 +30,8 @@ A step needs no matrix.  Reshaped to one axis per sub-frame, shape
 advances by applying each ``F_j`` along its own axis and subtracting itself
 once for the all-idle word (`_step`).  In Python integers the step is exact,
 so small instances are checked in rational arithmetic.  The count table
-itself is built only when read, for `inspect-chain` and the chain goldens, as
-the ``sparse.kron`` of the per-sub-frame factors.
+itself is built only when read, for `inspect-chain` and the chain goldens, in
+numpy, one per-sub-frame factor at a time.
 The chain is an independent route to the closed form's numbers.
 """
 
@@ -41,7 +41,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -51,11 +51,6 @@ from .errors import DomainError, StateSpaceTooLarge
 
 #: Largest chain `build_transition_model` accepts, in states.
 STATE_CAP = 10**7
-
-
-def _check_expanded(spec: CodebookSpec) -> None:
-    if spec.mode is not Mode.EXPANDED:
-        raise DomainError("observation chains are built for expanded codebooks")
 
 
 def _step(dist: np.ndarray, budgets: Sequence[int]) -> np.ndarray:
@@ -76,6 +71,18 @@ def _step(dist: np.ndarray, budgets: Sequence[int]) -> np.ndarray:
         nxt = (k + 1) * d
         nxt[:, 1:] += (m + 1 - k[1:]) * d[:, :-1]
     return nxt.reshape(dist.shape) - dist
+
+
+class CountTable(NamedTuple):
+    """A chain's transition counts as CSR arrays, columns increasing in each row."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+
+    @property
+    def nnz(self) -> int:
+        return len(self.data)
 
 
 @dataclass(frozen=True)
@@ -116,26 +123,26 @@ class TransitionModel:
         return products[1:] - 1
 
     @cached_property
-    def counts(self):
-        """Integer transition counts as a scipy CSR matrix.
-
-        ``counts[i, j]`` is the number of codewords moving state ``i`` to
-        state ``j``; every row sums to `denominator`.  The table over
-        configurations ``0..A`` is the Kronecker product of each sub-frame's
-        bidiagonal factor, the one `_step` applies, minus the identity.
-        """
-        from scipy import sparse  # only the chain dump and its checks read the table
-
-        table = sparse.identity(1, dtype=np.int64)
+    def counts(self) -> CountTable:
+        """Integer transition counts: row ``i`` lists the states that state ``i``
+        moves to and how many codewords drive each move, `denominator` in all.
+        Over configurations ``0..A`` the table is the Kronecker product of each
+        sub-frame's bidiagonal factor, the one `_step` applies, minus the identity."""
+        indptr, indices, data = np.array([0, 1]), np.zeros(1, np.int64), np.ones(1, np.int64)
         for m in self.spec.budgets:
-            k = np.arange(m + 1, dtype=np.int64)
-            table = sparse.kron(table, sparse.diags([k + 1, m - k[:-1]], [0, 1], dtype=np.int64))
-        # the all-idle word is not in the codebook
-        table = table.tocsr() - sparse.identity(table.shape[0], dtype=np.int64)
-        _check_row_sums(table, self.denominator)
-        counts = table[1:, 1:]
-        counts.sort_indices()
-        return counts
+            # row r's entry (c, v) puts factor row k, times v, at c(m+1) in row r(m+1) + k
+            lengths, k = np.diff(indptr), np.arange(m + 1)
+            row = np.repeat(np.arange(len(lengths)), lengths)
+            at = (m * indptr[row] + np.arange(len(data)) + np.multiply.outer(k, lengths[row])).T
+            cols, vals = np.empty((2, (m + 1) * len(data), 2), np.int64)
+            cols[at] = (indices * (m + 1))[:, None, None] + np.stack([k, k + 1], axis=1)
+            vals[at] = data[:, None, None] * np.stack([k + 1, m - k], axis=1)
+            indptr = np.append(0, np.cumsum(np.multiply.outer(lengths, 1 + (k < m))))
+            indices, data = cols[vals != 0], vals[vals != 0]  # (m-k)v is 0 at k = m
+        data[indptr[:-1]] -= 1  # the all-idle word: each row starts on its diagonal
+        if not (np.add.reduceat(data, indptr[:-1]) == self.denominator).all():
+            raise AssertionError("transition counts do not cover the codebook")
+        return CountTable(indptr[1:] - indptr[1], indices[indptr[1]:] - 1, data[indptr[1]:])
 
     @cached_property
     def initial_counts(self) -> np.ndarray:
@@ -145,8 +152,10 @@ class TransitionModel:
 
     @cached_property
     def matrix(self):
-        """Row-stochastic transition matrix (float CSR)."""
-        return self.counts.astype(np.float64) / self.denominator
+        """Row-stochastic transition matrix (float scipy CSR)."""
+        from scipy import sparse  # read only by bench/make_reference.py and one test
+        indptr, indices, data = self.counts
+        return sparse.csr_array((data / self.denominator, indices, indptr), shape=(len(self),) * 2)
 
     @cached_property
     def initial(self) -> np.ndarray:
@@ -211,15 +220,11 @@ def build_transition_model(spec: CodebookSpec, cap: int = STATE_CAP) -> Transiti
         When the ``A`` states exceed ``cap``; use `contention.perceived_curve`
         or Monte Carlo instead.
     """
-    _check_expanded(spec)
+    if spec.mode is not Mode.EXPANDED:
+        raise DomainError("observation chains are built for expanded codebooks")
     cap = whole_number(cap, "cap", 0)
     size = codebook_size(spec)
     if size > cap:
         raise StateSpaceTooLarge(f"{size} states exceed the cap of {cap}")
     return TransitionModel(spec)
 
-
-def _check_row_sums(counts, denom: int) -> None:
-    sums = np.asarray(counts.sum(axis=1)).ravel()
-    if not (sums == denom).all():
-        raise AssertionError("transition counts do not cover the codebook")

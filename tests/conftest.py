@@ -29,6 +29,19 @@ def golden_dir() -> Path:
     return GOLDEN_DIR
 
 
+@pytest.fixture(scope="session")
+def count_matrix():
+    """A chain's `counts` arrays as a scipy CSR matrix, for the tests that read
+    the table through scipy's methods (`getrow` needs the matrix class)."""
+    from scipy import sparse
+
+    def wrap(model):
+        indptr, indices, data = model.counts
+        return sparse.csr_matrix((data, indices, indptr), shape=(len(model), len(model)))
+
+    return wrap
+
+
 def pytest_runtest_logreport(report):
     if report.when != "call":
         return

@@ -167,6 +167,20 @@ class TestAnalyze:
                    "--n-range", "1", "--out", tmp_path) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_out_naming_an_existing_file_exit_code(self, tmp_path):
+        # a usage error, reported in one line, and the file is left as it was
+        src = Path(codexpand.__file__).resolve().parents[1]
+        existing = tmp_path / "taken"
+        existing.write_text("kept\n")
+        done = subprocess.run(
+            [sys.executable, "-m", "codexpand.cli", "analyze", "--spec",
+             "L=1,m=2,mode=expanded", "--n-range", "1:3", "--out", str(existing)],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)})
+        assert done.returncode == 2
+        assert done.stderr.startswith(f"error: cannot write outputs to {existing}: ")
+        assert done.stderr.count("\n") == 1 and "Traceback" not in done.stderr
+        assert existing.read_text() == "kept\n"
+
 
 class TestInspectChain:
     def test_small_chain_matches_golden(self, tmp_path, golden_dir):
@@ -478,13 +492,27 @@ class TestReproduce:
 
 class TestImport:
     def test_cli_import_leaves_scipy_unloaded(self):
-        # only the chain's count table needs scipy, and it imports it when built
+        # no command needs scipy; only `TransitionModel.matrix` imports it, when read
         src = Path(codexpand.__file__).resolve().parents[1]
         code = ("import sys, codexpand.cli; "
                 "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))")
         done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               env={**os.environ, "PYTHONPATH": str(src)}, check=True)
         assert done.stdout.strip() == "[]"
+
+    def test_every_command_runs_without_scipy(self, tmp_path):
+        # scipy is a test dependency only: where it cannot be imported, one
+        # small run of each command still succeeds
+        src = Path(codexpand.__file__).resolve().parents[1]
+        code = ("import json, sys; sys.modules['scipy'] = None; from codexpand.cli import main; "
+                "print([main([*argv, '--out', f'{sys.argv[2]}/{argv[0]}']) "
+                "for argv in json.loads(sys.argv[1])])")
+        runs = json.dumps([[str(a) for a in argv] for argv in SMALL_RUNS.values()])
+        done = subprocess.run([sys.executable, "-c", code, runs, str(tmp_path)],
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(src)})
+        assert (done.returncode, done.stdout) == (0, f"{[0] * len(SMALL_RUNS)}\n"), done.stderr
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(SMALL_RUNS)
 
     def test_exports_are_the_bound_public_names(self):
         exports = codexpand.__all__

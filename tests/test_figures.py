@@ -90,6 +90,11 @@ BYTE_PINS = {
     "thresholds-l3m54": (["thresholds", "--length", "3", "--preambles", "54",
                           "--n-range", "1:20000"],
                          1, "8105b4ea95b6915a5bef3a52664577182734408d152f1a5d096816c445847132"),
+    # the chain dump, whose count table is built one sub-frame factor at a time
+    "inspect-chain-l5m5": (["inspect-chain", "--spec", "L=5,m=5,mode=expanded"],
+                           1, "d66db7321dd1d10a85a6314be6cf4765699b487e1b3a4cb04b5a1f9cec6243e0"),
+    "inspect-chain-l4m3052": (["inspect-chain", "--spec", "L=4,m=3,0,5,2,mode=expanded"],
+                              1, "8dd4a6aad9241d5b31e3daaa252ebad88c0b8773e3a10d517f9a77a842eb5da5"),
 }
 
 

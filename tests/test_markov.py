@@ -106,9 +106,9 @@ class TestStateSpace:
 class TestTransitionModel:
     @given(small_budgets)
     @settings(max_examples=40, deadline=None)
-    def test_rows_sum_to_codebook_size(self, budgets):
+    def test_rows_sum_to_codebook_size(self, count_matrix, budgets):
         model = build_transition_model(CodebookSpec.expanded(tuple(budgets)))
-        sums = np.asarray(model.counts.sum(axis=1)).ravel()
+        sums = np.asarray(count_matrix(model).sum(axis=1)).ravel()
         assert (sums == model.denominator).all()
 
     def test_matrix_is_row_stochastic(self):
@@ -128,7 +128,7 @@ class TestTransitionModel:
     @given(st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=4)
            .filter(any))
     @settings(max_examples=30, deadline=None, derandomize=True)
-    def test_chain_matches_loop_reference(self, budgets):
+    def test_chain_matches_loop_reference(self, count_matrix, budgets):
         spec = CodebookSpec.expanded(tuple(budgets))
         model = build_transition_model(spec)
         all_ones = (1,) * len(budgets)
@@ -140,26 +140,47 @@ class TestTransitionModel:
         for i, config in enumerate(states):
             for succ, count in loop_successors(config, budgets).items():
                 expected[i, index[succ]] = count
-        assert np.array_equal(model.counts.toarray(), expected)
+        assert np.array_equal(count_matrix(model).toarray(), expected)
         initial = np.zeros(len(states), dtype=np.int64)
         for succ, count in loop_successors(all_ones, budgets).items():
             initial[index[succ]] = count
         assert np.array_equal(model.initial_counts, initial)
 
-    def test_large_single_budget_builds_in_linear_space(self):
+    @given(st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=4)
+           .filter(any))
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_counts_are_the_dense_kronecker_product(self, budgets):
+        # the dense product of the bidiagonal factors, minus the identity, with
+        # the empty observation's row and column removed
+        model = build_transition_model(CodebookSpec.expanded(tuple(budgets)))
+        product = np.ones((1, 1), dtype=np.int64)
+        for m in budgets:
+            k = np.arange(m + 1)
+            product = np.kron(product, np.diag(k + 1) + np.diag(m - k[:-1], 1))
+        expected = (product - np.eye(len(product), dtype=np.int64))[1:, 1:]
+        indptr, indices, data = model.counts
+        rows = np.repeat(np.arange(len(model)), np.diff(indptr))
+        dense = np.zeros_like(expected)
+        dense[rows, indices] = data
+        assert np.array_equal(dense, expected)
+        assert (np.diff(indices)[np.diff(rows) == 0] > 0).all()
+        assert model.counts.nnz == len(data) == np.count_nonzero(expected)
+
+    def test_large_single_budget_builds_in_linear_space(self, count_matrix):
         # 10**5 states and 2 * 10**5 - 1 non-zeros; a dense per-sub-frame
         # factor would need 80 GB here
         m = 10**5
         model = build_transition_model(CodebookSpec.expanded((m,)))
-        assert len(model) == m and model.counts.nnz == 2 * m - 1
-        assert model.counts[0, 0] == 1 and model.counts[0, 1] == m - 1
-        assert model.counts[m - 1, m - 1] == m
+        table = count_matrix(model)
+        assert len(model) == m and table.nnz == 2 * m - 1
+        assert table[0, 0] == 1 and table[0, 1] == m - 1
+        assert table[m - 1, m - 1] == m
         assert model.initial_counts[0] == m and model.initial_counts[1:].sum() == 0
 
     @given(st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=4)
            .filter(any), st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=40, deadline=None, derandomize=True)
-    def test_step_is_one_product_with_the_count_table(self, budgets, seed):
+    def test_step_is_one_product_with_the_count_table(self, count_matrix, budgets, seed):
         # over configurations 0..A: row 0, the empty observation, moves as the
         # loop reference says, and no configuration moves back to it
         model = build_transition_model(CodebookSpec.expanded(tuple(budgets)))
@@ -168,15 +189,15 @@ class TestTransitionModel:
         for succ, count in loop_successors((1,) * len(budgets), budgets).items():
             origin[index[succ]] = count
         dist = np.random.default_rng(seed).integers(0, 10**6, size=len(model) + 1)
-        expected = [0, *(model.counts.T @ dist[1:] + dist[0] * origin).tolist()]
+        expected = [0, *(count_matrix(model).T @ dist[1:] + dist[0] * origin).tolist()]
         shape = tuple(m + 1 for m in budgets)
         assert _step(dist.reshape(shape), budgets).ravel().tolist() == expected
         exact = _step(dist.astype(object).reshape(shape), budgets).ravel().tolist()
         assert exact == expected and all(type(v) is int for v in exact)
 
-    def test_absorbing_full_state(self):
+    def test_absorbing_full_state(self, count_matrix):
         model = build_transition_model(L2M2)
-        last = model.counts.getrow(len(model.states) - 1)
+        last = count_matrix(model).getrow(len(model.states) - 1)
         assert last.indices.tolist() == [len(model.states) - 1]
         assert last.data.tolist() == [model.denominator]
 
@@ -444,11 +465,34 @@ def imported(module):
                          alias.asname or alias.name.partition(".")[0]) for alias in node.names)
 
 
+def scipy_imports(tree):
+    """The import statements under ``tree`` that load scipy or one of its modules."""
+    return [node for node in ast.walk(tree)
+            if isinstance(node, ast.Import) and any(alias.name.partition(".")[0] == "scipy"
+                                                    for alias in node.names)
+            or isinstance(node, ast.ImportFrom) and (node.module or "").partition(".")[0]
+            == "scipy"]
+
+
 class TestLayering:
     """The chain and the Monte Carlo runner stay independent routes to the
     closed form: neither imports from `contention`, and the planner never
     uses the chain.  The planner evaluates efficiency only through
-    `contention._efficiency` and the tail's singles."""
+    `contention._efficiency` and the tail's singles.  scipy is no runtime
+    dependency: only the float matrix that the benchmark's reference script
+    reads imports it."""
+
+    def test_only_the_float_matrix_imports_scipy(self):
+        trees = {info.name: ast.parse(Path(importlib.import_module(f"codexpand.{info.name}")
+                                           .__file__).read_text(encoding="utf-8"))
+                 for info in pkgutil.iter_modules(codexpand.__path__)}
+        found = {name: scipy_imports(tree) for name, tree in trees.items()}
+        assert {name: len(nodes) for name, nodes in found.items() if nodes} == {"markov": 1}
+        [model] = [node for node in trees["markov"].body
+                   if isinstance(node, ast.ClassDef) and node.name == "TransitionModel"]
+        [matrix] = [node for node in model.body
+                    if isinstance(node, ast.FunctionDef) and node.name == "matrix"]
+        assert found["markov"] == scipy_imports(matrix)
 
     def test_planner_imports_only_the_batched_evaluators(self):
         assert sorted(name for name, _ in imported(planner)
